@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"ptm/internal/record"
+	"ptm/internal/stripe"
 	"ptm/internal/vhash"
 )
 
@@ -69,25 +70,31 @@ var (
 // does not affect the estimators.
 //
 // Send is the high-fan-in path (every passing vehicle at every beacon)
-// and is lock-free when ReportLoss is zero: the sink and counters are
-// atomics, so concurrent vehicle reports proceed without convoying on the
-// channel mutex. Lossy channels take the mutex only for the RNG draw.
+// and is lock-free when ReportLoss is zero. It writes no cache line that
+// another sender writes: the words it only reads (cfg, sink) come first
+// in the struct, a line or more from anything written, and its one
+// counter is striped per P. Lossy channels take the mutex only for the
+// RNG draw.
 type Channel struct {
-	mu        sync.Mutex
-	rng       *rand.Rand           //ptm:guardedby mu
-	nextSub   int                  //ptm:guardedby mu
-	listeners map[int]func(Beacon) //ptm:guardedby mu
-
 	cfg    Config // immutable after NewChannel
 	closed atomic.Bool
 	// sink is RCU-published: attach/detach store it under mu; the
 	// lock-free Send path loads it and must not retain the pointer
 	// across blocking (machine-checked by the rcu lint rule).
 	//ptm:rcu mu
-	sink atomic.Pointer[func(Report)]
+	sink atomic.Pointer[func(Report, stripe.ID)]
+	_    [88]byte // to 128: every written word below is a line or more away
+
+	mu        sync.Mutex
+	rng       *rand.Rand           //ptm:guardedby mu
+	nextSub   int                  //ptm:guardedby mu
+	listeners map[int]func(Beacon) //ptm:guardedby mu
 
 	beaconsSent, beaconsLost atomic.Uint64
-	reportsSent, reportsLost atomic.Uint64
+	reportsLost              atomic.Uint64
+	_                        [72]byte // to 256: reportsSent starts on a cell boundary
+
+	reportsSent stripe.Cells
 }
 
 // NewChannel creates a channel with the given impairment model.
@@ -124,8 +131,10 @@ func (c *Channel) Subscribe(fn func(Beacon)) (cancel func(), err error) {
 }
 
 // AttachSink registers the RSU-side report consumer. Only one sink may be
-// attached at a time.
-func (c *Channel) AttachSink(fn func(Report)) error {
+// attached at a time. The sink receives, with each report, the stripe
+// Send counted it on, so that it can count on the same one: one stripe
+// selection per report.
+func (c *Channel) AttachSink(fn func(Report, stripe.ID)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
@@ -171,14 +180,16 @@ func (c *Channel) Broadcast(b Beacon) error {
 //
 //ptm:sink dsrc transmission
 func (c *Channel) Send(r Report) error {
-	if c.closed.Load() {
-		return ErrClosed
-	}
 	sink := c.sink.Load()
 	if sink == nil {
+		// Close stores a nil sink, so closed only tells the two apart.
+		if c.closed.Load() {
+			return ErrClosed
+		}
 		return ErrNoUplink
 	}
-	c.reportsSent.Add(1)
+	s := stripe.Pick()
+	c.reportsSent.At(s).Count.Add(1)
 	if c.cfg.ReportLoss > 0 {
 		c.mu.Lock()
 		lost := c.rng.Float64() < c.cfg.ReportLoss
@@ -188,7 +199,7 @@ func (c *Channel) Send(r Report) error {
 			return nil // lost in the air; sender cannot tell
 		}
 	}
-	(*sink)(r)
+	(*sink)(r, s)
 	return nil
 }
 
@@ -209,11 +220,13 @@ type Stats struct {
 	ReportsSent, ReportsLost uint64
 }
 
-// Stats returns a snapshot of the channel counters.
+// Stats returns the channel counters. ReportsSent is a sum over stripes:
+// it never decreases from one call to the next and is exact once senders
+// are quiet, but while they run it is not a snapshot of one instant.
 func (c *Channel) Stats() Stats {
 	return Stats{
 		BeaconsSent: c.beaconsSent.Load(), BeaconsLost: c.beaconsLost.Load(),
-		ReportsSent: c.reportsSent.Load(), ReportsLost: c.reportsLost.Load(),
+		ReportsSent: c.reportsSent.Sum(), ReportsLost: c.reportsLost.Load(),
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"ptm/internal/stripe"
 )
 
 func TestNewChannelValidation(t *testing.T) {
@@ -66,10 +68,10 @@ func TestSendRequiresSink(t *testing.T) {
 		t.Errorf("err = %v, want ErrNoUplink", err)
 	}
 	var n int
-	if err := c.AttachSink(func(Report) { n++ }); err != nil {
+	if err := c.AttachSink(func(Report, stripe.ID) { n++ }); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AttachSink(func(Report) {}); err == nil {
+	if err := c.AttachSink(func(Report, stripe.ID) {}); err == nil {
 		t.Error("second sink accepted")
 	}
 	if err := c.Send(Report{Index: 5}); err != nil {
@@ -90,7 +92,7 @@ func TestLossRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sunk := 0
-	if err := c.AttachSink(func(Report) { sunk++ }); err != nil {
+	if err := c.AttachSink(func(Report, stripe.ID) { sunk++ }); err != nil {
 		t.Fatal(err)
 	}
 	const n = 4000
@@ -135,7 +137,7 @@ func TestClose(t *testing.T) {
 	if _, err := c.Subscribe(func(Beacon) {}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Subscribe err = %v", err)
 	}
-	if err := c.AttachSink(func(Report) {}); !errors.Is(err, ErrClosed) {
+	if err := c.AttachSink(func(Report, stripe.ID) {}); !errors.Is(err, ErrClosed) {
 		t.Errorf("AttachSink err = %v", err)
 	}
 }
@@ -154,7 +156,7 @@ func TestConcurrentUse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.AttachSink(func(Report) {}); err != nil {
+	if err := c.AttachSink(func(Report, stripe.ID) {}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup

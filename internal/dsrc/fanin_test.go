@@ -4,22 +4,30 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ptm/internal/stripe"
 )
 
 // TestConcurrentSendFanIn: the lossless Send path is lock-free; a storm
-// of concurrent senders must deliver every report exactly once and keep
-// the counters exact.
+// of concurrent senders — more of them than the sent counter has stripes —
+// must deliver every report exactly once, hand the sink a valid stripe,
+// and keep the counters exact.
 func TestConcurrentSendFanIn(t *testing.T) {
 	const (
-		workers = 8
-		perW    = 5000
+		workers = stripe.Count + stripe.Count/2
+		perW    = 2000
 	)
 	c, err := NewChannel(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var delivered atomic.Uint64
-	if err := c.AttachSink(func(Report) { delivered.Add(1) }); err != nil {
+	var delivered, badStripe atomic.Uint64
+	if err := c.AttachSink(func(_ Report, s stripe.ID) {
+		delivered.Add(1)
+		if s >= stripe.Count {
+			badStripe.Add(1)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -39,6 +47,9 @@ func TestConcurrentSendFanIn(t *testing.T) {
 	if got := delivered.Load(); got != workers*perW {
 		t.Errorf("delivered %d reports, want %d", got, workers*perW)
 	}
+	if n := badStripe.Load(); n != 0 {
+		t.Errorf("%d reports reached the sink with a stripe of %d or more", n, stripe.Count)
+	}
 	st := c.Stats()
 	if st.ReportsSent != workers*perW || st.ReportsLost != 0 {
 		t.Errorf("stats = %+v", st)
@@ -57,7 +68,7 @@ func TestConcurrentSendWithLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered atomic.Uint64
-	if err := c.AttachSink(func(Report) { delivered.Add(1) }); err != nil {
+	if err := c.AttachSink(func(Report, stripe.ID) { delivered.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup

@@ -4,14 +4,17 @@
 // the bitmap, and at period end emits the traffic record for upload to the
 // central server. The RSU never stores any per-vehicle information.
 //
-// Concurrency contract: the report path is lock-free. The active period
-// lives behind an atomic.Pointer (RCU-style): handleReport loads the
-// pointer and ORs one bit into the bitmap atomically, never blocking on
-// other reports or on period rotation. StartPeriod/EndPeriod are the
+// Concurrency contract: the report path is lock-free, and the only cache
+// line two concurrent reports both write is the bitmap word itself. The
+// active period lives behind an atomic.Pointer (RCU-style): handleReport
+// loads the pointer, announces itself on the stripe the channel chose for
+// the report, and ORs one bit into the bitmap atomically, never blocking
+// on other reports or on period rotation. StartPeriod/EndPeriod are the
 // writers — they serialize among themselves on a rotation mutex and swap
-// the pointer; EndPeriod additionally waits for in-flight reports to
-// drain, so the record it returns is quiescent and safe for plain reads
-// (marshaling, estimation) without further synchronization.
+// the pointer; EndPeriod additionally waits, stripe by stripe, for
+// in-flight reports to drain, so the record it returns is quiescent and
+// safe for plain reads (marshaling, estimation) without further
+// synchronization.
 package rsu
 
 import (
@@ -26,6 +29,7 @@ import (
 	"ptm/internal/lpc"
 	"ptm/internal/pki"
 	"ptm/internal/record"
+	"ptm/internal/stripe"
 	"ptm/internal/vhash"
 )
 
@@ -40,16 +44,18 @@ var (
 type Clock func() time.Time
 
 // periodState is the RCU-published state of one measurement period. It is
-// immutable except for the bitmap contents and the counters, all of which
+// immutable except for the bitmap contents and the cells, all of which
 // are written atomically.
 type periodState struct {
 	rec *record.Record
-	// seen counts reports folded into rec.
-	seen atomic.Uint64
-	// inflight counts handleReport calls currently writing into rec;
-	// EndPeriod waits for it to reach zero after unpublishing the state,
-	// which is the RCU grace period that makes rec quiescent.
-	inflight atomic.Int64
+	_   [stripe.CellSize - 8]byte // rec is read by every report: no cell shares its line
+	// cells holds, per stripe, Entered — the handleReport calls that have
+	// announced a write into rec — and Count — those that have finished
+	// it, which is also the number of reports folded into rec. EndPeriod
+	// waits for each stripe to go idle (Entered == Count) after
+	// unpublishing the state, which is the RCU grace period that makes
+	// rec quiescent.
+	cells stripe.Cells
 }
 
 // RSU is one road-side unit. Beacon, Stats, and the report sink are safe
@@ -62,16 +68,18 @@ type RSU struct {
 	f     float64
 	clock Clock
 
-	// rotateMu serializes period rotation (StartPeriod/EndPeriod). The
-	// report path never takes it.
-	rotateMu sync.Mutex
-
 	// cur is the RCU-published active period; nil between periods. Only
 	// the rotation writer (holding rotateMu) may store or swap it, and
 	// lock-free readers must re-Load rather than retain a pointer across
-	// blocking — both machine-checked by the rcu lint rule.
+	// blocking — both machine-checked by the rcu lint rule. Every report
+	// loads it twice, so nothing but rotation writes within a line of it.
 	//ptm:rcu rotateMu
-	cur      atomic.Pointer[periodState]
+	cur atomic.Pointer[periodState]
+	_   [64]byte
+
+	// rotateMu serializes period rotation (StartPeriod/EndPeriod). The
+	// report path never takes it.
+	rotateMu sync.Mutex
 	dropped  atomic.Uint64 // reports received with no/mismatched active period
 	lastSeen atomic.Uint64 // reports in the most recently completed period
 }
@@ -142,31 +150,31 @@ func (r *RSU) Beacon() error {
 }
 
 // handleReport folds one vehicle report into the active bitmap without
-// taking any lock. Reports for other periods (stale or clock-skewed
-// vehicles) are dropped, as are reports that lose the race with period
-// rotation — indistinguishable, to the vehicle, from arriving a moment
-// later.
-func (r *RSU) handleReport(rep dsrc.Report) {
+// taking any lock, counting on stripe s — the one the channel picked for
+// this report. Reports for other periods (stale or clock-skewed vehicles)
+// are dropped, as are reports that lose the race with period rotation —
+// indistinguishable, to the vehicle, from arriving a moment later.
+func (r *RSU) handleReport(rep dsrc.Report, s stripe.ID) {
 	st := r.cur.Load()
 	if st == nil {
 		r.dropped.Add(1)
 		return
 	}
-	st.inflight.Add(1)
+	cell := st.cells.At(s)
+	cell.Entered.Add(1)
 	// Re-check after announcing ourselves: if rotation swapped the
 	// pointer between our load and the increment, EndPeriod may already
-	// have observed inflight == 0 and handed the record off, so we must
+	// have observed our stripe idle and handed the record off, so we must
 	// not touch it. (If the re-check still sees st, the swap — and hence
-	// EndPeriod's drain — happens after our increment, and the drain
-	// waits for us.)
+	// EndPeriod's drain of this stripe — happens after our increment, and
+	// the drain waits for us.)
 	if r.cur.Load() != st || rep.Period != st.rec.Period {
-		st.inflight.Add(-1)
+		cell.Entered.Add(^uint64(0)) // back out
 		r.dropped.Add(1)
 		return
 	}
 	st.rec.Bitmap.AtomicSet(rep.Index)
-	st.seen.Add(1)
-	st.inflight.Add(-1)
+	cell.Count.Add(1) // folded, and out of the section
 }
 
 // EndPeriod closes the active period and returns its traffic record. It
@@ -180,13 +188,17 @@ func (r *RSU) EndPeriod() (*record.Record, error) {
 	if st == nil {
 		return nil, ErrNoPeriod
 	}
-	// RCU grace period: every handler that incremented inflight before
-	// the swap finishes; handlers arriving after the swap drop without
-	// writing.
-	for st.inflight.Load() != 0 {
-		runtime.Gosched()
+	// RCU grace period, one stripe at a time: every handler that passed
+	// its re-check entered its stripe before the swap and finishes on the
+	// same stripe, so a stripe found idle after the swap has no writer
+	// left; handlers arriving after the swap back out without writing,
+	// whichever stripe they touch.
+	for i := range st.cells {
+		for !st.cells[i].Idle() {
+			runtime.Gosched()
+		}
 	}
-	r.lastSeen.Store(st.seen.Load())
+	r.lastSeen.Store(st.cells.Sum())
 	return st.rec, nil
 }
 
@@ -219,14 +231,16 @@ type Stats struct {
 }
 
 // Stats returns current counters. It is safe to call while reports are
-// being folded concurrently; OnesFraction is then a live snapshot.
+// being folded concurrently; OnesFraction is then a live snapshot, and
+// ReportsSeen a sum over stripes: within a period it never decreases from
+// one call to the next, and it is exact once reports are quiet.
 func (r *RSU) Stats() Stats {
 	s := Stats{ReportsDrop: r.dropped.Load()}
 	if st := r.cur.Load(); st != nil {
 		s.Active = true
 		s.Period = st.rec.Period
 		s.BitmapSize = st.rec.Size()
-		s.ReportsSeen = st.seen.Load()
+		s.ReportsSeen = st.cells.Sum()
 		s.OnesFraction = st.rec.Bitmap.AtomicFractionOne()
 	} else {
 		s.ReportsSeen = r.lastSeen.Load()

@@ -8,6 +8,7 @@ import (
 	"ptm/internal/dsrc"
 	"ptm/internal/pki"
 	"ptm/internal/record"
+	"ptm/internal/stripe"
 	"ptm/internal/vhash"
 )
 
@@ -152,7 +153,7 @@ func TestPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []dsrc.Report
-	if err := ch.AttachSink(func(r dsrc.Report) { got = append(got, r) }); err != nil {
+	if err := ch.AttachSink(func(r dsrc.Report, _ stripe.ID) { got = append(got, r) }); err != nil {
 		t.Fatal(err)
 	}
 	leave, err := f.vehicle.PassThrough(ch)

@@ -17,7 +17,8 @@
 #   7. go test -race       (unit + integration tests under the race
 #                          detector, -shuffle=on to surface order
 #                          dependence between tests)
-#   8. race stress smoke   (the WAL, RSU, estimate-cache, and tiered-store
+#   8. race stress smoke   (the WAL, RSU, DSRC fan-in, stripe,
+#                          estimate-cache, and tiered-store
 #                          concurrency stress tests again under -race
 #                          -count=2 — the dynamic complement of the static
 #                          concguard contracts)
@@ -45,8 +46,8 @@ step() {
 	printf '==> %s\n' "$*"
 }
 
-step "gofmt -l cmd internal"
-unformatted="$(gofmt -l cmd internal)"
+step "gofmt -l ."
+unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then
 	printf 'gofmt: the following files need formatting:\n%s\n' "$unformatted" >&2
 	exit 1
@@ -89,9 +90,11 @@ fi
 step "go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-step "race stress smoke (-race -count=2, WAL group commit + RSU ingest + estimate cache)"
+step "race stress smoke (-race -count=2, WAL group commit + RSU/DSRC striped ingest + estimate cache)"
 go test -race -count=2 -run '^TestGroupCommitConcurrentAppends$' ./internal/wal/
 go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation|TestDifferentialAtomicVsSequential)$' ./internal/rsu/
+go test -race -count=2 -run '^TestConcurrentSendFanIn$' ./internal/dsrc/
+go test -race -count=2 -run '^TestPickAndSum$' ./internal/stripe/
 go test -race -count=2 -run '^TestEstCacheConcurrentQueryIngest$' ./internal/central/
 go test -race -count=2 -run '^TestTieredConcurrentSoak$' ./internal/store/
 
