@@ -19,6 +19,14 @@
 // All methods are safe for concurrent use; consistency guarantees (the
 // (records, epoch) snapshot that fences the estimate cache) are the
 // store's contract.
+//
+// # Query path
+//
+// Point and point-to-point queries first read each location's epoch
+// from the store's index (store.Store.Fence) and probe the estimate
+// cache with it. A hit is answered without reading a bitmap; only a miss
+// collects the records, computes, and fills the cache under the epoch
+// Collect returned with them.
 package central
 
 import (
@@ -56,9 +64,10 @@ type Server struct {
 	st store.Store
 	s  int // system-wide representative-bit count, needed by Eq. (21)
 
-	// cache memoizes estimator results keyed by location epochs. Set at
-	// construction (SetEstimateCache reconfigures it for tests and
-	// benchmarks); nil disables caching — every query computes.
+	// cache memoizes estimator results keyed by record-set identity,
+	// (location, epoch, periods). Set at construction (SetEstimateCache
+	// reconfigures it for tests and benchmarks); nil disables caching —
+	// every query computes.
 	cache *core.EstCache
 }
 
@@ -213,6 +222,18 @@ func (s *Server) get(loc vhash.LocationID, periods []record.PeriodID) (*record.S
 	return set, epoch, unpin, nil
 }
 
+// fence returns loc's epoch for periods from the store's index, so the
+// estimate cache can be probed before anything is collected. ok is false
+// when there is no cache or the index rejects the request; the collect
+// path then reports the error exactly as an uncached server would.
+func (s *Server) fence(loc vhash.LocationID, periods []record.PeriodID) (epoch uint64, ok bool) {
+	if s.cache == nil {
+		return 0, false
+	}
+	epoch, err := s.st.Fence(loc, periods)
+	return epoch, err == nil
+}
+
 // Volume estimates the plain traffic volume at loc in one period (Eq. 1).
 func (s *Server) Volume(loc vhash.LocationID, p record.PeriodID) (float64, error) {
 	rec, unpin, ok := s.st.Lookup(loc, p)
@@ -228,6 +249,11 @@ func (s *Server) Volume(loc vhash.LocationID, p record.PeriodID) (float64, error
 // when the location has not ingested since they were computed; a hit is
 // bit-identical to the cold computation.
 func (s *Server) PointPersistent(loc vhash.LocationID, periods []record.PeriodID) (*core.PointResult, error) {
+	if epoch, ok := s.fence(loc, periods); ok {
+		if res, ok := s.cache.ProbePoint(loc, epoch, periods, core.SplitHalves); ok {
+			return res, nil
+		}
+	}
 	set, epoch, unpin, err := s.get(loc, periods)
 	if err != nil {
 		return nil, err
@@ -273,6 +299,13 @@ func (s *Server) PointPersistentSliding(loc vhash.LocationID, window int) ([]Win
 // PointToPointPersistent estimates the point-to-point persistent traffic
 // between locA and locB over the given periods (Eq. 21).
 func (s *Server) PointToPointPersistent(locA, locB vhash.LocationID, periods []record.PeriodID) (*core.PointToPointResult, error) {
+	if epochA, ok := s.fence(locA, periods); ok {
+		if epochB, ok := s.fence(locB, periods); ok {
+			if res, ok := s.cache.ProbePointToPoint(locA, locB, epochA, epochB, periods, s.s); ok {
+				return res, nil
+			}
+		}
+	}
 	setA, epochA, unpinA, err := s.get(locA, periods)
 	if err != nil {
 		return nil, err

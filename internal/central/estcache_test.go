@@ -1,8 +1,10 @@
 package central
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ptm/internal/core"
@@ -165,20 +167,23 @@ func TestServerEstCacheDisabled(t *testing.T) {
 }
 
 // TestEstCacheConcurrentQueryIngest is the -race soak: readers hammer
-// point and p2p queries over a fixed window while a writer keeps
-// ingesting fresh periods at the same locations (fencing the cache under
-// the readers' feet). Run by check.sh's race stress stage with -count=2.
+// point and p2p queries while a writer keeps ingesting fresh periods at
+// the queried locations (fencing the cache under the readers' feet) and
+// the tiered store freezes under its small budget. Locations 1 and 2
+// hold a fixed window. Location 3's window is churned: retired with
+// RetainLatest and re-ingested with the next of three contents, round
+// after round. Every answer must be the fixed window's, or the one of a
+// churn round that was live while the query ran, or ErrNotFound — never
+// an earlier round's. Run by check.sh's race stress stage with -count=2.
 func TestEstCacheConcurrentQueryIngest(t *testing.T) {
-	s := newServer(t)
+	s, _ := newTieredServer(t, 1<<10)
 	rng := rand.New(rand.NewSource(84))
 	const m = 1 << 9
 	periods := seedLocation(t, s, 1, 4, m, rng)
-	for _, p := range periods {
-		rec := mustRecord(t, 2, p, m)
-		for k := 0; k < m/3; k++ {
-			rec.Bitmap.Set(rng.Uint64())
-		}
-		if err := s.Ingest(rec); err != nil {
+	fixedB := make([]*record.Record, len(periods))
+	for i, p := range periods {
+		fixedB[i] = seededRecord(t, rng, 2, p, m)
+		if err := s.Ingest(fixedB[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,13 +200,50 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The three contents location 3's window cycles through, each with
+	// its answers computed on an uncached resident server.
+	var churn [3][]*record.Record
+	var churnPoint [3]core.PointResult
+	var churnP2P [3]core.PointToPointResult
+	for v := range churn {
+		ref := newServer(t)
+		ref.SetEstimateCache(0)
+		for i, p := range periods {
+			churn[v] = append(churn[v], seededRecord(t, rng, 3, p, m))
+			if err := ref.Ingest(churn[v][i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Ingest(fixedB[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pt, err := ref.PointPersistent(3, periods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := ref.PointToPointPersistent(3, 2, periods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		churnPoint[v], churnP2P[v] = *pt, *pp
+	}
+	for _, rec := range churn[0] {
+		if err := s.Ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// round is the last churn round whose window is fully ingested.
+	var round atomic.Int64
+
 	const (
 		readers       = 4
 		readsPerGo    = 200
 		writerPeriods = 120
 	)
-	var wg sync.WaitGroup
-	errc := make(chan error, readers+1)
+	var wg, churnWg sync.WaitGroup
+	var answered atomic.Int64
+	stop := make(chan struct{})
+	errc := make(chan error, readers+2)
 
 	wg.Add(1)
 	go func() {
@@ -224,48 +266,106 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 		}
 	}()
 
+	churnWg.Add(1)
+	go func() {
+		defer churnWg.Done()
+		for r := int64(1); ; r++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.RetainLatest(3, 0); err != nil {
+				errc <- err
+				return
+			}
+			for _, rec := range churn[r%3] {
+				if err := s.Ingest(rec); err != nil {
+					errc <- err
+					return
+				}
+			}
+			round.Store(r)
+		}
+	}()
+
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for j := 0; j < readsPerGo; j++ {
-				if j%2 == g%2 {
+				var ok bool
+				r0 := round.Load()
+				switch (j + g) % 4 {
+				case 0:
 					got, err := s.PointPersistent(1, periods)
 					if err != nil {
 						errc <- err
 						return
 					}
-					if *got != *wantPoint {
-						errc <- errDrift
-						return
-					}
-				} else {
+					ok = *got == *wantPoint
+				case 1:
 					got, err := s.PointToPointPersistent(1, 2, periods)
 					if err != nil {
 						errc <- err
 						return
 					}
-					if *got != *wantP2P {
-						errc <- errDrift
+					ok = *got == *wantP2P
+				case 2:
+					got, err := s.PointPersistent(3, periods)
+					if errors.Is(err, ErrNotFound) {
+						continue
+					} else if err != nil {
+						errc <- err
 						return
 					}
+					ok = liveRound(*got, churnPoint, r0, round.Load())
+				case 3:
+					got, err := s.PointToPointPersistent(3, 2, periods)
+					if errors.Is(err, ErrNotFound) {
+						continue
+					} else if err != nil {
+						errc <- err
+						return
+					}
+					ok = liveRound(*got, churnP2P, r0, round.Load())
 				}
+				if !ok {
+					errc <- errDrift
+					return
+				}
+				answered.Add(1)
 			}
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	churnWg.Wait()
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
 	}
 
 	st := s.EstCacheStats()
-	if st.Hits+st.Misses != readers*readsPerGo+2 {
-		t.Fatalf("every read must count exactly once: %+v", st)
+	if st.Hits+st.Misses != uint64(answered.Load())+2 {
+		t.Fatalf("every answered read must count exactly once: %+v, %d answered", st, answered.Load())
 	}
 	if st.Invalidations == 0 {
 		t.Fatal("writer ingests at live locations must record invalidations")
 	}
+}
+
+// liveRound reports whether got is the answer of a churn round whose
+// window could have been complete while the query ran: round r0 (live
+// at the start) through r1+1 (fully ingested, not yet announced, at the
+// end).
+func liveRound[T comparable](got T, answers [3]T, r0, r1 int64) bool {
+	for r := r0; r <= r1+1; r++ {
+		if got == answers[r%3] {
+			return true
+		}
+	}
+	return false
 }
 
 var errDrift = &driftError{}
@@ -273,5 +373,5 @@ var errDrift = &driftError{}
 type driftError struct{}
 
 func (*driftError) Error() string {
-	return "concurrent cached query diverged from the fixed-window result"
+	return "concurrent cached query diverged from every answer live while it ran"
 }

@@ -7,11 +7,13 @@ package core
 // (location, period set, split parameters) — until an ingest changes
 // which records the location holds. EstCache memoizes full estimator
 // results behind that key, with ingest-time invalidation done by *epoch
-// fencing*: the owner of the record store (internal/central) maintains a
-// per-location epoch counter that it bumps on every accepted upload, and
-// the epoch is part of the cache key. A stale entry is never returned —
-// its key simply stops being generated — and dies by LRU eviction, so no
-// ingest ever scans the cache (lazy invalidation; DESIGN.md §13).
+// fencing*: the record store keeps a per-location epoch counter that
+// every accepted upload bumps, and the epoch is part of the cache key.
+// The key is the record set's identity, not its contents, so a caller
+// can probe it from the store's index (store.Store.Fence) before reading
+// a single bitmap. A stale entry is never returned — its key simply
+// stops being generated — and dies by LRU eviction, so no ingest ever
+// scans the cache (lazy invalidation; DESIGN.md §13).
 //
 // Hits are bit-identical to misses by construction: the cache stores the
 // exact result struct a cold computation produced and hands back copies
@@ -22,6 +24,7 @@ package core
 import (
 	"container/list"
 	"expvar"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -135,45 +138,80 @@ func NewEstCache(capacity int) *EstCache {
 	}
 }
 
-// hashPeriods folds a set's sorted period IDs through FNV-1a. Collisions
-// are tolerable (the hit path compares exact periods) but keep the
-// common case one map probe.
+// makeKey builds every cache key; probes and fills both go through it.
+// periods must be sorted and free of duplicates (a record.Set's order).
 //
 //ptm:noalloc
-func hashPeriods(set *record.Set) uint64 {
+func makeKey(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.LocationID, epochA, epochB uint64, periods []record.PeriodID) estKey {
+	return estKey{
+		kind:     kind,
+		strategy: strategy,
+		s:        s,
+		t:        len(periods),
+		locA:     locA,
+		locB:     locB,
+		epochA:   epochA,
+		epochB:   epochB,
+		phash:    hashPeriods(periods),
+	}
+}
+
+// hashPeriods folds sorted period IDs through FNV-1a. Collisions are
+// tolerable (the hit path compares exact periods) but keep the common
+// case one map probe.
+//
+//ptm:noalloc
+func hashPeriods(periods []record.PeriodID) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i, n := 0, set.Len(); i < n; i++ {
-		p := uint32(set.PeriodAt(i))
+	for _, p := range periods {
 		for shift := 0; shift < 32; shift += 8 {
-			h ^= uint64(p>>shift) & 0xff
+			h ^= uint64(uint32(p)>>shift) & 0xff
 			h *= prime64
 		}
 	}
 	return h
 }
 
-// periodsMatch reports whether the entry's periods are exactly the set's.
+// periodsMatch reports whether an entry's periods are exactly these.
 //
 //ptm:noalloc
-func periodsMatch(periods []record.PeriodID, set *record.Set) bool {
-	if len(periods) != set.Len() {
+func periodsMatch(a, b []record.PeriodID) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i, p := range periods {
-		if p != set.PeriodAt(i) {
+	for i, p := range a {
+		if p != b[i] {
 			return false
 		}
 	}
 	return true
 }
 
+// sortedPeriods returns a request's periods in sorted order: the slice
+// itself when it is already sorted (the common case, no allocation),
+// else a sorted copy. ok is false when a period repeats.
+func sortedPeriods(periods []record.PeriodID) (sorted []record.PeriodID, ok bool) {
+	if slices.IsSorted(periods) {
+		sorted = periods
+	} else {
+		sorted = slices.Clone(periods)
+		slices.Sort(sorted)
+	}
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return nil, false
+		}
+	}
+	return sorted, true
+}
+
 // lookup returns the entry for key if present with exactly the given
-// periods, promoting it to most recently used.
-func (c *EstCache) lookup(key estKey, setA, setB *record.Set) (estEntry, bool) {
+// periods, promoting it to most recently used, and counts the hit.
+func (c *EstCache) lookup(key estKey, periods []record.PeriodID) (estEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -181,12 +219,14 @@ func (c *EstCache) lookup(key estKey, setA, setB *record.Set) (estEntry, bool) {
 		return estEntry{}, false
 	}
 	e := el.Value.(*estEntry)
-	if !periodsMatch(e.periods, setA) || (setB != nil && !periodsMatch(e.periods, setB)) {
-		// phash collision (or aligned-in-hash-only sets): fall through to
-		// a cold compute; the store will overwrite this entry.
+	if !periodsMatch(e.periods, periods) {
+		// phash collision: fall through to a cold compute; the store will
+		// overwrite this entry.
 		return estEntry{}, false
 	}
 	c.order.MoveToFront(el)
+	c.hits.Add(1)
+	estHitsTotal.Add(1)
 	return *e, true
 }
 
@@ -208,71 +248,97 @@ func (c *EstCache) store(e *estEntry) {
 	}
 }
 
+// countMiss counts one query that the cache could not answer.
+func (c *EstCache) countMiss() {
+	c.misses.Add(1)
+	estMissesTotal.Add(1)
+}
+
+// probe looks a request up under the epochs the store's Fence returned.
+// periods may be in any order; one that repeats a period names no valid
+// set and is never probed.
+func (c *EstCache) probe(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.LocationID, epochA, epochB uint64, periods []record.PeriodID) (estEntry, bool) {
+	if c == nil {
+		return estEntry{}, false
+	}
+	sorted, ok := sortedPeriods(periods)
+	if !ok {
+		return estEntry{}, false
+	}
+	return c.lookup(makeKey(kind, strategy, s, locA, locB, epochA, epochB, sorted), sorted)
+}
+
+// ProbePoint answers a point query from the cache alone: the result
+// Point cached under the same (location, epoch, periods, strategy), if
+// any. A hit counts one hit; a miss counts nothing, because the caller
+// then collects the set and calls Point, which counts it.
+func (c *EstCache) ProbePoint(loc vhash.LocationID, epoch uint64, periods []record.PeriodID, strategy SplitStrategy) (*PointResult, bool) {
+	e, ok := c.probe(estKindPoint, strategy, 0, loc, 0, epoch, 0, periods)
+	if !ok {
+		return nil, false
+	}
+	out := e.point
+	return &out, true
+}
+
+// ProbePointToPoint is ProbePoint for PointToPoint.
+func (c *EstCache) ProbePointToPoint(locL, locLPrime vhash.LocationID, epochL, epochLP uint64, periods []record.PeriodID, s int) (*PointToPointResult, bool) {
+	e, ok := c.probe(estKindP2P, 0, s, locL, locLPrime, epochL, epochLP, periods)
+	if !ok {
+		return nil, false
+	}
+	out := e.p2p
+	return &out, true
+}
+
 // Point is EstimatePointOpts memoized under (location, epoch, periods,
-// strategy). epoch must fence every ingest that can change the set the
-// caller would assemble for these periods (internal/central bumps a
-// per-location counter on accepted uploads, WAL replay included).
+// strategy). epoch must be the one the store returned atomically with
+// set's records (store.Store.Collect).
 func (c *EstCache) Point(epoch uint64, set *record.Set, strategy SplitStrategy) (*PointResult, error) {
 	if c == nil {
 		return EstimatePointOpts(set, strategy)
 	}
-	key := estKey{
-		kind:     estKindPoint,
-		strategy: strategy,
-		t:        set.Len(),
-		locA:     set.Location(),
-		epochA:   epoch,
-		phash:    hashPeriods(set),
-	}
-	if e, ok := c.lookup(key, set, nil); ok {
-		c.hits.Add(1)
-		estHitsTotal.Add(1)
+	periods := set.Periods()
+	key := makeKey(estKindPoint, strategy, 0, set.Location(), 0, epoch, 0, periods)
+	if e, ok := c.lookup(key, periods); ok {
 		out := e.point
 		return &out, nil
 	}
-	c.misses.Add(1)
-	estMissesTotal.Add(1)
+	c.countMiss()
 	res, err := EstimatePointOpts(set, strategy)
 	if err != nil {
 		// Errors are not cached: they are cheap to rediscover and keeping
 		// them out preserves "entry present ⇒ valid result".
 		return nil, err
 	}
-	c.store(&estEntry{key: key, periods: set.Periods(), point: *res})
+	c.store(&estEntry{key: key, periods: periods, point: *res})
 	return res, nil
 }
 
 // PointToPoint is EstimatePointToPoint memoized under (both locations,
 // both epochs, periods, s). The location order is part of the key
 // (Eq. 21 is symmetric in the result but the caller's argument order is
-// preserved, matching the uncached path exactly).
+// preserved, matching the uncached path exactly). The key holds setL's
+// periods only, so sets that do not cover the same periods skip the
+// lookup and get EstimatePointToPoint's error.
 func (c *EstCache) PointToPoint(epochL, epochLP uint64, setL, setLPrime *record.Set, s int) (*PointToPointResult, error) {
 	if c == nil {
 		return EstimatePointToPoint(setL, setLPrime, s)
 	}
-	key := estKey{
-		kind:   estKindP2P,
-		s:      s,
-		t:      setL.Len(),
-		locA:   setL.Location(),
-		locB:   setLPrime.Location(),
-		epochA: epochL,
-		epochB: epochLP,
-		phash:  hashPeriods(setL),
+	periods := setL.Periods()
+	key := makeKey(estKindP2P, 0, s, setL.Location(), setLPrime.Location(), epochL, epochLP, periods)
+	if record.CheckAligned(setL, setLPrime) == nil {
+		if e, ok := c.lookup(key, periods); ok {
+			out := e.p2p
+			return &out, nil
+		}
 	}
-	if e, ok := c.lookup(key, setL, setLPrime); ok {
-		c.hits.Add(1)
-		estHitsTotal.Add(1)
-		out := e.p2p
-		return &out, nil
-	}
-	c.misses.Add(1)
-	estMissesTotal.Add(1)
+	c.countMiss()
 	res, err := EstimatePointToPoint(setL, setLPrime, s)
 	if err != nil {
 		return nil, err
 	}
-	c.store(&estEntry{key: key, periods: setL.Periods(), p2p: *res})
+	c.store(&estEntry{key: key, periods: periods, p2p: *res})
 	return res, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ptm/internal/record"
-	"ptm/internal/vhash"
 )
 
 // estTestSets builds a deterministic point set and an aligned second-
@@ -112,8 +111,8 @@ func TestEstCacheKeySeparation(t *testing.T) {
 	set := makeSet(t, pool, 21, 1<<9, common, []int{80, 90, 85, 95})
 	other := makeSet(t, pool, 22, 1<<9, common, []int{80, 90, 85, 95})
 	sub, err := record.NewSet([]*record.Record{
-		{Location: 21, Period: set.PeriodAt(0), Bitmap: set.Bitmaps()[0]},
-		{Location: 21, Period: set.PeriodAt(1), Bitmap: set.Bitmaps()[1]},
+		{Location: 21, Period: set.Periods()[0], Bitmap: set.Bitmaps()[0]},
+		{Location: 21, Period: set.Periods()[1], Bitmap: set.Bitmaps()[1]},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,21 +261,7 @@ func TestEstCachePeriodVerification(t *testing.T) {
 }
 
 func TestHashPeriodsDistinguishesSets(t *testing.T) {
-	mk := func(periods ...record.PeriodID) *record.Set {
-		recs := make([]*record.Record, len(periods))
-		for i, p := range periods {
-			r, err := record.New(vhash.LocationID(1), p, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs[i] = r
-		}
-		set, err := record.NewSet(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return set
-	}
+	mk := func(periods ...record.PeriodID) []record.PeriodID { return periods }
 	a := hashPeriods(mk(1, 2, 3))
 	b := hashPeriods(mk(1, 2, 4))
 	d := hashPeriods(mk(1, 2))

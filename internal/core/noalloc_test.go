@@ -48,29 +48,36 @@ func TestEstCacheHelpersDoNotAllocate(t *testing.T) {
 	pool := newIDPool(t, 2, 43)
 	set := makeSet(t, pool, 8, 1<<8, pool.take(20), []int{10, 10, 10})
 	periods := set.Periods()
+	other := set.Periods()
 	c := NewEstCache(4)
 	var sinkU uint64
 	var sinkB bool
+	var sinkK estKey
 
 	if n := testing.AllocsPerRun(100, func() {
-		sinkU = hashPeriods(set)
+		sinkU = hashPeriods(periods)
 	}); n != 0 {
 		t.Errorf("hashPeriods allocated %.1f times per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		sinkB = periodsMatch(periods, set)
+		sinkB = periodsMatch(periods, other)
 	}); n != 0 {
 		t.Errorf("periodsMatch allocated %.1f times per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sinkK = makeKey(estKindP2P, 0, 3, 8, 9, 1, 2, periods)
+	}); n != 0 {
+		t.Errorf("makeKey allocated %.1f times per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_, sinkB = sortedPeriods(periods)
+	}); n != 0 {
+		t.Errorf("sortedPeriods allocated %.1f times per run on a sorted request, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		c.NoteInvalidation()
 	}); n != 0 {
 		t.Errorf("NoteInvalidation allocated %.1f times per run, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		sinkU = uint64(set.PeriodAt(0))
-	}); n != 0 {
-		t.Errorf("PeriodAt allocated %.1f times per run, want 0", n)
-	}
-	_, _ = sinkU, sinkB
+	_, _, _ = sinkU, sinkB, sinkK
 }

@@ -191,14 +191,6 @@ func (s *Set) Location() vhash.LocationID { return s.loc }
 //ptm:inline
 func (s *Set) Len() int { return len(s.recs) }
 
-// PeriodAt returns the i'th period ID in sorted order, without the copy
-// Periods makes — the estimate cache compares candidate keys against a
-// set's periods on every lookup, which must stay allocation-free.
-//
-//ptm:noalloc
-//ptm:inline
-func (s *Set) PeriodAt(i int) PeriodID { return s.recs[i].Period }
-
 // Periods returns the sorted period IDs.
 func (s *Set) Periods() []PeriodID {
 	out := make([]PeriodID, len(s.recs))

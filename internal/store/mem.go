@@ -131,9 +131,18 @@ func (m *Mem) Lookup(loc vhash.LocationID, p record.PeriodID) (*record.Record, f
 func (m *Mem) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*record.Record, uint64, func(), error) {
 	recs, epoch, missing := m.collectPartial(loc, periods)
 	if missing >= 0 {
-		return nil, 0, nil, fmt.Errorf("%w: loc=%d period=%d", ErrNotFound, loc, periods[missing])
+		return nil, 0, nil, notFound(loc, periods[missing])
 	}
 	return recs, epoch, noopUnpin, nil
+}
+
+// Fence implements Store: the same single shard lock hold as Collect.
+func (m *Mem) Fence(loc vhash.LocationID, periods []record.PeriodID) (uint64, error) {
+	_, epoch, missing := m.collectPartial(loc, periods)
+	if missing >= 0 {
+		return 0, notFound(loc, periods[missing])
+	}
+	return epoch, nil
 }
 
 // collectPartial fetches whichever requested periods are present, under
@@ -162,33 +171,25 @@ func (m *Mem) collectPartial(loc vhash.LocationID, periods []record.PeriodID) (r
 	return recs, epoch, missing
 }
 
-// Epoch returns the location's ingest epoch.
-func (m *Mem) Epoch(loc vhash.LocationID) uint64 {
-	sh := m.shardFor(loc)
-	sh.mu.RLock()
-	e := sh.epoch[loc]
-	sh.mu.RUnlock()
-	return e
-}
-
-// Remove deletes one record without touching the location's epoch: the
-// freeze path moves records to the cold tier, and a move must not
-// invalidate cached estimates (the bits do not change). Returns the
-// removed record, if any.
-func (m *Mem) Remove(loc vhash.LocationID, p record.PeriodID) (*record.Record, bool) {
-	sh := m.shardFor(loc)
+// Remove deletes rec if it is still the stored record for its (location,
+// period), without touching the location's epoch: the freeze path moves
+// records to the cold tier, and a move must not invalidate cached
+// estimates (the bits do not change). It reports whether rec was removed;
+// false means retention dropped it, and perhaps a re-ingest replaced it,
+// since the freeze picked it.
+func (m *Mem) Remove(rec *record.Record) bool {
+	sh := m.shardFor(rec.Location)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	byPeriod := sh.byLoc[loc]
-	rec, ok := byPeriod[p]
-	if !ok {
-		return nil, false
+	byPeriod := sh.byLoc[rec.Location]
+	if byPeriod[rec.Period] != rec {
+		return false
 	}
-	delete(byPeriod, p)
+	delete(byPeriod, rec.Period)
 	if len(byPeriod) == 0 {
-		delete(sh.byLoc, loc)
+		delete(sh.byLoc, rec.Location)
 	}
-	return rec, true
+	return true
 }
 
 // Locations implements Store.

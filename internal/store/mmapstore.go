@@ -59,6 +59,11 @@ func (s *Mmap) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*reco
 	return s.t.Collect(loc, periods)
 }
 
+// Fence implements Store.
+func (s *Mmap) Fence(loc vhash.LocationID, periods []record.PeriodID) (uint64, error) {
+	return s.t.Fence(loc, periods)
+}
+
 // Locations implements Store.
 func (s *Mmap) Locations() []vhash.LocationID { return s.t.Locations() }
 

@@ -15,6 +15,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 
 	"ptm/internal/record"
 	"ptm/internal/vhash"
@@ -34,10 +35,10 @@ var (
 //
 // Records are immutable once ingested: a successful Ingest of
 // (loc, period) fixes that record's bits forever (until retention drops
-// it). Implementations may move a record between tiers at any time, but
-// never change its contents — that invariant is what lets the estimate
-// cache key results by (location, periods, epoch) and what makes
-// queries tier-oblivious.
+// it). Every accepted ingest bumps its location's epoch; tier moves and
+// retention do not. So (loc, epoch, periods) names one record set —
+// the identity the estimate cache keys results by, read from the index
+// alone by Fence — and queries are tier-oblivious.
 //
 // Cold-tier reads hand out records whose bitmaps view mapped (or cached)
 // pages; the unpin function returned by Lookup and Collect releases
@@ -67,6 +68,12 @@ type Store interface {
 	// fails the whole call with ErrNotFound (wrapped). On success the
 	// caller must call unpin (exactly once) after its last use of recs.
 	Collect(loc vhash.LocationID, periods []record.PeriodID) (recs []*record.Record, epoch uint64, unpin func(), err error)
+
+	// Fence returns the epoch Collect would return for the same call, and
+	// the same ErrNotFound for a missing period, from the index alone: no
+	// cold data is read and no pin is taken. The estimate cache is probed
+	// with it before anything is collected.
+	Fence(loc vhash.LocationID, periods []record.PeriodID) (epoch uint64, err error)
 
 	// Locations returns all locations with stored records, sorted.
 	Locations() []vhash.LocationID
@@ -127,3 +134,8 @@ type CacheStatser interface {
 
 // noopUnpin is the shared unpin for resident records.
 func noopUnpin() {}
+
+// notFound is the error every tier returns for a missing (loc, p).
+func notFound(loc vhash.LocationID, p record.PeriodID) error {
+	return fmt.Errorf("%w: loc=%d period=%d", ErrNotFound, loc, p)
+}

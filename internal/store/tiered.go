@@ -31,10 +31,16 @@ package store
 //     their hot twins under one mu.Lock — so an ingest can never slip a
 //     duplicate between "not in cold yet" and "already out of hot", and
 //     a reader holding mu.RLock sees every record in exactly one tier.
-//   - Collect reads the hot tier (records + epoch, one shard lock hold)
-//     first, then fills holes from the cold index under mu.RLock; cold
-//     records only change state under mu.Lock, so the assembled
-//     (records, epoch) pair remains a consistent snapshot.
+//   - Collect and Fence read the hot tier (records + epoch, one shard
+//     lock hold); a request served entirely from it is done. Otherwise
+//     they take mu.RLock, read the hot tier again, and fill the holes
+//     from the cold index. Freeze commits and retention need mu.Lock, so
+//     under mu.RLock the hot tier only gains records, each bumping the
+//     epoch: the second hot read plus the cold index is one consistent
+//     (records, epoch) snapshot. Pairing the first hot read with the
+//     cold index would not be — a retention, re-ingest and freeze of the
+//     same period between the two could join an old epoch to a new
+//     record.
 //
 // # Crash safety
 //
@@ -170,10 +176,6 @@ func (t *Tiered) addColdLocked(loc vhash.LocationID, p record.PeriodID, ref cold
 	t.coldBits += bits
 }
 
-// Hot returns the resident tier (the layer above hands it epochs-aware
-// work like direct benchmarking; normal use goes through Store).
-func (t *Tiered) Hot() *Mem { return t.hot }
-
 // Ingest implements Store. The cold-duplicate check and the hot insert
 // happen under one tiering read lock, so a concurrent freeze commit
 // (which publishes cold entries and removes hot ones under the write
@@ -301,7 +303,10 @@ func (t *Tiered) freezeLocked(targetBytes int64) (int, error) {
 
 	// Commit: publish the cold entries and retire the hot twins under
 	// one write lock — no reader or ingester observes a record in both
-	// tiers or neither.
+	// tiers or neither. A victim that retention dropped since the scan
+	// (and a re-ingest may have replaced) stays unpublished: its segment
+	// entry is dead on arrival, and the segment is deleted once none of
+	// its entries is live.
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -310,15 +315,21 @@ func (t *Tiered) freezeLocked(targetBytes int64) (int, error) {
 		return 0, ErrClosed
 	}
 	t.segs[id] = seg
-	frozenBits := int64(0)
+	frozen, frozenBits := 0, int64(0)
 	for i, rec := range victims {
+		if !t.hot.Remove(rec) {
+			continue
+		}
 		t.addColdLocked(rec.Location, rec.Period, coldRef{seg: id, idx: i}, int64(rec.Size()))
-		t.hot.Remove(rec.Location, rec.Period)
+		frozen++
 		frozenBits += int64(rec.Size())
 	}
 	t.hotBits.Add(-frozenBits)
+	if frozen < len(victims) {
+		err = t.gcSegmentsLocked()
+	}
 	t.mu.Unlock()
-	return len(victims), nil
+	return frozen, err
 }
 
 // pinCold pins one cold record and materializes its bitmap view.
@@ -385,6 +396,7 @@ func (t *Tiered) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*re
 		}
 	}
 	t.mu.RLock()
+	recs, epoch, _ = t.hot.collectPartial(loc, periods)
 	for i, p := range periods {
 		if recs[i] != nil {
 			continue
@@ -393,7 +405,7 @@ func (t *Tiered) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*re
 		if !ok {
 			t.mu.RUnlock()
 			release()
-			return nil, 0, nil, fmt.Errorf("%w: loc=%d period=%d", ErrNotFound, loc, p)
+			return nil, 0, nil, notFound(loc, p)
 		}
 		rec, unpin, err := t.pinColdLocked(loc, p, ref)
 		if err != nil {
@@ -409,6 +421,25 @@ func (t *Tiered) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*re
 		return recs, epoch, noopUnpin, nil
 	}
 	return recs, epoch, release, nil
+}
+
+// Fence implements Store: Collect's two reads, with the cold holes
+// checked against the index instead of pinned.
+func (t *Tiered) Fence(loc vhash.LocationID, periods []record.PeriodID) (uint64, error) {
+	_, epoch, missing := t.hot.collectPartial(loc, periods)
+	if missing < 0 {
+		return epoch, nil
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	recs, epoch, _ := t.hot.collectPartial(loc, periods)
+	cold := t.cold[loc]
+	for i, p := range periods {
+		if _, ok := cold[p]; recs[i] == nil && !ok {
+			return 0, notFound(loc, p)
+		}
+	}
+	return epoch, nil
 }
 
 // Locations implements Store (union of tiers).

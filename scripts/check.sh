@@ -23,11 +23,14 @@
 #                          -count=2 — the dynamic complement of the static
 #                          concguard contracts)
 #   9. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
-#  10. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
-#  11. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
+#  10. traced pipeline     (each bench/ptmload workload once at full scale
+#                          with -trace 1: answers, exact counts and the
+#                          traced blocking path against the untraced one)
+#  11. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
+#  12. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
 #                          peak-RSS bound + estimates identical to the
 #                          all-resident daemon)
-#  12. cluster smoke       (3-node cluster, R=2: kill -9 the partition
+#  13. cluster smoke       (3-node cluster, R=2: kill -9 the partition
 #                          leader mid-ingest, fail over, revive, join,
 #                          drain — zero acked-record loss and estimates
 #                          byte-identical to a single-node reference)
@@ -96,7 +99,7 @@ go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation
 go test -race -count=2 -run '^TestConcurrentSendFanIn$' ./internal/dsrc/
 go test -race -count=2 -run '^TestPickAndSum$' ./internal/stripe/
 go test -race -count=2 -run '^TestEstCacheConcurrentQueryIngest$' ./internal/central/
-go test -race -count=2 -run '^TestTieredConcurrentSoak$' ./internal/store/
+go test -race -count=2 -run '^(TestTieredConcurrentSoak|TestTieredFreezeRacingRetention)$' ./internal/store/
 
 # Archive the committed benchmark baselines (regenerate with `make
 # bench-json` / `make bench-ingest`) next to the lint report so CI
@@ -120,6 +123,17 @@ go test -run=NONE -fuzz='^FuzzUploadBatch$' -fuzztime="$FUZZTIME" ./internal/tra
 go test -run=NONE -fuzz='^FuzzReplay$' -fuzztime="$FUZZTIME" ./internal/wal/
 go test -run=NONE -fuzz='^FuzzSnapshotLoad$' -fuzztime="$FUZZTIME" ./internal/central/
 go test -run=NONE -fuzz='^FuzzSegmentLoad$' -fuzztime="$FUZZTIME" ./internal/store/
+
+step "traced pipeline smoke (each ptmload workload once, full scale, -trace 1)"
+# The traced run checks every answer, the exact counts and each request
+# kind's blocking path against the untraced pass of the same run, so a
+# change that sends traced and untraced requests down different paths
+# fails here. The go test suite runs these workloads scaled down, where
+# timing checks are excused. One workload at a time: each sizes itself
+# to the whole machine.
+for workload in edge-storm upload-durable query-mix ring-mixed; do
+	go run ./bench/ptmload -workload "$workload" -seconds 2 -trace 1 -dir "$ARTIFACT_DIR/ptmload"
+done
 
 step "crash-recovery smoke (WAL-backed centrald, kill -9 mid-stream)"
 scripts/crashsmoke.sh
