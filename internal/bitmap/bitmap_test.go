@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -492,6 +493,67 @@ func TestMarshalPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestFromWords(t *testing.T) {
+	b := MustNew(256)
+	for i := range b.words {
+		b.words[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	v, err := FromWords(b.Uint64s())
+	if err != nil {
+		t.Fatalf("FromWords: %v", err)
+	}
+	if !v.Equal(b) {
+		t.Fatal("view differs from original")
+	}
+	if v.Size() != 256 || v.Words() != 4 {
+		t.Fatalf("view shape = (%d bits, %d words)", v.Size(), v.Words())
+	}
+	// Shared storage: a write through the original is visible in the view.
+	b.Set(7)
+	if !v.Get(7) {
+		t.Fatal("view does not share storage")
+	}
+	for _, bad := range [][]uint64{nil, make([]uint64, 3), make([]uint64, MaxBits/wordBits*2)} {
+		if _, err := FromWords(bad); err == nil {
+			t.Fatalf("FromWords accepted %d words", len(bad))
+		}
+	}
+}
+
+func TestAppendBinaryMatchesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	scratch := make([]byte, 0, 64)
+	for _, size := range []int{64, 512, 4096} {
+		b := MustNew(size)
+		for i := range b.words {
+			b.words[i] = rng.Uint64()
+		}
+		want, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatalf("MarshalBinary: %v", err)
+		}
+		got, err := b.AppendBinary(scratch[:0])
+		if err != nil {
+			t.Fatalf("AppendBinary: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("size %d: AppendBinary differs from MarshalBinary", size)
+		}
+		scratch = got // reuse grown capacity, as the streaming writers do
+		// Appending after a prefix preserves the prefix.
+		withPrefix, err := b.AppendBinary([]byte{0xaa, 0xbb})
+		if err != nil {
+			t.Fatalf("AppendBinary with prefix: %v", err)
+		}
+		if !bytes.Equal(withPrefix[:2], []byte{0xaa, 0xbb}) || !bytes.Equal(withPrefix[2:], want) {
+			t.Fatalf("size %d: prefixed AppendBinary corrupted output", size)
+		}
+		if rt, err := Unmarshal(got); err != nil || !rt.Equal(b) {
+			t.Fatalf("size %d: round trip failed: %v", size, err)
+		}
 	}
 }
 

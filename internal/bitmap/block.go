@@ -1,19 +1,16 @@
-// Multi-operand unrolled block kernels: the join plane's inner loops at
-// the memory-bandwidth ceiling.
+// The join plane's three loops: two single-pass register kernels and one
+// tiled kernel, all at the memory-bandwidth ceiling.
 //
-// The fused kernels of fused.go removed materialization; these loops
-// remove the remaining per-word overheads. Three structural facts make
-// that possible:
+// Three structural facts shape them:
 //
 //  1. Every bitmap length is a power of two ≥ 64 bits, so a join output
-//     of `words` words decomposes into aligned blocks of blockWords
-//     words, and for any operand of w ≥ blockWords words, an aligned
-//     block offset off (a multiple of blockWords) satisfies
+//     of `words` ≥ blockWords words decomposes into aligned blocks of
+//     blockWords words, and for any operand of w ≥ blockWords words, an
+//     aligned block offset off (a multiple of blockWords) satisfies
 //     off mod w = off & (w-blockWords): the operand's contribution to a
 //     block is one *contiguous* run of blockWords words. Replication
 //     indexing inside a block is therefore plain slice-offset
-//     arithmetic — the per-word modular masks of the word(i) path
-//     vanish from the inner loop.
+//     arithmetic — no per-word modular mask in the inner loop.
 //  2. Operands *smaller* than one block divide blockWords, so their
 //     virtual expansion restricted to any aligned block is the same
 //     blockWords-word pattern every time (off mod w = 0). All such
@@ -23,33 +20,24 @@
 //  3. AND/OR joins are word-wise, so up to maxFusedOperands operands
 //     fold into eight in-register accumulators per block: each output
 //     word is computed in registers from one load per operand, then
-//     counted (and for the Into kernels stored) exactly once. A t-way
-//     join streams every operand once and touches the output once,
-//     instead of making t read-modify-write passes over dst.
+//     counted (and for joinIntoRegs stored) exactly once. A t-way join
+//     streams every operand once and touches the output once, instead
+//     of making t read-modify-write passes over dst.
 //
-// For joins wider than maxFusedOperands the operands are folded in
-// chunks, which would re-stream dst once per chunk; block.go instead
-// tiles the traversal (joinOnesTiled/joinIntoTiled) so each output tile
-// stays cache-resident across all chunk passes — the output is read
-// from memory once no matter how large it is or how many operands fold
-// into it. The tile size comes from a one-shot cache probe at init,
-// overridable with the PTM_JOIN_BLOCK environment knob or
-// SetJoinBlockBytes (see DESIGN.md §13).
+// For joins wider than maxFusedOperands the operands fold in windows of
+// maxFusedOperands, which would re-stream the output once per window;
+// joinTiled instead folds every window into one fixed 32 KiB stack tile
+// while it is cache-resident, then counts it and copies it out — the
+// output is written to memory once no matter how many operands fold into
+// it (DESIGN.md §13).
 //
-// Every path below is differentially tested against joinIntoByWord and
-// the materialized ExpandTo pipeline (fused_test.go, FuzzFusedJoin,
+// Every loop is differentially tested against the materialized ExpandTo
+// pipeline (fused_test.go, block_test.go, FuzzFusedJoin,
 // FuzzFusedJoinWide).
 
 package bitmap
 
-import (
-	"fmt"
-	"math/bits"
-	"os"
-	"strconv"
-	"sync/atomic"
-	"time"
-)
+import "math/bits"
 
 const (
 	// blockWords is the unroll factor of the inner loops: eight 64-bit
@@ -58,123 +46,17 @@ const (
 	blockWords = 8
 
 	// maxFusedOperands caps how many operand streams the single-pass
-	// register kernels fold per output block. Beyond it the tiled path
+	// register kernels fold per output block. Beyond it the tiled kernel
 	// takes over. Sixteen covers every period count the paper evaluates
 	// (t ≤ 10) with headroom, and stays within what the hardware
 	// prefetchers track as concurrent streams.
 	maxFusedOperands = 16
 
-	// tileStackWords bounds the stack-resident tile of the count-only
-	// tiled kernel (32 KiB — safely inside any L1d/L2 and far below the
-	// compiler's stack-object limit).
+	// tileStackWords is joinTiled's stack-resident tile: 32 KiB, inside
+	// any L1d/L2 this code plausibly runs on and far below the compiler's
+	// stack-object limit.
 	tileStackWords = 4096
 )
-
-// joinBlockBytes is the cache-block knob for the tiled traversal, in
-// bytes. It is read with an atomic load on the kernel paths so tests and
-// operators may retune it at runtime.
-var joinBlockBytes atomic.Int64
-
-// DefaultJoinBlockBytes is the tile size used when the init-time cache
-// probe is inconclusive (e.g. under a coarse clock): 256 KiB sits inside
-// every L2 this code plausibly runs on while amortizing per-tile setup.
-const DefaultJoinBlockBytes = 1 << 18
-
-func init() {
-	if v := os.Getenv("PTM_JOIN_BLOCK"); v != "" {
-		if kib, err := strconv.Atoi(v); err == nil {
-			if SetJoinBlockBytes(kib*1024) == nil {
-				return
-			}
-		}
-		// A malformed knob falls through to the probe rather than
-		// silently running with a nonsense tile.
-	}
-	joinBlockBytes.Store(int64(probeJoinBlockBytes()))
-}
-
-// SetJoinBlockBytes overrides the cache-block size used by the tiled
-// join traversal. n must be at least one block (64 bytes) and at most
-// 1 GiB; it is rounded down to a whole number of blocks on use. The
-// PTM_JOIN_BLOCK environment variable (in KiB) sets the same knob at
-// process start. Concurrent use with running joins is safe (the knob is
-// read atomically once per join).
-func SetJoinBlockBytes(n int) error {
-	if n < blockWords*8 || n > 1<<30 {
-		return fmt.Errorf("bitmap: join block %d bytes out of range [%d, %d]", n, blockWords*8, 1<<30)
-	}
-	joinBlockBytes.Store(int64(n))
-	return nil
-}
-
-// JoinBlockBytes returns the current cache-block size of the tiled join
-// traversal.
-func JoinBlockBytes() int { return int(joinBlockBytes.Load()) }
-
-// tileWords returns the knob as a word count, clamped to whole blocks.
-//
-//ptm:noalloc
-func tileWords() int {
-	n := int(joinBlockBytes.Load()) / 8
-	n &^= blockWords - 1
-	if n < blockWords {
-		n = blockWords
-	}
-	return n
-}
-
-// probeJoinBlockBytes sizes the cache block with a small one-shot
-// measurement: it times repeated scans of windows of increasing size and
-// picks half the largest window that still runs at near-L1/L2 speed.
-// Total probe traffic is ~20 MiB (a few milliseconds once, at package
-// init). The result only affects performance, never results, so a noisy
-// probe is harmless; the PTM_JOIN_BLOCK knob pins it for reproducible
-// benchmarking.
-func probeJoinBlockBytes() int {
-	const traffic = 1 << 19 // words per candidate (4 MiB of loads)
-	sizes := []int{1 << 15, 1 << 17, 1 << 19, 1 << 21, 1 << 22}
-	buf := make([]uint64, sizes[len(sizes)-1]/8)
-	for i := range buf {
-		buf[i] = uint64(i) // fault the pages in
-	}
-	var sink uint64
-	perWord := make([]float64, len(sizes))
-	for i, s := range sizes {
-		w := s / 8
-		passes := traffic / w
-		if passes < 1 {
-			passes = 1
-		}
-		// One warm-up pass, then the timed passes.
-		for _, v := range buf[:w] {
-			sink += v
-		}
-		start := time.Now()
-		for p := 0; p < passes; p++ {
-			for _, v := range buf[:w] {
-				sink += v
-			}
-		}
-		el := time.Since(start)
-		perWord[i] = float64(el.Nanoseconds()) / float64(passes*w)
-	}
-	runtimeSink = sink
-	if perWord[0] <= 0 {
-		return DefaultJoinBlockBytes // clock too coarse to trust
-	}
-	best := sizes[0]
-	for i, s := range sizes {
-		if perWord[i] <= perWord[0]*1.3 {
-			best = s
-		}
-	}
-	// Half the fast window: the tile shares the cache with up to
-	// maxFusedOperands operand streams.
-	return best / 2
-}
-
-// runtimeSink defeats dead-code elimination of the probe loops.
-var runtimeSink uint64
 
 // gatherPat collapses every operand smaller than one block into a single
 // pre-joined block-sized pattern: such an operand's length divides
@@ -221,9 +103,9 @@ func gatherPat(ms []*Bitmap, pat *[blockWords]uint64, and bool) bool {
 
 // gatherOps collects the block-sized-or-larger operand word slices in
 // input order. It reports ok=false when they exceed maxFusedOperands, in
-// which case the caller must take the tiled chunked path. Callers append
-// the collapsed small-operand pattern (gatherPat) themselves — the
-// pattern slice must be formed where pat is a local, or escape analysis
+// which case the caller must take joinTiled. The caller (join) appends
+// the collapsed small-operand pattern (gatherPat) itself — the pattern
+// slice must be formed where pat is a local, or escape analysis
 // would see a store of pat's address through a pointer parameter and
 // heap-allocate it, breaking the kernels' noalloc contract.
 //
@@ -474,8 +356,8 @@ func patFill(dst []uint64, pat *[blockWords]uint64) {
 	}
 }
 
-// popcountWords counts the one bits of a word slice (the tile flush of
-// the tiled kernels; the tile is cache-hot when it runs).
+// popcountWords counts the one bits of a word slice: joinTiled's tile
+// flush (the tile is cache-hot when it runs) and join's sub-block output.
 //
 //ptm:noalloc
 func popcountWords(ws []uint64) int {
@@ -486,26 +368,31 @@ func popcountWords(ws []uint64) int {
 	return n
 }
 
-// joinOnesTiled is the count-only kernel for joins wider than
-// maxFusedOperands: the output is tiled into a stack-resident buffer,
-// each tile is seeded with the collapsed small-operand pattern (the join
-// identity when none exist) and then endures one register-fold pass per
-// window of maxFusedOperands operands while L1-hot — the cache-blocked
-// traversal of DESIGN.md §13. No output words ever touch main memory.
+// joinTiled is the kernel for joins wider than maxFusedOperands
+// block-sized operands. The output is walked in tiles of tw words
+// (rounded down to whole blocks, at most tileStackWords), each built in a
+// stack-resident buffer: seeded with the collapsed small-operand pattern
+// (the join identity when none exist), folded with every window of
+// maxFusedOperands operands while L1-hot, counted, and — when dst is
+// non-nil — copied out to dst. Every operand word of a tile is read
+// before the tile is stored, so dst may alias an equal-size operand.
+// words is a power of two no smaller than any operand (below blockWords
+// every operand is sub-block and the seeded tile is already the join);
+// dst is nil or has words words.
+// join passes tw = tileStackWords; tests pass smaller tiles to cross many
+// tile boundaries.
 //
 // The slice-window forms (sub = sub[:remWords] under a direct len
-// comparison, rest consumed by branch-local reslicing) are what lets the
-// prove pass discharge every bounds check; arithmetic n := words - base
-// forms do not.
+// comparison, rest consumed by branch-local reslicing, dst advanced
+// under a len guard) are what lets the prove pass discharge every bounds
+// check; arithmetic n := words - base forms do not.
 //
-//ptm:exclusive join plane reads sealed records
+//ptm:exclusive join plane operates on sealed records and a caller-owned dst
 //ptm:noalloc
 //ptm:nobce
-func joinOnesTiled(ms []*Bitmap, words int, and bool) int {
-	var pat [blockWords]uint64
-	gatherPat(ms, &pat, and)
+func joinTiled(dst []uint64, words int, ms []*Bitmap, pat *[blockWords]uint64, tw int, and bool) int {
 	var tile [tileStackWords]uint64
-	tw := tileWords()
+	tw &^= blockWords - 1
 	if tw < blockWords {
 		tw = blockWords
 	}
@@ -519,7 +406,7 @@ func joinOnesTiled(ms []*Bitmap, words int, and bool) int {
 		if len(sub) > tw {
 			sub = sub[:tw]
 		}
-		patFill(sub, &pat)
+		patFill(sub, pat)
 		for rest := ms; len(rest) > 0; {
 			c := rest
 			if len(rest) > maxFusedOperands {
@@ -531,77 +418,12 @@ func joinOnesTiled(ms []*Bitmap, words int, and bool) int {
 			foldIntoMs(sub, base, c, and)
 		}
 		ones += popcountWords(sub)
+		if len(dst) >= len(sub) {
+			copy(dst, sub)
+			dst = dst[len(sub):]
+		}
 		base += len(sub)
 		remWords -= len(sub)
 	}
 	return ones
-}
-
-// joinIntoTiled is joinOnesTiled writing the real output: dst is walked
-// in cache-block tiles, each tile seeded from the small-operand pattern
-// and absorbing every operand window while cache-resident, then counted
-// — dst streams from main memory once even when the operand count forces
-// multiple fold passes. The caller must have ruled out operands aliasing
-// dst (joinInto falls back to joinIntoByWord for that: the seed
-// overwrites dst before the folds read the operands).
-//
-//ptm:exclusive join plane operates on sealed records and a caller-owned dst
-//ptm:noalloc
-//ptm:nobce
-func joinIntoTiled(dst *Bitmap, ms []*Bitmap, and bool) int {
-	var pat [blockWords]uint64
-	gatherPat(ms, &pat, and)
-	tw := tileWords()
-	if tw < blockWords {
-		tw = blockWords
-	}
-	ones := 0
-	base := 0
-	for rem := dst.words; len(rem) > 0; {
-		sub := rem
-		if len(rem) > tw {
-			sub = rem[:tw]
-			rem = rem[tw:]
-		} else {
-			rem = nil
-		}
-		patFill(sub, &pat)
-		for rest := ms; len(rest) > 0; {
-			c := rest
-			if len(rest) > maxFusedOperands {
-				c = rest[:maxFusedOperands]
-				rest = rest[maxFusedOperands:]
-			} else {
-				rest = nil
-			}
-			foldIntoMs(sub, base, c, and)
-		}
-		ones += popcountWords(sub)
-		base += len(sub)
-	}
-	return ones
-}
-
-// joinOnesBlocked dispatches a ≥3-operand (or any block-sized) count-only
-// join to the register kernel, or to the tiled kernel when the operand
-// streams exceed the register budget.
-//
-//ptm:exclusive join plane reads sealed records
-//ptm:noalloc
-func joinOnesBlocked(ms []*Bitmap, words int, and bool) int {
-	var ops [maxFusedOperands][]uint64
-	var pat [blockWords]uint64
-	n, ok := gatherOps(ms, &ops)
-	if ok && gatherPat(ms, &pat, and) {
-		if n == len(ops) {
-			ok = false
-		} else {
-			ops[n] = pat[:]
-			n++
-		}
-	}
-	if ok {
-		return joinOnesRegs(words, ops[:n], and)
-	}
-	return joinOnesTiled(ms, words, and)
 }

@@ -1,23 +1,21 @@
 package bitmap
 
-// Differential tests for the unrolled block kernels and the
-// cache-blocked tiled traversal (block.go). The shapes here are chosen
-// to pin each dispatch arm of joinOnes/joinInto:
+// Differential tests for the join dispatcher and its three loops
+// (fused.go, block.go). TestJoinMatrix pins one row per dispatch arm of
+// join:
 //
-//   - ≥ 512-bit outputs with ≤ maxFusedOperands large operands
-//     → joinOnesRegs / joinIntoRegs (single-pass register folds)
-//   - > maxFusedOperands large operands → joinOnesTiled / joinIntoTiled
-//     (pattern-seeded cache-blocked traversal), including with the
-//     block knob forced down to one 64-byte block so a single join
-//     crosses many tile boundaries
-//   - operands smaller than one block → the gatherPat collapse
-//   - dst aliasing an operand on the wide path → joinIntoByWord fallback
+//   - outputs smaller than one block → the collapsed pattern alone
+//   - ≤ maxFusedOperands block-sized operands (the pattern counting as
+//     one) → joinOnesRegs / joinIntoRegs
+//   - wider joins → joinTiled, also driven directly at tile widths of a
+//     single block up, so one join crosses many tile boundaries
 //
-// All of them reuse checkFusedAgainstNaive, so every shape is verified
-// against the materialized ExpandTo pipeline for AND and OR, count-only
-// and Into, natural-size and replicated-dst, scratch and nil-scratch.
+// Every row goes through checkFusedAgainstNaive, which verifies AND and
+// OR, count-only and Into (natural, aliased and replicated dst), scratch
+// and nil-scratch against the materialized ExpandTo pipeline.
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -50,35 +48,24 @@ func TestBlockKernelsWideDifferential(t *testing.T) {
 	}
 }
 
-// TestBlockKernelsTinyTiles forces the tiled traversal across many tile
-// boundaries by shrinking the cache block to a single 64-byte block, and
-// checks a few other knob values on the same shapes.
+// TestBlockKernelsTinyTiles drives joinTiled directly at tile widths from
+// a single block to the full stack tile, so one join crosses many tile
+// boundaries. Widths of zero and of a non-whole number of blocks must
+// clamp and round down to whole blocks.
 func TestBlockKernelsTinyTiles(t *testing.T) {
-	orig := JoinBlockBytes()
-	defer func() {
-		if err := SetJoinBlockBytes(orig); err != nil {
-			t.Fatalf("restoring join block: %v", err)
-		}
-	}()
 	rng := rand.New(rand.NewSource(22))
-	sc := new(JoinScratch)
-	for _, block := range []int{64, 128, 1024, 1 << 20} {
-		if err := SetJoinBlockBytes(block); err != nil {
-			t.Fatalf("SetJoinBlockBytes(%d): %v", block, err)
-		}
-		if got := JoinBlockBytes(); got != block {
-			t.Fatalf("JoinBlockBytes = %d, want %d", got, block)
-		}
+	for _, tw := range []int{0, blockWords, 2 * blockWords, 3*blockWords + 5, 16 * blockWords, tileStackWords} {
 		for trial := 0; trial < 20; trial++ {
-			checkFusedAgainstNaive(t, randomWideOperands(rng), sc)
+			checkTiled(t, randomWideOperands(rng), tw)
 		}
 	}
 }
 
 // TestBlockKernelsManyLargeEqual pins the exact register-budget boundary:
-// maxFusedOperands, maxFusedOperands+1, and maxFusedOperands+1 large
-// operands plus small ones (the pattern occupies no budget slot on the
-// tiled path but does on the register path).
+// maxFusedOperands-1, maxFusedOperands, maxFusedOperands+1 and more large
+// operands, each with and without small ones (the pattern takes a
+// register slot, so maxFusedOperands large operands plus small ones
+// overflow to joinTiled).
 func TestBlockKernelsManyLargeEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	sc := new(JoinScratch)
@@ -108,10 +95,9 @@ func TestBlockKernelsManyLargeEqual(t *testing.T) {
 	}
 }
 
-// TestBlockKernelsAliasedWide covers the one dispatch corner the register
-// path cannot absorb: a join too wide for the register kernel whose dst
-// aliases an operand, which must take the joinIntoByWord fallback (the
-// tiled path seeds dst before reading the operands).
+// TestBlockKernelsAliasedWide: a join too wide for the register kernels
+// whose dst aliases an operand. joinTiled builds each tile off to the
+// side and stores it only after every operand word of the tile is read.
 func TestBlockKernelsAliasedWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	ms := make([]*Bitmap, maxFusedOperands+4)
@@ -155,36 +141,128 @@ func TestBlockKernelsAliasedWide(t *testing.T) {
 	}
 }
 
-func TestSetJoinBlockBytesValidation(t *testing.T) {
-	orig := JoinBlockBytes()
-	defer SetJoinBlockBytes(orig)
-	for _, bad := range []int{0, -1, 63, 1<<30 + 1} {
-		if err := SetJoinBlockBytes(bad); err == nil {
-			t.Fatalf("SetJoinBlockBytes(%d) should fail", bad)
+// checkTiled runs joinTiled directly at tile width tw — count-only and
+// into a natural, an aliased and a replicated dst — for AND and OR
+// against the materialized pipeline.
+func checkTiled(t *testing.T, ms []*Bitmap, tw int) {
+	t.Helper()
+	m, err := MaxSize(ms)
+	if err != nil {
+		t.Fatalf("MaxSize: %v", err)
+	}
+	for _, and := range []bool{true, false} {
+		var pat [blockWords]uint64
+		gatherPat(ms, &pat, and)
+		want := naiveJoin(t, ms, m, and)
+		if got := joinTiled(nil, m/wordBits, ms, &pat, tw, and); got != want.Ones() {
+			t.Fatalf("tw=%d and=%v count-only: ones=%d want=%d", tw, and, got, want.Ones())
+		}
+		aliased, alias := aliasedOperands(ms, m)
+		for _, c := range []struct {
+			name string
+			dst  *Bitmap
+			ms   []*Bitmap
+			want *Bitmap
+		}{
+			{"natural", MustNew(m), ms, want},
+			{"aliased", alias, aliased, want},
+			{"replicated", MustNew(4 * m), ms, naiveJoin(t, ms, 4*m, and)},
+		} {
+			got := joinTiled(c.dst.words, len(c.dst.words), c.ms, &pat, tw, and)
+			if got != c.want.Ones() || !c.dst.Equal(c.want) {
+				t.Fatalf("tw=%d and=%v %s dst: ones=%d want=%d, equal=%v",
+					tw, and, c.name, got, c.want.Ones(), c.dst.Equal(c.want))
+			}
 		}
 	}
-	if got := JoinBlockBytes(); got != orig {
-		t.Fatalf("rejected knob values must not stick: got %d, want %d", got, orig)
+}
+
+// joinOperands builds one operand per size with ~7/8 density, so deep
+// AND joins stay nonzero.
+func joinOperands(rng *rand.Rand, sizes ...int) []*Bitmap {
+	ms := make([]*Bitmap, len(sizes))
+	for i, n := range sizes {
+		b := MustNew(n)
+		for j := range b.words {
+			b.words[j] = rng.Uint64() | rng.Uint64() | rng.Uint64()
+		}
+		ms[i] = b
 	}
-	if orig < 64 || orig > 1<<30 {
-		t.Fatalf("probe/default produced out-of-range block %d", orig)
+	return ms
+}
+
+// repeat returns n copies of size.
+func repeat(n, size int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = size
+	}
+	return out
+}
+
+func TestJoinMatrix(t *testing.T) {
+	invalid := []struct {
+		name string
+		run  func() error
+		want error
+	}{
+		{"empty/AndOnes", func() error { _, _, err := AndOnes(nil); return err }, ErrJoinEmpty},
+		{"empty/OrOnes", func() error { _, _, err := OrOnes([]*Bitmap{}); return err }, ErrJoinEmpty},
+		{"empty/AndAllInto", func() error { _, err := AndAllInto(MustNew(512), nil); return err }, ErrJoinEmpty},
+		{"empty/scratch", func() error { _, _, err := new(JoinScratch).OrAll(nil); return err }, ErrJoinEmpty},
+		{"dst smaller than operand", func() error {
+			_, err := OrAllInto(MustNew(256), []*Bitmap{MustNew(64), MustNew(512)})
+			return err
+		}, ErrShrink},
+	}
+	for _, c := range invalid {
+		if err := c.run(); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+
+	large := 1 << 12 // 64 words: eight blocks
+	rows := []struct {
+		name  string
+		sizes []int
+		tw    int // > 0: also drive joinTiled directly at this tile width
+	}{
+		{"single operand", []int{large}, 0},
+		{"single sub-block operand", []int{256}, 0},
+		{"sub-block/2", []int{64, 256}, 0},
+		{"sub-block/5", []int{128, 64, 256, 256, 64}, 0},
+		{"regs/no pattern", []int{large, 512, 1 << 10, large}, 0},
+		{"regs/pattern slot", []int{large, 64, 1 << 10, 256}, 0},
+		{"tiled/16 large + small", append(repeat(maxFusedOperands, large), 64, 128), 0},
+		{"tiled/33 large", append(repeat(32, large), 1<<10), 0},
+		{"joinTiled/tw=1 block", append(repeat(20, large), 512, 128), blockWords},
+		{"joinTiled/tw=2 blocks", append(repeat(20, large), 1<<11, 64), 2 * blockWords},
+		{"joinTiled/partial last tile", repeat(20, large), 3 * blockWords},
+		{"joinTiled/stack tile", append(repeat(18, 1<<19), large, 256), tileStackWords},
+		{"tiled/Into aliased", repeat(maxFusedOperands+4, large), 0},
+	}
+	rng := rand.New(rand.NewSource(29))
+	sc := new(JoinScratch)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			ms := joinOperands(rng, r.sizes...)
+			checkFusedAgainstNaive(t, ms, sc)
+			if r.tw > 0 {
+				checkTiled(t, ms, r.tw)
+			}
+		})
 	}
 }
 
 // FuzzFusedJoinWide drives the differential harness with fuzzer-chosen
-// wide shapes and tile sizes, reaching the register-budget overflow and
-// tile-boundary logic FuzzFusedJoin's ≤6 operands cannot.
+// wide shapes, and joinTiled directly at a fuzzer-chosen tile width:
+// operands of at most 2^13 bits never fill the 32 KiB stack tile, so
+// only a narrower tile reaches the tile-boundary logic.
 func FuzzFusedJoinWide(f *testing.F) {
 	f.Add(uint8(17), uint16(0x0421), uint8(0), uint64(1))
 	f.Add(uint8(33), uint16(0xffff), uint8(3), uint64(42))
 	f.Add(uint8(40), uint16(0x8001), uint8(7), uint64(99))
 	f.Fuzz(func(t *testing.T, nOps uint8, sizeBits uint16, blockExp uint8, seed uint64) {
-		orig := JoinBlockBytes()
-		defer SetJoinBlockBytes(orig)
-		// 64B..8KiB tiles: one to many blocks per tile.
-		if err := SetJoinBlockBytes(64 << (int(blockExp) % 8)); err != nil {
-			t.Fatal(err)
-		}
 		n := int(nOps)%40 + 1
 		rng := rand.New(rand.NewSource(int64(seed)))
 		ms := make([]*Bitmap, n)
@@ -197,5 +275,7 @@ func FuzzFusedJoinWide(f *testing.F) {
 			ms[i] = b
 		}
 		checkFusedAgainstNaive(t, ms, new(JoinScratch))
+		// One block to 128 blocks (64 B to 8 KiB) per tile.
+		checkTiled(t, ms, blockWords<<(int(blockExp)%8))
 	})
 }

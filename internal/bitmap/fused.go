@@ -1,48 +1,39 @@
-// Fused join kernels: AND/OR joins of mixed-size bitmaps without
-// materializing the Section III-A expansions.
+// Fused joins: AND/OR joins of mixed-size bitmaps without materializing
+// the Section III-A expansions, through one dispatcher.
 //
 // The replication expansion has a structural consequence the naive
-// ExpandTo pipeline ignores: word i of an l-bit bitmap's expansion to
-// m >= l bits is simply word (i mod l/64) of the original, and because
-// every size is a power of two the mod is a mask. A join of mixed-size
-// operands can therefore stream over the words of the *largest* operand,
-// reading each smaller operand through modular indexing — no expansion
-// buffer exists at any point. The estimators of internal/core consume
-// only the zero/one fractions of joined bitmaps, so the kernels below
-// also fuse the bits.OnesCount64 reduction into the same pass: each
-// output word is computed, counted, and (for the Into variants) stored
-// exactly once.
+// ExpandTo pipeline ignores: for an l-bit bitmap b and any power-of-two
+// m >= l, ExpandTo(m) repeats b's words m/l times, so expansion word i
+// equals b.words[i mod (l/64)]. l/64 is a power of two (New enforces
+// l >= 64 and power-of-two l — the same invariant the pow2size lint rule
+// protects), hence
 //
-// Correctness of the virtual expansion (DESIGN.md §8): for an l-bit
-// bitmap b and any power-of-two m >= l, ExpandTo(m) repeats b's words
-// m/l times, so expansion word i equals b.words[i mod (l/64)]. l/64 is a
-// power of two (New enforces l >= 64 and power-of-two l — the same
-// invariant the pow2size lint rule protects), hence
+//	expanded.words[i] == b.words[i & (len(b.words)-1)]
 //
-//	expanded.words[i] == b.words[i & (len(b.words)-1)].
+// (DESIGN.md §8). A join of mixed-size operands can therefore stream over
+// the words of the *largest* operand, reading each smaller operand
+// through that mask — no expansion buffer exists at any point. The
+// estimators of internal/core consume only the zero/one fractions of
+// joined bitmaps, so the kernels also fuse the bits.OnesCount64
+// reduction into the same pass: each output word is computed, counted,
+// and (for the Into variants) stored exactly once.
 //
-// Every kernel below is differentially tested against the materialized
-// ExpandTo/And/Or/Ones pipeline (fused_test.go, FuzzFusedJoin).
+// Every entry point below validates and then calls join, which picks one
+// of three loops (block.go): the register kernels joinOnesRegs and
+// joinIntoRegs for up to maxFusedOperands block-sized operands, and
+// joinTiled for wider joins. All of them are differentially tested
+// against the materialized ExpandTo/And/Or/Ones pipeline (fused_test.go,
+// block_test.go, FuzzFusedJoin, FuzzFusedJoinWide).
 
 package bitmap
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // ErrJoinEmpty is returned by the join kernels for an empty operand list.
 var ErrJoinEmpty = errors.New("bitmap: join of zero bitmaps")
-
-// word returns word i of b's virtual expansion to any size with at least
-// i+1 words. len(b.words) is a power of two, so replication makes the
-// modular index a mask.
-//
-//ptm:exclusive join plane reads sealed records
-//ptm:noalloc
-//ptm:inline
-func (b *Bitmap) word(i int) uint64 { return b.words[i&(len(b.words)-1)] }
 
 // MaxSize returns the largest Size among the operands, the common join
 // size m of Section III-A. It returns ErrJoinEmpty for an empty list.
@@ -87,94 +78,16 @@ func joinOnes(ms []*Bitmap, and bool) (ones, m int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(ms) == 1 {
-		return ms[0].Ones(), m, nil
-	}
-	words := m / wordBits
-	// m is a power of two >= 64, so words >= blockWords implies words is a
-	// multiple of blockWords — the block kernels' only shape requirement.
-	// Popcounts are order-free integers, so rerouting changes no result
-	// (the float contract of core.pointFractions is over AndOnes *values*,
-	// which are exact).
-	if words >= blockWords {
-		return joinOnesBlocked(ms, words, and), m, nil
-	}
-	if len(ms) == 2 {
-		return joinOnes2(ms[0], ms[1], words, and), m, nil
-	}
-	return joinOnesByWord(ms, words, and), m, nil
-}
-
-// joinOnesByWord is the pre-block reference loop: one output word at a
-// time through the modular word(i) accessor. It remains the differential
-// oracle for the unrolled kernels (fused_test.go) and the fallback for
-// sub-block outputs (m < 512 bits).
-//
-//ptm:noalloc
-func joinOnesByWord(ms []*Bitmap, words int, and bool) int {
-	first := ms[0]
-	rest := ms[1:]
-	ones := 0
-	for i := 0; i < words; i++ {
-		w := first.word(i)
-		if and {
-			for _, o := range rest {
-				w &= o.word(i)
-			}
-		} else {
-			for _, o := range rest {
-				w |= o.word(i)
-			}
-		}
-		ones += bits.OnesCount64(w)
-	}
-	return ones
-}
-
-// joinOnes2 is the two-operand fast path: every estimator's final
-// E_a ∧ E_b and E* ∨ E′* step lands here. It delegates to the word-slice
-// kernel shared with the out-of-core store's mapped-page joins.
-//
-//ptm:exclusive join plane reads sealed records
-//ptm:noalloc
-//ptm:inline
-func joinOnes2(a, b *Bitmap, words int, and bool) int {
-	return joinOnes2W(a.words, b.words, words, and)
-}
-
-// joinOnes2W is joinOnes2 over raw word slices. The emptiness guard is
-// unreachable from the Bitmap path (New enforces >= 64 bits) but hands
-// the prove pass the len > 0 fact it needs to eliminate both masked
-// bounds checks — and makes the word-view entry points total.
-//
-//ptm:exclusive join plane reads sealed records
-//ptm:noalloc
-//ptm:nobce
-func joinOnes2W(aw, bw []uint64, words int, and bool) int {
-	if len(aw) == 0 || len(bw) == 0 {
-		return 0
-	}
-	am, bm := len(aw)-1, len(bw)-1
-	ones := 0
-	if and {
-		for i := 0; i < words; i++ {
-			ones += bits.OnesCount64(aw[i&am] & bw[i&bm])
-		}
-	} else {
-		for i := 0; i < words; i++ {
-			ones += bits.OnesCount64(aw[i&am] | bw[i&bm])
-		}
-	}
-	return ones
+	return join(nil, m/wordBits, ms, and), m, nil
 }
 
 // AndAllInto computes the AND-join of the operands, virtually expanded to
 // dst's size, into dst, and returns the join's popcount from the same
 // pass. dst must be at least as large as every operand (expansion of the
 // join commutes with the join of expansions, so a larger dst holds the
-// join replicated). dst may alias an operand of equal size — each word is
-// read from every operand before it is written — but must not alias a
-// smaller operand (impossible anyway: sizes differ).
+// join replicated). dst may alias an operand of equal size — every
+// operand word of an output block or tile is read before it is stored —
+// but must not alias a smaller operand (impossible anyway: sizes differ).
 //
 //ptm:sink bitmap write
 //ptm:noalloc
@@ -192,34 +105,9 @@ func OrAllInto(dst *Bitmap, ms []*Bitmap) (ones int, err error) {
 	return joinInto(dst, ms, false)
 }
 
-// aliases reports whether two bitmaps share backing storage. Bitmaps are
-// never empty (New enforces >= 64 bits), so first-word identity suffices.
-//
-// The emptiness guards are unreachable (New enforces >= 64 bits) but let
-// the prove pass drop the bounds checks here and at every inlined copy
-// inside the //ptm:nobce join kernels.
-//
-//ptm:exclusive address identity check; no word is read or written
-//ptm:noalloc
-//ptm:inline
-//ptm:nobce
-func aliases(a, b *Bitmap) bool {
-	aw, bw := a.words, b.words
-	return len(aw) > 0 && len(bw) > 0 && &aw[0] == &bw[0]
-}
-
-// joinInto validates and dispatches; the unrolled loops themselves live
-// in joinIntoRegs/joinIntoTiled (which carry the nobce contract — this
-// function's once-per-join gather indexing does not).
-//
 //ptm:exclusive join plane operates on sealed records and a caller-owned dst
 //ptm:noalloc
 func joinInto(dst *Bitmap, ms []*Bitmap, and bool) (ones int, err error) {
-	// MaxSize would catch the empty list too, but the explicit guard is
-	// what lets prove see len(ms) >= 1 at the ms[0] and ms[1:] uses.
-	if len(ms) == 0 {
-		return 0, ErrJoinEmpty
-	}
 	m, err := MaxSize(ms)
 	if err != nil {
 		return 0, err
@@ -227,23 +115,38 @@ func joinInto(dst *Bitmap, ms []*Bitmap, and bool) (ones int, err error) {
 	if dst.nbits < m {
 		return 0, fmt.Errorf("%w: dst %d < operand %d", ErrShrink, dst.nbits, m)
 	}
-	// Dispatch (DESIGN.md §13): outputs smaller than one block take the
-	// word-at-a-time reference loop. Otherwise the single-pass register
-	// kernel folds every operand per output block — one load per operand,
-	// one store, one popcount per word — and is aliasing-safe by
-	// construction (all operand blocks are read before the block is
-	// stored). Joins wider than the register budget fall to the tiled
-	// traversal, which revisits each dst tile across chunk passes and so
-	// must not have dst alias an operand; that rare combination falls
-	// back to joinIntoByWord.
-	dw := dst.words
-	if len(dw) < blockWords {
-		return joinIntoByWord(dst, ms, and)
-	}
+	return join(dst.words, len(dst.words), ms, and), nil
+}
+
+// join is the one dispatcher of the join plane (DESIGN.md §13). It joins
+// the non-empty operand list virtually expanded to words words, stores
+// the result into dst unless dst is nil (count-only), and returns its
+// popcount. dst, when non-nil, has exactly words words; words is a power
+// of two no smaller than any operand.
+//
+// Operands smaller than one block collapse into one pre-joined pattern
+// block first (gatherPat). An output smaller than one block has only
+// such operands, so the pattern's first words are the whole join.
+// Otherwise up to maxFusedOperands block-sized operands — counting the
+// pattern as one when it exists — fold in the register kernels, and
+// anything wider takes the tiled kernel.
+//
+// The pattern slice ops[n] = pat[:] is formed here, where pat is a
+// local: forming it through a pointer parameter would heap-allocate pat
+// (see gatherOps).
+//
+//ptm:exclusive join plane operates on sealed records and a caller-owned dst
+//ptm:noalloc
+func join(dst []uint64, words int, ms []*Bitmap, and bool) int {
 	var ops [maxFusedOperands][]uint64
 	var pat [blockWords]uint64
 	n, ok := gatherOps(ms, &ops)
-	if ok && gatherPat(ms, &pat, and) {
+	hasPat := gatherPat(ms, &pat, and)
+	if words < blockWords {
+		copy(dst, pat[:words])
+		return popcountWords(pat[:words])
+	}
+	if ok && hasPat {
 		if n == len(ops) {
 			ok = false
 		} else {
@@ -251,41 +154,14 @@ func joinInto(dst *Bitmap, ms []*Bitmap, and bool) (ones int, err error) {
 			n++
 		}
 	}
-	if ok {
-		return joinIntoRegs(dw, ops[:n], and), nil
+	switch {
+	case !ok:
+		return joinTiled(dst, words, ms, &pat, tileStackWords, and)
+	case dst == nil:
+		return joinOnesRegs(words, ops[:n], and)
+	default:
+		return joinIntoRegs(dst, ops[:n], and)
 	}
-	for _, o := range ms {
-		if aliases(dst, o) {
-			return joinIntoByWord(dst, ms, and)
-		}
-	}
-	return joinIntoTiled(dst, ms, and), nil
-}
-
-// joinIntoByWord is the aliasing-safe reference loop: each output word is
-// computed from every operand (through the modular index) before it is
-// stored, so dst may alias any equal-size operand.
-//
-//ptm:exclusive join plane operates on sealed records and a caller-owned dst
-//ptm:noalloc
-func joinIntoByWord(dst *Bitmap, ms []*Bitmap, and bool) (ones int, err error) {
-	first := ms[0]
-	rest := ms[1:]
-	for i := range dst.words {
-		w := first.word(i)
-		if and {
-			for _, o := range rest {
-				w &= o.word(i)
-			}
-		} else {
-			for _, o := range rest {
-				w |= o.word(i)
-			}
-		}
-		dst.words[i] = w
-		ones += bits.OnesCount64(w)
-	}
-	return ones, nil
 }
 
 // JoinScratch is a reusable arena for join outputs. A pipeline leases

@@ -56,6 +56,23 @@ func randomOperands(rng *rand.Rand) []*Bitmap {
 	return ms
 }
 
+// aliasedOperands returns a copy of ms whose first m-bit operand is
+// replaced by a clone, together with that clone: a dst aliasing an
+// operand that a join may overwrite without disturbing ms.
+func aliasedOperands(ms []*Bitmap, m int) ([]*Bitmap, *Bitmap) {
+	out := append([]*Bitmap(nil), ms...)
+	for i, b := range out {
+		if b.Size() == m {
+			out[i] = b.Clone()
+			return out, out[i]
+		}
+	}
+	panic("no operand of the join size")
+}
+
+// checkFusedAgainstNaive checks every join entry point on ms — count-only,
+// Into a natural, an aliased and a replicated dst, scratch-leased — for
+// AND and OR against the materialized pipeline.
 func checkFusedAgainstNaive(t *testing.T, ms []*Bitmap, sc *JoinScratch) {
 	t.Helper()
 	m, err := MaxSize(ms)
@@ -91,6 +108,21 @@ func checkFusedAgainstNaive(t *testing.T, ms []*Bitmap, sc *JoinScratch) {
 		}
 		if ones != wantOnes || !dst.Equal(want) {
 			t.Fatalf("%sAllInto: ones=%d want=%d, equal=%v", name, ones, wantOnes, dst.Equal(want))
+		}
+
+		// Into a dst aliasing an equal-size operand (the in-place
+		// discipline of And/Or).
+		aliased, dst := aliasedOperands(ms, m)
+		if and {
+			ones, err = AndAllInto(dst, aliased)
+		} else {
+			ones, err = OrAllInto(dst, aliased)
+		}
+		if err != nil {
+			t.Fatalf("aliased %sAllInto: %v", name, err)
+		}
+		if ones != wantOnes || !dst.Equal(want) {
+			t.Fatalf("aliased %sAllInto: ones=%d want=%d, equal=%v", name, ones, wantOnes, dst.Equal(want))
 		}
 
 		// Into a larger destination: the join must come out replicated,

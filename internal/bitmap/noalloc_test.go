@@ -73,9 +73,9 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 }
 
 // TestBlockKernelPathsDoNotAllocate steers the fused entry points down
-// each of block.go's dispatch arms — register kernels, pattern collapse,
-// and the tiled traversal — and requires zero allocations on all of
-// them, mirroring the //ptm:noalloc contracts on the new kernels.
+// each of join's dispatch arms — sub-block pattern, register kernels,
+// pattern collapse, and the tiled kernel — and requires zero allocations
+// on all of them, mirroring the //ptm:noalloc contracts on the kernels.
 func TestBlockKernelPathsDoNotAllocate(t *testing.T) {
 	wide := func(n, bitsz int) []*Bitmap {
 		ms := make([]*Bitmap, n)
@@ -88,13 +88,14 @@ func TestBlockKernelPathsDoNotAllocate(t *testing.T) {
 		}
 		return ms
 	}
+	sub := wide(3, 256)                             // < blockWords output → pattern alone
 	regs := wide(5, 1<<12)                          // ≤ maxFusedOperands larges → register kernels
 	mixed := append(wide(5, 1<<12), wide(3, 64)...) // sub-block operands → gatherPat collapse
-	tiled := wide(2*maxFusedOperands+1, 1<<12)      // operand overflow → tiled traversal
+	tiled := wide(2*maxFusedOperands+1, 1<<12)      // operand overflow → joinTiled
 	dst := MustNew(1 << 12)
 	var sinkInt int
 
-	for name, ms := range map[string][]*Bitmap{"regs": regs, "mixed": mixed, "tiled": tiled} {
+	for name, ms := range map[string][]*Bitmap{"sub": sub, "regs": regs, "mixed": mixed, "tiled": tiled} {
 		ms := ms
 		requireZeroAllocs(t, "AndOnes/"+name, func() {
 			ones, _, err := AndOnes(ms)
@@ -111,7 +112,20 @@ func TestBlockKernelPathsDoNotAllocate(t *testing.T) {
 			sinkInt = ones
 		})
 	}
-	requireZeroAllocs(t, "JoinBlockBytes", func() { sinkInt = JoinBlockBytes() })
-	requireZeroAllocs(t, "tileWords", func() { sinkInt = tileWords() })
+	subDst := MustNew(256)
+	requireZeroAllocs(t, "OrAllInto/sub natural", func() {
+		ones, err := OrAllInto(subDst, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkInt = ones
+	})
+	requireZeroAllocs(t, "OrAllInto/tiled aliased", func() {
+		ones, err := OrAllInto(tiled[0], tiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkInt = ones
+	})
 	_ = sinkInt
 }

@@ -41,8 +41,8 @@ func oocRecords(b *testing.B) []*record.Record {
 }
 
 // benchJoin drives the join workload: collect the operands from the
-// store (pinning any cold spans), AND-join their word views with the
-// fused kernel, unpin.
+// store (pinning any cold spans), AND-join their bitmaps with the fused
+// kernel — the path central's estimators run — unpin.
 func benchJoin(b *testing.B, st Store) {
 	b.Helper()
 	periods := make([]record.PeriodID, 0, oocPeriods)
@@ -57,11 +57,11 @@ func benchJoin(b *testing.B, st Store) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ws := make([][]uint64, len(recs))
+		bms := make([]*bitmap.Bitmap, len(recs))
 		for j, rec := range recs {
-			ws[j] = rec.Bitmap.Uint64s()
+			bms[j] = rec.Bitmap
 		}
-		ones, _, err := bitmap.AndOnesWords(ws)
+		ones, _, err := bitmap.AndOnes(bms)
 		unpin()
 		if err != nil {
 			b.Fatal(err)

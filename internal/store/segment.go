@@ -33,11 +33,11 @@ package store
 //
 // The page alignment of dataOff and the 64-byte alignment of every
 // wordOff mean a mapped record's words can be reinterpreted in place as
-// a []uint64 and handed to the join kernels (bitmap.AndOnesWords) with
-// zero copies. Header and index CRCs are verified at open; per-record
-// word CRCs are verified lazily, when the block cache admits the span
-// (the bytes are about to be streamed anyway) — so opening a huge
-// segment is O(index), not O(data).
+// a []uint64, wrapped by bitmap.FromWords and handed to the join
+// kernels (bitmap.AndOnes) with zero copies. Header and index CRCs are
+// verified at open; per-record word CRCs are verified lazily, when the
+// block cache admits the span (the bytes are about to be streamed
+// anyway) — so opening a huge segment is O(index), not O(data).
 //
 // Segments are written via wal.WriteFileAtomic (temp file, fsync,
 // rename, dir fsync), so a crash mid-freeze leaves either no segment or

@@ -5,32 +5,30 @@
 #   1. gofmt -l            (every tracked .go file is gofmt-clean)
 #   2. go build            (everything compiles)
 #   3. go vet              (toolchain static checks)
-#   4. ptmlint             (repo-specific invariants; see DESIGN.md),
-#                          archiving a SARIF 2.1.0 report for CI surfaces
-#   5. concguard           (the four concurrency-contract rules alone,
-#                          archiving their SARIF report separately so the
-#                          lock-discipline gate is auditable on its own)
-#   6. perfguard           (the three hot-path performance-contract rules
-#                          alone — noalloc, inline, bce — archiving their
-#                          SARIF report, escape-flow codeFlows included,
-#                          so the allocation gate is auditable on its own)
-#   7. go test -race       (unit + integration tests under the race
+#   4. ptmlint             (repo-specific invariants; see DESIGN.md):
+#                          one run of every rule — the syntax rules,
+#                          privflow, the concguard concurrency rules and
+#                          the perfguard hot-path contracts — archiving a
+#                          SARIF 2.1.0 report in which every result carries
+#                          its ruleId (perfguard results with escape-flow
+#                          codeFlows)
+#   5. go test -race       (unit + integration tests under the race
 #                          detector, -shuffle=on to surface order
 #                          dependence between tests)
-#   8. race stress smoke   (the WAL, RSU, DSRC fan-in, stripe,
+#   6. race stress smoke   (the WAL, RSU, DSRC fan-in, stripe,
 #                          estimate-cache, and tiered-store
 #                          concurrency stress tests again under -race
 #                          -count=2 — the dynamic complement of the static
 #                          concguard contracts)
-#   9. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
-#  10. traced pipeline     (each bench/ptmload workload once at full scale
+#   7. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
+#   8. traced pipeline     (each bench/ptmload workload once at full scale
 #                          with -trace 1: answers, exact counts and the
 #                          traced blocking path against the untraced one)
-#  11. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
-#  12. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
+#   9. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
+#  10. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
 #                          peak-RSS bound + estimates identical to the
 #                          all-resident daemon)
-#  13. cluster smoke       (3-node cluster, R=2: kill -9 the partition
+#  11. cluster smoke       (3-node cluster, R=2: kill -9 the partition
 #                          leader mid-ingest, fail over, revive, join,
 #                          drain — zero acked-record loss and estimates
 #                          byte-identical to a single-node reference)
@@ -71,22 +69,6 @@ if ! go run ./cmd/ptmlint -format=sarif ./... > "$ARTIFACT_DIR/ptmlint.sarif"; t
 	status=$?
 	step "ptmlint findings (see $ARTIFACT_DIR/ptmlint.sarif)"
 	go run ./cmd/ptmlint ./... || true
-	exit "$status"
-fi
-
-step "concguard (lockorder, guardedby, atomicmix, rcu)"
-if ! go run ./cmd/ptmlint -rules=lockorder,guardedby,atomicmix,rcu -format=sarif ./... > "$ARTIFACT_DIR/concguard.sarif"; then
-	status=$?
-	step "concguard findings (see $ARTIFACT_DIR/concguard.sarif)"
-	go run ./cmd/ptmlint -rules=lockorder,guardedby,atomicmix,rcu ./... || true
-	exit "$status"
-fi
-
-step "perfguard (noalloc, inline, bce)"
-if ! go run ./cmd/ptmlint -rules=noalloc,inline,bce -format=sarif ./... > "$ARTIFACT_DIR/perfguard.sarif"; then
-	status=$?
-	step "perfguard findings (see $ARTIFACT_DIR/perfguard.sarif)"
-	go run ./cmd/ptmlint -rules=noalloc,inline,bce ./... || true
 	exit "$status"
 fi
 
