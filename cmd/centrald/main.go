@@ -1,12 +1,13 @@
 // Command centrald runs the central server of Section II-A: it listens for
 // RSU record uploads and persistent-traffic queries over the TCP protocol.
 //
-//	centrald -listen :7700 -s 3 [-http :7780] [-load snap.ptm] [-save snap.ptm]
+//	centrald -listen :7700 -s 3 [-http :7780] [-load snap.seg] [-save snap.seg]
 //
-// With -save, the store is snapshotted to disk on SIGINT/SIGTERM before
-// exit; with -load, an existing snapshot is restored at startup. -http
-// exposes the read-only admin surface (/healthz, /stats, /locations,
-// /query/...).
+// With -save, the store is written to disk on SIGINT/SIGTERM before
+// exit, as one store segment (the format of WAL checkpoints and of the
+// tiered store's cold files); with -load, such a segment is restored at
+// startup. -http exposes the read-only admin surface (/healthz, /stats,
+// /locations, /query/...).
 //
 // With -wal DIR the store is backed by a write-ahead log: every record
 // is on disk (per -sync) before its upload is acknowledged, the store
@@ -92,8 +93,8 @@ func parseFlags(args []string) config {
 	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:7700", "TCP listen address")
 	fs.StringVar(&cfg.httpAddr, "http", "", "optional HTTP admin address (e.g. 127.0.0.1:7780)")
 	fs.IntVar(&cfg.s, "s", 3, "system-wide representative-bit count")
-	fs.StringVar(&cfg.load, "load", "", "snapshot file to restore at startup")
-	fs.StringVar(&cfg.save, "save", "", "snapshot file to write on shutdown")
+	fs.StringVar(&cfg.load, "load", "", "segment file (a -save file or WAL checkpoint) to restore at startup")
+	fs.StringVar(&cfg.save, "save", "", "segment file to write the whole store to on shutdown")
 	fs.StringVar(&cfg.walDir, "wal", "", "write-ahead-log directory (empty: in-memory store)")
 	fs.StringVar(&cfg.sync, "sync", "always", "WAL sync policy: always, interval, never")
 	fs.IntVar(&cfg.ckptEvery, "checkpoint-every", 1024, "checkpoint the WAL every N ingested records (0: only at shutdown)")
@@ -258,8 +259,8 @@ func serve(cfg config, logger *log.Logger, sigc <-chan os.Signal) error {
 		logger.Printf("recovered %d locations from %s (replayed %d log entries, truncated %d torn bytes)",
 			len(head.Locations()), cfg.walDir, st.Entries, st.TruncatedBytes)
 	} else if cfg.load != "" {
-		if err := loadSnapshot(head, cfg.load); err != nil {
-			return err
+		if err := head.LoadFrom(cfg.load); err != nil {
+			return fmt.Errorf("restoring snapshot: %w", err)
 		}
 		logger.Printf("restored %d locations from %s", len(head.Locations()), cfg.load)
 	}
@@ -385,40 +386,10 @@ func serve(cfg config, logger *log.Logger, sigc <-chan os.Signal) error {
 		logger.Printf("wal flushed and checkpointed in %s", cfg.walDir)
 	}
 	if cfg.save != "" {
-		if err := saveSnapshot(head, cfg.save); err != nil {
-			return err
+		if err := wal.WriteFileAtomic(cfg.save, head.SaveTo); err != nil {
+			return fmt.Errorf("writing snapshot: %w", err)
 		}
 		logger.Printf("snapshot written to %s", cfg.save)
-	}
-	return nil
-}
-
-func loadSnapshot(srv *central.Server, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("opening snapshot: %w", err)
-	}
-	err = srv.LoadFrom(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("restoring snapshot: %w", err)
-	}
-	return nil
-}
-
-func saveSnapshot(srv *central.Server, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating snapshot: %w", err)
-	}
-	err = srv.SaveTo(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("writing snapshot: %w", err)
 	}
 	return nil
 }

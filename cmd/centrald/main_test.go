@@ -12,9 +12,23 @@ import (
 	"time"
 
 	"ptm/internal/record"
+	"ptm/internal/store"
 	"ptm/internal/transport"
 	"ptm/internal/vhash"
 )
+
+// requireSegment fails the test unless path opens as a store segment —
+// the one on-disk format of a record set.
+func requireSegment(t *testing.T, path string) {
+	t.Helper()
+	seg, err := store.OpenSegment(path, 0)
+	if err != nil {
+		t.Fatalf("%s is not a store segment: %v", filepath.Base(path), err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // startDaemon runs serve() in a goroutine on ephemeral ports and returns
 // the TCP address, a shutdown function, and the exit channel.
@@ -38,7 +52,7 @@ func startDaemon(t *testing.T, cfg config) (addr string, shutdown func(), done <
 }
 
 func TestDaemonLifecycleWithSnapshot(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "records.ptm")
+	snap := filepath.Join(t.TempDir(), "records.seg")
 
 	// First run: ingest one record, shut down, snapshot written.
 	addr, shutdown, done := startDaemon(t, config{s: 3, save: snap})
@@ -59,9 +73,7 @@ func TestDaemonLifecycleWithSnapshot(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("first run exit: %v", err)
 	}
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("snapshot missing: %v", err)
-	}
+	requireSegment(t, snap)
 
 	// Second run: restore the snapshot, query the record back.
 	addr2, shutdown2, done2 := startDaemon(t, config{s: 3, load: snap})
@@ -142,6 +154,9 @@ func TestDaemonWALGracefulShutdown(t *testing.T) {
 	matches, err := filepath.Glob(filepath.Join(walDir, "*.ckpt"))
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no checkpoint after graceful shutdown: %v %v", matches, err)
+	}
+	for _, ckpt := range matches {
+		requireSegment(t, ckpt)
 	}
 
 	// Restart on the same directory: exact census.

@@ -1,10 +1,11 @@
-// Command ptmreport turns a centrald snapshot into a human-readable
+// Command ptmreport turns a centrald record set into a human-readable
 // traffic report: per-period volumes, the persistent core at every
 // location (with a bootstrap confidence interval), sliding-window
 // stability, and point-to-point persistent volumes between instrumented
-// locations.
+// locations. The input is any store segment file: a centrald -save
+// file, a WAL checkpoint, or a tiered store's cold segment.
 //
-//	ptmreport -snapshot records.ptm [-s 3] [-window 3] [-level 0.95]
+//	ptmreport -snapshot records.seg [-s 3] [-window 3] [-level 0.95]
 //
 // The report answers the questions the paper motivates: how much of a
 // location's traffic is a stable core, and how much persistent traffic
@@ -36,7 +37,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ptmreport", flag.ContinueOnError)
 	var (
-		snapshot = fs.String("snapshot", "", "centrald snapshot file (required)")
+		snapshot = fs.String("snapshot", "", "centrald segment file: a -save file or WAL checkpoint (required)")
 		s        = fs.Int("s", 3, "system-wide representative-bit count")
 		window   = fs.Int("window", 0, "sliding-window size for the stability series (0 = off)")
 		level    = fs.Float64("level", 0.95, "confidence level for persistent-core intervals")
@@ -52,15 +53,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*snapshot)
-	if err != nil {
-		return err
-	}
-	err = store.LoadFrom(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := store.LoadFrom(*snapshot); err != nil {
 		return err
 	}
 

@@ -30,9 +30,6 @@
 package central
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -339,125 +336,28 @@ func (s *Server) ODVolume(locA, locB vhash.LocationID, p record.PeriodID) (float
 	return res.Estimate, nil
 }
 
-// Snapshot serialization: a versioned stream of length-prefixed marshaled
-// records, so deployments can persist and restore the store.
-const (
-	snapMagic   = 0x534d5450 // "PTMS"
-	snapVersion = 1
-)
-
-// SaveTo writes a snapshot of all stored records. The records are sorted
-// by (location, period), so the snapshot bytes do not depend on shard
-// count, tiering state, or map iteration order. Each record is encoded
-// into one reused scratch buffer and written out immediately — the
-// writer streams, it does not materialize the store (cold records are
-// pinned one at a time).
+// SaveTo writes every stored record to w as one store segment
+// (store.WriteSegment), sorted by (location, period), so the bytes do
+// not depend on shard count, tiering state, or map iteration order. It
+// is the one on-disk form of a record set: a WAL checkpoint, a centrald
+// -save file and a cold-tier segment all open with store.OpenSegment.
 func (s *Server) SaveTo(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	scratch := make([]byte, 0, 64<<10)
-	err := s.st.ForEachSorted(
-		func(count int) error {
-			var hdr [12]byte
-			binary.LittleEndian.PutUint32(hdr[0:4], snapMagic)
-			hdr[4] = snapVersion
-			binary.LittleEndian.PutUint32(hdr[8:12], uint32(count))
-			if _, err := bw.Write(hdr[:]); err != nil {
-				return fmt.Errorf("central: writing snapshot header: %w", err)
-			}
-			return nil
-		},
-		func(rec *record.Record) error {
-			// Reserve the 4-byte length prefix, append the record behind
-			// it, then patch the prefix — one buffered write per record,
-			// zero per-record allocations once scratch has grown.
-			scratch = append(scratch[:0], 0, 0, 0, 0)
-			blob, err := rec.AppendBinary(scratch)
-			if err != nil {
-				return err
-			}
-			scratch = blob
-			binary.LittleEndian.PutUint32(scratch[0:4], uint32(len(scratch)-4))
-			if _, err := bw.Write(scratch); err != nil {
-				return fmt.Errorf("central: writing record: %w", err)
-			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
+	return s.st.Sorted(func(recs []*record.Record) error {
+		return store.WriteSegment(w, recs)
+	})
 }
 
-// LoadFrom restores records from a snapshot produced by SaveTo, or from
-// a cold checkpoint segment (the on-disk format store.Tiered freezes —
-// the first four bytes distinguish the two). Records already present are
-// skipped: restore is idempotent, which is what lets a tiered store
-// recover from a WAL checkpoint that includes its own frozen records.
-func (s *Server) LoadFrom(r io.Reader) error {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(4)
-	if err != nil {
-		return fmt.Errorf("central: reading snapshot header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(magic) == store.SegMagic {
-		return s.loadSegment(br)
-	}
-	return s.loadSnapshot(br)
-}
-
-// loadSnapshot reads the native SaveTo stream.
-func (s *Server) loadSnapshot(br *bufio.Reader) error {
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return fmt.Errorf("central: reading snapshot header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != snapMagic {
-		return errors.New("central: bad snapshot magic")
-	}
-	if hdr[4] != snapVersion {
-		return fmt.Errorf("central: unsupported snapshot version %d", hdr[4])
-	}
-	count := binary.LittleEndian.Uint32(hdr[8:12])
-	var blob bytes.Buffer
-	for i := uint32(0); i < count; i++ {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return fmt.Errorf("central: reading record %d length: %w", i, err)
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n > 1<<28 {
-			return fmt.Errorf("central: record %d implausibly large (%d bytes)", i, n)
-		}
-		// Copy incrementally rather than allocating n bytes up front: the
-		// length prefix is attacker-controlled (a corrupt or hostile
-		// snapshot), and a lying prefix must fail at the truncation
-		// point, not after a 256 MiB allocation.
-		blob.Reset()
-		if _, err := io.CopyN(&blob, br, int64(n)); err != nil {
-			return fmt.Errorf("central: reading record %d: %w", i, err)
-		}
-		rec, err := record.Unmarshal(blob.Bytes())
-		if err != nil {
-			return fmt.Errorf("central: decoding record %d: %w", i, err)
-		}
+// LoadFrom restores the records of the segment file at path: a SaveTo
+// file, a WAL checkpoint, or a cold-tier segment. The file is mapped,
+// not read onto the heap; records already present (for example ones a
+// tiered store holds cold) are skipped before their words are read, and
+// every other record is CRC-verified and copied in. Restore is therefore
+// idempotent, which is what lets a tiered store recover from a WAL
+// checkpoint that includes its own frozen records.
+func (s *Server) LoadFrom(path string) error {
+	return store.ReadSegment(path, s.st.Contains, func(rec *record.Record) error {
 		if err := s.Ingest(rec); err != nil && !errors.Is(err, ErrDuplicate) {
-			return fmt.Errorf("central: restoring record %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// loadSegment copy-ingests every record of a checkpoint segment: all
-// CRCs are verified and the bitmaps are heap copies, so the source
-// buffer is free once this returns.
-func (s *Server) loadSegment(br *bufio.Reader) error {
-	data, err := io.ReadAll(br)
-	if err != nil {
-		return fmt.Errorf("central: reading segment: %w", err)
-	}
-	return store.ParseSegmentRecords(data, func(rec *record.Record) error {
-		if err := s.Ingest(rec); err != nil && !errors.Is(err, ErrDuplicate) {
-			return fmt.Errorf("central: restoring segment record loc=%d period=%d: %w", rec.Location, rec.Period, err)
+			return fmt.Errorf("central: restoring record loc=%d period=%d: %w", rec.Location, rec.Period, err)
 		}
 		return nil
 	})

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ptm/internal/record"
+	"ptm/internal/store"
 	"ptm/internal/synth"
 	"ptm/internal/vhash"
 )
@@ -219,7 +224,25 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
+// writeFile writes data to a fresh file and returns its path.
+func writeFile(t testing.TB, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "records.seg")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// ptmsHeader is the 12-byte header of the retired PTMS snapshot stream
+// (magic, version 1, record count 1). A file in that format is no longer
+// a record set: it must fail as a bad segment magic.
+var ptmsHeader = []byte{'P', 'T', 'M', 'S', 1, 0, 0, 0, 1, 0, 0, 0}
+
+// snapshotFixture ingests three records over two locations and returns
+// the server with its SaveTo bytes.
+func snapshotFixture(t *testing.T) (*Server, []byte) {
+	t.Helper()
 	s := newServer(t)
 	r1 := mustRecord(t, 3, 1, 128)
 	r1.Bitmap.Set(5)
@@ -231,12 +254,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := s.SaveTo(&buf); err != nil {
-		t.Fatal(err)
+	return s, snapshotBytes(t, s)
+}
+
+// TestSnapshotRoundTrip: SaveTo writes a segment that LoadFrom restores
+// exactly; the restored store re-saves to the same bytes and a reload
+// is a no-op.
+func TestSnapshotRoundTrip(t *testing.T) {
+	s, canon := snapshotFixture(t)
+	path := writeFile(t, canon)
+	if _, err := store.OpenSegment(path, 0); err != nil {
+		t.Fatalf("SaveTo output is not a segment: %v", err)
 	}
 	restored := newServer(t)
-	if err := restored.LoadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := restored.LoadFrom(path); err != nil {
 		t.Fatal(err)
 	}
 	if len(restored.Locations()) != 2 {
@@ -245,27 +276,76 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := restored.Periods(3); len(got) != 2 {
 		t.Errorf("restored periods = %v", got)
 	}
-	// Contents survived.
+	if !bytes.Equal(snapshotBytes(t, restored), canon) {
+		t.Fatal("restored store re-saves to different bytes")
+	}
 	vol1, err1 := s.Volume(3, 1)
 	vol2, err2 := restored.Volume(3, 1)
 	if err1 != nil || err2 != nil || vol1 != vol2 {
 		t.Errorf("volume diverged after restore: %v/%v %v/%v", vol1, err1, vol2, err2)
 	}
+	// Idempotent: a reload skips every record already present.
+	if err := restored.LoadFrom(path); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	if st := restored.Stats(); st.Records != 3 {
+		t.Fatalf("reload changed the census: %+v", st)
+	}
 }
 
-func TestLoadFromRejectsGarbage(t *testing.T) {
-	s := newServer(t)
-	if err := s.LoadFrom(bytes.NewReader([]byte("short"))); err == nil {
-		t.Error("short snapshot accepted")
+// TestLoadFrom: every damaged or foreign file is rejected.
+func TestLoadFrom(t *testing.T) {
+	_, canon := snapshotFixture(t)
+	torn := bytes.Clone(canon)
+	torn[len(torn)-1] ^= 0xff // the last record's words
+
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"garbage", []byte("short"), "shorter than the header"},
+		{"truncated", canon[:len(canon)-1], "outside file"},
+		{"PTMS header", ptmsHeader, "shorter than the header"},
+		{"PTMS stream", append(bytes.Clone(ptmsHeader), make([]byte, 4096)...), "bad magic"},
+		{"trailing bytes", append(bytes.Clone(canon), 0), "trailing bytes"},
+		{"torn record", torn, "checksum mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := newServer(t).LoadFrom(writeFile(t, tc.data))
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("LoadFrom err = %v, want one mentioning %q", err, tc.wantErr)
+			}
+		})
 	}
-	var buf bytes.Buffer
-	if err := s.SaveTo(&buf); err != nil {
+}
+
+// TestLoadFromPresentRecordsStaysOffHeap: loading a file whose records
+// the store already holds maps it and skips them all, so the heap grows
+// by the index, not by the file.
+func TestLoadFromPresentRecordsStaysOffHeap(t *testing.T) {
+	s := newServer(t)
+	for p := 1; p <= 64; p++ {
+		rec := mustRecord(t, 5, record.PeriodID(p), 1<<14)
+		rec.Bitmap.Set(uint64(p))
+		if err := s.Ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := writeFile(t, snapshotBytes(t, s))
+	fi, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	data[0] ^= 0xff
-	if err := s.LoadFrom(bytes.NewReader(data)); err == nil {
-		t.Error("bad magic accepted")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := s.LoadFrom(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(fi.Size())/10 {
+		t.Fatalf("loading %d present records allocated %d bytes, file is %d", 64, got, fi.Size())
 	}
 }
 

@@ -30,6 +30,19 @@ import (
 // Losing the duplicate-insert race after a successful append leaves one
 // redundant log entry; recovery tolerates duplicates, so that costs
 // bytes, never correctness.
+//
+// # Checkpoint ordering
+//
+// A checkpoint drops every sealed log segment, so its snapshot must
+// hold every entry those segments contain — including one whose append
+// finished before the seal but whose store insert has not happened yet.
+// Each Ingest therefore holds applying shared from before its append
+// until its record is in the store, and Checkpoint takes applying
+// exclusively once the log has sealed: when it gets the lock, every
+// sealed entry is applied. Ingest keeps running while the snapshot is
+// written; it waits only for the in-flight appends to land.
+//
+//ptm:lockorder applying<mu
 type Durable struct {
 	*Server
 	log *wal.Log
@@ -37,6 +50,10 @@ type Durable struct {
 	// checkpointEvery triggers automatic compaction after that many
 	// successful ingests (0 disables automatic checkpoints).
 	checkpointEvery int
+
+	// applying is held shared across each ingest's append and apply, and
+	// exclusively by Checkpoint between seal and snapshot.
+	applying sync.RWMutex
 
 	mu        sync.Mutex
 	sinceCkpt int //ptm:guardedby mu (successful ingests since the last checkpoint)
@@ -56,12 +73,14 @@ func OpenDurable(dir string, s, shards int, opts wal.Options, checkpointEvery in
 }
 
 // OpenDurableServer wraps an existing server (for example one mounted
-// over a tiered store) with a WAL and recovers into it. Recovery is
-// idempotent against the server's current contents: records a tiered
-// store already holds cold in its segment directory are skipped when the
-// checkpoint or log replays them. Note that WAL checkpoints snapshot the
-// whole store, cold tier included — the segments are the cold tier's own
-// durability, the checkpoint is the log's compaction point.
+// over a tiered store) with a WAL and recovers into it: the newest
+// checkpoint segment is mapped and loaded (Server.LoadFrom), then newer
+// log segments are replayed. Recovery is idempotent against the
+// server's current contents: records a tiered store already holds cold
+// in its segment directory are skipped when the checkpoint or log
+// replays them. Note that WAL checkpoints hold the whole store, cold
+// tier included — the cold segments are the cold tier's own durability,
+// the checkpoint is the log's compaction point.
 func OpenDurableServer(dir string, srv *Server, opts wal.Options, checkpointEvery int) (*Durable, error) {
 	if checkpointEvery < 0 {
 		return nil, fmt.Errorf("central: negative checkpointEvery %d", checkpointEvery)
@@ -117,10 +136,9 @@ func (d *Durable) Ingest(rec *record.Record) error {
 	if err != nil {
 		return err
 	}
-	if err := d.log.Append(blob); err != nil {
-		return fmt.Errorf("central: logging record: %w", err)
-	}
-	if err := d.Server.Ingest(rec); err != nil {
+	// The auto checkpoint below takes applying exclusively, so it must
+	// run after logAndApply has released its shared hold.
+	if err := d.logAndApply(rec, blob); err != nil {
 		return err
 	}
 	if d.checkpointEvery > 0 {
@@ -143,10 +161,28 @@ func (d *Durable) Ingest(rec *record.Record) error {
 	return nil
 }
 
-// Checkpoint writes a SaveTo-format snapshot of the store and drops the
-// log segments it covers. Safe to call concurrently with ingest.
+// logAndApply appends the record's blob to the log and then inserts the
+// record into the store, holding applying shared across both steps.
+func (d *Durable) logAndApply(rec *record.Record, blob []byte) error {
+	d.applying.RLock()
+	defer d.applying.RUnlock()
+	if err := d.log.Append(blob); err != nil {
+		return fmt.Errorf("central: logging record: %w", err)
+	}
+	return d.Server.Ingest(rec)
+}
+
+// Checkpoint writes the whole store as one segment (SaveTo) and drops
+// the log segments it covers. Safe to call concurrently with ingest.
 func (d *Durable) Checkpoint() error {
-	return d.log.Checkpoint(func(w io.Writer) error { return d.Server.SaveTo(w) })
+	return d.log.Checkpoint(func(w io.Writer) error {
+		// The log has sealed. Wait out every ingest still between its
+		// append and its apply, so the snapshot holds every entry of the
+		// sealed segments this checkpoint drops.
+		d.applying.Lock()
+		d.applying.Unlock()
+		return d.Server.SaveTo(w)
+	})
 }
 
 // Sync flushes the log to stable storage regardless of policy — called

@@ -10,8 +10,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ptm/internal/record"
+	"ptm/internal/store"
 	"ptm/internal/synth"
 	"ptm/internal/vhash"
 	"ptm/internal/wal"
@@ -354,5 +356,128 @@ func TestDurableTornTailPrefix(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ingestGate is a store that parks the ingest of one location until
+// released, holding that ingest between its WAL append and its apply.
+type ingestGate struct {
+	store.Store
+	loc     vhash.LocationID
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *ingestGate) Ingest(rec *record.Record) (int, error) {
+	if rec.Location == g.loc {
+		g.once.Do(func() { close(g.entered) })
+		<-g.release
+	}
+	return g.Store.Ingest(rec)
+}
+
+// TestDurableCheckpointRacingIngest: a record appended to the log before
+// a checkpoint seals it, but applied to the store only after the seal,
+// must survive the checkpoint that drops its segment. The ingest is
+// parked inside the store while Checkpoint runs; Checkpoint must wait
+// for it rather than snapshot a store that lacks the record.
+func TestDurableCheckpointRacingIngest(t *testing.T) {
+	dir := t.TempDir()
+	mem, err := store.NewMem(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &ingestGate{Store: mem, loc: 9, entered: make(chan struct{}), release: make(chan struct{})}
+	srv, err := NewServerWithStore(3, gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDurableServer(dir, srv, wal.Options{Sync: wal.SyncAlways}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Ingest(mustRecord(t, 1, 1, 128)); err != nil {
+		t.Fatal(err)
+	}
+	rec := mustRecord(t, 9, 1, 128)
+	rec.Bitmap.Set(42)
+	ingested := make(chan error, 1)
+	go func() { ingested <- d.Ingest(rec) }()
+	<-gate.entered // rec is in the log, not yet in the store
+
+	checkpointed := make(chan error, 1)
+	go func() { checkpointed <- d.Checkpoint() }()
+	select {
+	case err := <-checkpointed:
+		// The checkpoint finished while rec was still unapplied: the
+		// segment holding rec is gone and the snapshot lacks it.
+		close(gate.release)
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(200 * time.Millisecond):
+		// The checkpoint is waiting for the parked ingest, as it must.
+		close(gate.release)
+		if err := <-checkpointed; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := openDurable(t, dir, 0)
+	defer recovered.Close()
+	if !recovered.Server.st.Contains(9, 1) {
+		t.Fatal("acked record lost: its log segment was dropped by a checkpoint whose snapshot lacks it")
+	}
+	if got := recovered.Stats().Records; got != 2 {
+		t.Fatalf("recovered %d records, want 2", got)
+	}
+}
+
+// TestDurableEmptyStoreCheckpoint: a store that retention emptied still
+// checkpoints — to a zero-record segment — and so still drops the log
+// prefix that would otherwise resurrect the dropped records.
+func TestDurableEmptyStoreCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurable(t, dir, 0)
+	for p := 1; p <= 5; p++ {
+		if err := d.Ingest(mustRecord(t, 2, record.PeriodID(p), 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := d.DropBefore(100); err != nil || n != 5 {
+		t.Fatalf("DropBefore = %d, %v", n, err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint of an empty store: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(ckpts) != 1 {
+		t.Fatalf("checkpoints = %v, %v", ckpts, err)
+	}
+	seg, err := store.OpenSegment(ckpts[0], 0)
+	if err != nil {
+		t.Fatalf("empty checkpoint is not a segment: %v", err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := openDurable(t, dir, 0)
+	defer recovered.Close()
+	if st := recovered.Stats(); st.Records != 0 {
+		t.Fatalf("dropped records came back: %+v", st)
+	}
+	if st := recovered.LogStats(); st.Entries != 0 {
+		t.Fatalf("log prefix survived the checkpoint: %d entries", st.Entries)
 	}
 }

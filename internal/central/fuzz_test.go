@@ -7,16 +7,16 @@ import (
 	"ptm/internal/record"
 )
 
-// FuzzSnapshotLoad feeds arbitrary bytes to LoadFrom: it must error
-// cleanly on garbage (no panic, no runaway allocation) and round-trip
-// anything SaveTo produced. Truncating a valid snapshot must error, not
-// silently load a partial store — a snapshot is all-or-nothing, unlike
-// the WAL's torn tail.
+// FuzzSnapshotLoad feeds arbitrary bytes to LoadFrom as a segment file:
+// it must error cleanly on garbage (no panic, no runaway allocation) and
+// restore anything it accepts to a store that re-saves canonically.
+// Truncating a canonical file by one byte must error, not silently load
+// a partial store — a segment is all-or-nothing, unlike the WAL's torn
+// tail.
 func FuzzSnapshotLoad(f *testing.F) {
-	// Seed with a genuine snapshot so the fuzzer starts from the valid
-	// format, plus the classic liars: bad magic, bad version, a count
-	// promising records the body doesn't hold, and a record length far
-	// past the data.
+	// Seed with a genuine segment so the fuzzer starts from the valid
+	// format, plus the liars: empty, header only, a torn record, and the
+	// header of the retired PTMS stream.
 	srv, err := NewServer(3)
 	if err != nil {
 		f.Fatal(err)
@@ -29,43 +29,48 @@ func FuzzSnapshotLoad(f *testing.F) {
 	if err := srv.Ingest(rec); err != nil {
 		f.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := srv.SaveTo(&snap); err != nil {
+	var seg bytes.Buffer
+	if err := srv.SaveTo(&seg); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(snap.Bytes())
+	torn := bytes.Clone(seg.Bytes())
+	torn[len(torn)-1] ^= 0xff
+	f.Add(seg.Bytes())
 	f.Add([]byte{})
-	f.Add([]byte("PTMS"))
-	f.Add([]byte{0x50, 0x54, 0x4d, 0x53, 0x01, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Add(append(append([]byte{}, snap.Bytes()[:12]...), 0xff, 0xff, 0xff, 0x0f))
+	f.Add(seg.Bytes()[:64])
+	f.Add(torn)
+	f.Add(ptmsHeader)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, err := NewServer(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.LoadFrom(bytes.NewReader(data)); err != nil {
+		if err := fresh.LoadFrom(writeFile(t, data)); err != nil {
 			return // rejected cleanly
 		}
-		// Accepted input: the store must be internally consistent enough
-		// to snapshot again.
-		var out bytes.Buffer
-		if err := fresh.SaveTo(&out); err != nil {
-			t.Fatalf("loaded snapshot cannot be re-saved: %v", err)
+		// Accepted input: the store re-saves, and the re-save is a fixed
+		// point — loading it yields the same bytes again.
+		canon := snapshotBytes(t, fresh)
+		again, err := NewServer(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := again.LoadFrom(writeFile(t, canon)); err != nil {
+			t.Fatalf("canonical re-save does not load: %v", err)
+		}
+		if !bytes.Equal(snapshotBytes(t, again), canon) {
+			t.Fatal("canonical re-save is not a fixed point")
 		}
 
-		// And a strict prefix of the canonical re-save must never load:
-		// LoadFrom tolerates trailing garbage in data, so truncate the
-		// canonical bytes, where every byte is load-bearing.
-		if len(fresh.Locations()) > 0 {
-			trunc, err := NewServer(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			canon := out.Bytes()
-			if err := trunc.LoadFrom(bytes.NewReader(canon[:len(canon)-1])); err == nil {
-				t.Fatal("truncated snapshot loaded without error")
-			}
+		// A strict prefix of the canonical file must never load: every
+		// byte of it is load-bearing.
+		trunc, err := NewServer(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trunc.LoadFrom(writeFile(t, canon[:len(canon)-1])); err == nil {
+			t.Fatal("truncated segment loaded without error")
 		}
 	})
 }

@@ -133,9 +133,9 @@ func TestServerTieredDifferential(t *testing.T) {
 	}
 }
 
-// TestLoadFromSegment: LoadFrom sniffs the segment magic and restores a
-// cold checkpoint segment like a snapshot; a second load of the same
-// file is a no-op (restore is idempotent).
+// TestLoadFromSegment: a cold-tier segment written by WriteSegment
+// restores through LoadFrom like a SaveTo file; a second load of the
+// same file is a no-op (restore is idempotent).
 func TestLoadFromSegment(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var recs []*record.Record
@@ -146,9 +146,10 @@ func TestLoadFromSegment(t *testing.T) {
 	if err := store.WriteSegment(&seg, recs); err != nil {
 		t.Fatal(err)
 	}
+	path := writeFile(t, seg.Bytes())
 
 	s := newServer(t)
-	if err := s.LoadFrom(bytes.NewReader(seg.Bytes())); err != nil {
+	if err := s.LoadFrom(path); err != nil {
 		t.Fatalf("LoadFrom(segment): %v", err)
 	}
 	if st := s.Stats(); st.Records != len(recs) {
@@ -164,7 +165,7 @@ func TestLoadFromSegment(t *testing.T) {
 		}
 	}
 	// Idempotent: duplicates are skipped, not fatal.
-	if err := s.LoadFrom(bytes.NewReader(seg.Bytes())); err != nil {
+	if err := s.LoadFrom(path); err != nil {
 		t.Fatalf("second LoadFrom(segment): %v", err)
 	}
 	if st := s.Stats(); st.Records != len(recs) {
@@ -172,9 +173,9 @@ func TestLoadFromSegment(t *testing.T) {
 	}
 
 	// A corrupt segment still fails loudly.
-	torn := append([]byte(nil), seg.Bytes()...)
+	torn := bytes.Clone(seg.Bytes())
 	torn[len(torn)-1] ^= 0xff
-	if err := newServer(t).LoadFrom(bytes.NewReader(torn)); err == nil {
+	if err := newServer(t).LoadFrom(writeFile(t, torn)); err == nil {
 		t.Fatal("corrupt segment accepted")
 	}
 }

@@ -71,6 +71,31 @@ func wordsView(data []byte, off, n int) []uint64 {
 	return out
 }
 
+// leChunks calls fn with the little-endian byte encoding of words — the
+// inverse of wordsView. On little-endian hosts that is one call on bytes
+// aliasing words (no copy); elsewhere the words are encoded chunk by
+// chunk through scratch. fn must not retain or modify its argument.
+func leChunks(words []uint64, scratch []byte, fn func([]byte) error) error {
+	if len(words) == 0 {
+		return nil
+	}
+	if hostLittleEndian {
+		return fn(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8))
+	}
+	per := len(scratch) / 8
+	for len(words) > 0 {
+		n := min(per, len(words))
+		for i := range n {
+			binary.LittleEndian.PutUint64(scratch[i*8:], words[i])
+		}
+		if err := fn(scratch[:n*8]); err != nil {
+			return err
+		}
+		words = words[n:]
+	}
+	return nil
+}
+
 // closeQuiet closes f discarding the error: used only on read-only
 // descriptors whose data has already been validated or mapped.
 func closeQuiet(f *os.File) {

@@ -291,22 +291,12 @@ func retainCut(sorted []record.PeriodID, n int) record.PeriodID {
 	return sorted[len(sorted)-1] + 1
 }
 
-// ForEachSorted implements Store: every record in (location, period)
-// order, the snapshot writer's deterministic iteration.
-func (m *Mem) ForEachSorted(begin func(count int) error, fn func(rec *record.Record) error) error {
+// Sorted implements Store. Resident records are immutable, so the
+// sorted list is a snapshot and no lock is held while fn runs.
+func (m *Mem) Sorted(fn func(recs []*record.Record) error) error {
 	recs := m.appendAll(nil)
 	sortRecords(recs)
-	if begin != nil {
-		if err := begin(len(recs)); err != nil {
-			return err
-		}
-	}
-	for _, rec := range recs {
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fn(recs)
 }
 
 // appendAll appends every resident record to dst, shard by shard.
@@ -324,8 +314,7 @@ func (m *Mem) appendAll(dst []*record.Record) []*record.Record {
 	return dst
 }
 
-// sortRecords orders records by (location, period) — segment order,
-// snapshot order.
+// sortRecords orders records by (location, period): segment order.
 func sortRecords(recs []*record.Record) {
 	sort.Slice(recs, func(i, j int) bool {
 		if recs[i].Location != recs[j].Location {

@@ -70,10 +70,8 @@ func (s *Mmap) Locations() []vhash.LocationID { return s.t.Locations() }
 // Periods implements Store.
 func (s *Mmap) Periods(loc vhash.LocationID) []record.PeriodID { return s.t.Periods(loc) }
 
-// ForEachSorted implements Store.
-func (s *Mmap) ForEachSorted(begin func(count int) error, fn func(rec *record.Record) error) error {
-	return s.t.ForEachSorted(begin, fn)
-}
+// Sorted implements Store.
+func (s *Mmap) Sorted(fn func(recs []*record.Record) error) error { return s.t.Sorted(fn) }
 
 // Stats implements Store.
 func (s *Mmap) Stats() Stats { return s.t.Stats() }

@@ -50,6 +50,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,9 +60,9 @@ import (
 )
 
 const (
-	// SegMagic identifies a segment file ("PTSG" read as a little-endian
-	// uint32). Exported so the snapshot loader can sniff the format.
-	SegMagic = 0x47535450
+	// segMagic identifies a segment file ("PTSG" read as a little-endian
+	// uint32).
+	segMagic = 0x47535450
 
 	segVersion   = 1
 	segHeaderLen = 64
@@ -121,15 +122,15 @@ func validBitmapBits(nbits uint32) bool {
 // performs every bounds check explicitly against len(data) before
 // slicing, allocates nothing proportional to claimed (rather than
 // actual) sizes, and never reads the data region — per-record CRCs are
-// the reader's job (Segment.verifyEntry, or ParseSegmentRecords for the
-// full pass). This is the single parser behind the mmap store, the
-// tiered cold tier, the snapshot loader, and FuzzSegmentLoad.
+// the reader's job (Segment.verifyEntry). This is the single parser of
+// record-set files: behind the mmap store, the tiered cold tier,
+// ReadSegment (snapshot and WAL checkpoint restore), and FuzzSegmentLoad.
 func parseSegment(data []byte) ([]segEntry, error) {
 	size := uint64(len(data))
 	if size < segHeaderLen {
 		return nil, fmt.Errorf("%w: %d bytes, shorter than the header", ErrSegCorrupt, size)
 	}
-	if leU32(data[0:4]) != SegMagic {
+	if leU32(data[0:4]) != segMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSegCorrupt)
 	}
 	if data[4] != segVersion {
@@ -220,12 +221,12 @@ func parseSegment(data []byte) ([]segEntry, error) {
 }
 
 // WriteSegment streams a segment holding recs, which must be sorted
-// strictly by (location, period). Typically wrapped in
-// wal.WriteFileAtomic so the segment appears atomically.
+// strictly by (location, period). It is the one writer of record-set
+// files: cold-tier freezes, WAL checkpoints and centrald -save. recs
+// may be empty — a store that retention emptied still checkpoints.
+// Typically wrapped in wal.WriteFileAtomic so the segment appears
+// atomically.
 func WriteSegment(w io.Writer, recs []*record.Record) error {
-	if len(recs) == 0 {
-		return errors.New("store: refusing to write an empty segment")
-	}
 	if len(recs) > segMaxCount {
 		return fmt.Errorf("store: %d records exceeds the per-segment cap", len(recs))
 	}
@@ -256,7 +257,7 @@ func WriteSegment(w io.Writer, recs []*record.Record) error {
 	scratch := make([]byte, 64*1024)
 
 	var hdr [segHeaderLen]byte
-	putU32(hdr[0:4], SegMagic)
+	putU32(hdr[0:4], segMagic)
 	hdr[4] = segVersion
 	putU32(hdr[8:12], uint32(count))
 	putU64(hdr[16:24], indexLen)
@@ -288,7 +289,10 @@ func WriteSegment(w io.Writer, recs []*record.Record) error {
 		return fmt.Errorf("store: writing segment index checksum: %w", err)
 	}
 
-	pos := segHeaderLen + indexLen
+	if err := writeZeros(w, dataOff-(segHeaderLen+indexLen), scratch); err != nil {
+		return err
+	}
+	pos := dataOff
 	for i, r := range recs {
 		if err := writeZeros(w, offs[i]-pos, scratch); err != nil {
 			return err
@@ -302,40 +306,30 @@ func WriteSegment(w io.Writer, recs []*record.Record) error {
 }
 
 // wordsCRC computes the IEEE CRC32 of the words' little-endian byte
-// encoding, chunked through scratch so no payload-sized buffer exists.
+// encoding, with no payload-sized buffer.
 func wordsCRC(words []uint64, scratch []byte) uint32 {
 	crc := uint32(0)
-	per := len(scratch) / 8
-	for len(words) > 0 {
-		n := min(per, len(words))
-		for i := 0; i < n; i++ {
-			putU64(scratch[i*8:], words[i])
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, scratch[:n*8])
-		words = words[n:]
-	}
+	//ptmlint:allow errdrop -- the chunk callback never fails
+	_ = leChunks(words, scratch, func(b []byte) error {
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		return nil
+	})
 	return crc
 }
 
 // writeWordsLE streams the words' little-endian encoding.
 func writeWordsLE(w io.Writer, words []uint64, scratch []byte) error {
-	per := len(scratch) / 8
-	for len(words) > 0 {
-		n := min(per, len(words))
-		for i := 0; i < n; i++ {
-			putU64(scratch[i*8:], words[i])
-		}
-		if _, err := w.Write(scratch[:n*8]); err != nil {
+	return leChunks(words, scratch, func(b []byte) error {
+		if _, err := w.Write(b); err != nil {
 			return fmt.Errorf("store: writing segment words: %w", err)
 		}
-		words = words[n:]
-	}
-	return nil
+		return nil
+	})
 }
 
 // writeZeros writes n zero bytes (alignment padding).
 func writeZeros(w io.Writer, n uint64, scratch []byte) error {
-	clear(scratch)
+	clear(scratch[:min(n, uint64(len(scratch)))])
 	for n > 0 {
 		c := min(n, uint64(len(scratch)))
 		if _, err := w.Write(scratch[:c]); err != nil {
@@ -464,28 +458,32 @@ func (s *Segment) Close() error {
 	return nil
 }
 
-// ParseSegmentRecords parses a full segment image, verifies every
-// record's CRC (this is the trust-nothing reader path — snapshot
-// restore — not the lazy mapped path), and calls fn with a fresh,
-// heap-resident copy of each record in (location, period) order.
-func ParseSegmentRecords(data []byte, fn func(*record.Record) error) error {
-	entries, err := parseSegment(data)
+// ReadSegment maps the segment file at path and calls fn, in (location,
+// period) order, with a heap copy of every record skip does not claim.
+// Skipped records are never read; every other record's CRC is verified
+// before it is copied, so the file is trusted no further than its
+// checksums and is never read onto the heap whole.
+func ReadSegment(path string, skip func(vhash.LocationID, record.PeriodID) bool, fn func(*record.Record) error) (err error) {
+	seg, err := OpenSegment(path, 0)
 	if err != nil {
 		return err
 	}
-	for i := range entries {
-		e := &entries[i]
-		raw := data[e.off : e.off+e.wordBytes()]
-		if crc32.ChecksumIEEE(raw) != e.crc {
-			return fmt.Errorf("%w: record loc=%d period=%d checksum mismatch", ErrSegCorrupt, e.loc, e.period)
+	defer func() {
+		if cerr := seg.Close(); err == nil {
+			err = cerr
 		}
-		words := make([]uint64, int(e.nbits)/64)
-		for j := range words {
-			words[j] = leU64(raw[j*8:])
+	}()
+	for i := range seg.entries {
+		e := &seg.entries[i]
+		if skip(e.loc, e.period) {
+			continue
 		}
-		bm, err := bitmap.FromWords(words)
+		if err := seg.verifyEntry(i); err != nil {
+			return err
+		}
+		bm, err := bitmap.FromWords(slices.Clone(seg.entryWords(i)))
 		if err != nil {
-			return fmt.Errorf("store: segment record loc=%d period=%d: %w", e.loc, e.period, err)
+			return fmt.Errorf("store: %s: record loc=%d period=%d: %w", path, e.loc, e.period, err)
 		}
 		if err := fn(&record.Record{Location: e.loc, Period: e.period, Bitmap: bm}); err != nil {
 			return err

@@ -94,11 +94,11 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 	// The reader path returns equal records in order.
 	var got []*record.Record
-	if err := ParseSegmentRecords(raw, func(r *record.Record) error {
+	if err := ReadSegment(path, skipNone, func(r *record.Record) error {
 		got = append(got, r)
 		return nil
 	}); err != nil {
-		t.Fatalf("ParseSegmentRecords: %v", err)
+		t.Fatalf("ReadSegment: %v", err)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("reader returned %d records, want %d", len(got), len(recs))
@@ -110,11 +110,19 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// skipNone is the ReadSegment skip predicate that reads every record.
+func skipNone(vhash.LocationID, record.PeriodID) bool { return false }
+
 func TestWriteSegmentRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var buf bytes.Buffer
-	if err := WriteSegment(&buf, nil); err == nil {
-		t.Fatal("empty segment accepted")
+	// An empty record set is not rejected: it is a valid zero-record
+	// segment (what an emptied store checkpoints to).
+	if err := WriteSegment(&buf, nil); err != nil {
+		t.Fatalf("empty segment rejected: %v", err)
+	}
+	if entries, err := parseSegment(buf.Bytes()); err != nil || len(entries) != 0 {
+		t.Fatalf("empty segment parses to %d entries, %v", len(entries), err)
 	}
 	a := testRecord(rng, 2, 1, 64)
 	b := testRecord(rng, 1, 1, 64)
@@ -197,8 +205,17 @@ func TestParseSegmentRejects(t *testing.T) {
 	if !hit {
 		t.Fatal("flipped data bit not caught by any record CRC")
 	}
-	if err := ParseSegmentRecords(d, func(*record.Record) error { return nil }); err == nil {
+	path := filepath.Join(t.TempDir(), segFileName(2))
+	if err := os.WriteFile(path, d, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadSegment(path, skipNone, func(*record.Record) error { return nil }); err == nil {
 		t.Fatal("reader path accepted corrupt record data")
+	}
+	// A skipped record is never read, so its damage goes unnoticed.
+	skipAll := func(vhash.LocationID, record.PeriodID) bool { return true }
+	if err := ReadSegment(path, skipAll, func(*record.Record) error { return nil }); err != nil {
+		t.Fatalf("reader verified a skipped record: %v", err)
 	}
 }
 
@@ -222,18 +239,24 @@ func FuzzSegmentLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := parseSegment(data)
-		if err == nil {
-			// Whatever parsed must stay in bounds under full reads.
-			for i := range entries {
-				e := &entries[i]
-				_ = crc32.ChecksumIEEE(data[e.off : e.off+e.wordBytes()])
-			}
+		if err != nil {
+			return
 		}
-		//ptmlint:allow errdrop -- fuzz target: only absence of panics/OOB matters
-		_ = ParseSegmentRecords(data, func(r *record.Record) error {
-			_ = r.Bitmap.Ones()
-			return nil
-		})
+		// Whatever parsed must stay in bounds under full reads, and every
+		// entry must wrap as a bitmap (the parser vetted its size).
+		for i := range entries {
+			e := &entries[i]
+			_ = crc32.ChecksumIEEE(data[e.off : e.off+e.wordBytes()])
+			words := make([]uint64, e.nbits/64)
+			for j := range words {
+				words[j] = leU64(data[e.off+uint64(j)*8:])
+			}
+			bm, err := bitmap.FromWords(words)
+			if err != nil {
+				t.Fatalf("entry %d: %v", i, err)
+			}
+			_ = bm.Ones()
+		}
 	})
 }
 
@@ -300,5 +323,30 @@ func TestWordsViewZeroCopy(t *testing.T) {
 	raw[base] ^= 0xff
 	if v[0] == words[0] {
 		t.Fatal("view copied instead of aliasing on an aligned little-endian host")
+	}
+}
+
+// TestLEChunksMatchesEncoding: both leChunks paths — the aliasing one and
+// the chunked one a big-endian host takes — emit the words' little-endian
+// encoding.
+func TestLEChunksMatchesEncoding(t *testing.T) {
+	words := []uint64{0x0102030405060708, 0x1122334455667788, 3, 0xffffffffffffffff, 5}
+	want := make([]byte, len(words)*8)
+	for i, w := range words {
+		putU64(want[i*8:], w)
+	}
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	for _, le := range []bool{hostLittleEndian, false} {
+		hostLittleEndian = le
+		var got []byte
+		if err := leChunks(words, make([]byte, 16), func(b []byte) error {
+			got = append(got, b...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("hostLittleEndian=%v: % x, want % x", le, got, want)
+		}
 	}
 }

@@ -90,15 +90,12 @@ type Store interface {
 	// everything at the location) and reports how many were dropped.
 	RetainLatest(loc vhash.LocationID, n int) (int, error)
 
-	// ForEachSorted calls fn for every stored record in (location,
-	// period) order — the snapshot writer's iteration. The record set is
-	// snapshotted when the call starts; begin (if non-nil) is invoked
-	// once, before any fn call, with the exact number of records the
-	// iteration will visit — which is how the snapshot writer can emit a
-	// correct count header without buffering the stream. Cold records
-	// are pinned only for the duration of their fn call. fn must not
-	// retain the record.
-	ForEachSorted(begin func(count int) error, fn func(rec *record.Record) error) error
+	// Sorted calls fn once with every stored record in (location,
+	// period) order — the one input store.WriteSegment needs to write
+	// the whole store as a segment. Cold records are CRC-verified views
+	// of mapped pages, and the store's read lock is held until fn
+	// returns, so fn must not retain the records or mutate the store.
+	Sorted(fn func(recs []*record.Record) error) error
 
 	// Stats returns a snapshot of store-level counters.
 	Stats() Stats

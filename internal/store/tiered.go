@@ -571,57 +571,29 @@ func (t *Tiered) gcSegmentsLocked() error {
 	return firstErr
 }
 
-// ForEachSorted implements Store. The whole iteration runs under the
-// tiering read lock (cold records must not be retired mid-scan); cold
-// words are read directly off the mapping with a CRC check, bypassing
+// Sorted implements Store. The whole call runs under the tiering read
+// lock (cold records must not be retired while fn reads them); cold
+// words are CRC-checked and viewed directly off the mapping, bypassing
 // the block cache so a full scan cannot evict the query working set.
-func (t *Tiered) ForEachSorted(begin func(count int) error, fn func(rec *record.Record) error) error {
+func (t *Tiered) Sorted(fn func(recs []*record.Record) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	type item struct {
-		loc vhash.LocationID
-		p   record.PeriodID
-		rec *record.Record // nil for cold items
-		ref coldRef
-	}
-	var items []item
-	for _, rec := range t.hot.appendAll(nil) {
-		items = append(items, item{loc: rec.Location, p: rec.Period, rec: rec})
-	}
+	recs := t.hot.appendAll(nil)
 	for loc, byP := range t.cold {
 		for p, ref := range byP {
-			items = append(items, item{loc: loc, p: p, ref: ref})
-		}
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].loc != items[j].loc {
-			return items[i].loc < items[j].loc
-		}
-		return items[i].p < items[j].p
-	})
-	if begin != nil {
-		if err := begin(len(items)); err != nil {
-			return err
-		}
-	}
-	for _, it := range items {
-		rec := it.rec
-		if rec == nil {
-			seg := t.segs[it.ref.seg]
-			if err := seg.verifyEntry(it.ref.idx); err != nil {
+			seg := t.segs[ref.seg]
+			if err := seg.verifyEntry(ref.idx); err != nil {
 				return err
 			}
-			bm, err := fromColdWords(seg.entryWords(it.ref.idx))
+			bm, err := fromColdWords(seg.entryWords(ref.idx))
 			if err != nil {
 				return err
 			}
-			rec = &record.Record{Location: it.loc, Period: it.p, Bitmap: bm}
-		}
-		if err := fn(rec); err != nil {
-			return err
+			recs = append(recs, &record.Record{Location: loc, Period: p, Bitmap: bm})
 		}
 	}
-	return nil
+	sortRecords(recs)
+	return fn(recs)
 }
 
 // Stats implements Store.

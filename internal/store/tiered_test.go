@@ -24,22 +24,15 @@ func ingestAll(t *testing.T, s Store, recs []*record.Record) {
 	}
 }
 
-// snapshotBytes serializes a store the way central.SaveTo does: every
-// record in (location, period) order through AppendBinary.
+// snapshotBytes serializes a store the way central.SaveTo does: one
+// segment of every record in (location, period) order.
 func snapshotBytes(t *testing.T, s Store) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	scratch := make([]byte, 0, 4096)
-	if err := s.ForEachSorted(nil, func(rec *record.Record) error {
-		blob, err := rec.AppendBinary(scratch[:0])
-		if err != nil {
-			return err
-		}
-		scratch = blob[:0]
-		_, err = out.Write(blob)
-		return err
+	if err := s.Sorted(func(recs []*record.Record) error {
+		return WriteSegment(&out, recs)
 	}); err != nil {
-		t.Fatalf("ForEachSorted: %v", err)
+		t.Fatalf("Sorted: %v", err)
 	}
 	return out.Bytes()
 }
@@ -472,8 +465,10 @@ func TestTieredConcurrentSoak(t *testing.T) {
 	}
 
 	// Post-soak coherence: every surviving record readable and CRC-clean.
-	if err := tiered.ForEachSorted(nil, func(rec *record.Record) error {
-		_ = rec.Bitmap.Ones()
+	if err := tiered.Sorted(func(recs []*record.Record) error {
+		for _, rec := range recs {
+			_ = rec.Bitmap.Ones()
+		}
 		return nil
 	}); err != nil {
 		t.Fatalf("post-soak scan: %v", err)

@@ -11,8 +11,8 @@ import (
 )
 
 // Checkpoint compaction: a checkpoint is a full snapshot of the state
-// the log's entries build up (for the central store, its SaveTo
-// format). Once a snapshot covering segments 1..N is durably on disk,
+// the log's entries build up (for the central store, one store segment
+// holding every record — the format store.OpenSegment maps). Once a snapshot covering segments 1..N is durably on disk,
 // those segments are redundant and dropped. The commit point is an
 // atomic rename: either the old checkpoint (plus all segments) or the
 // new checkpoint is what recovery sees, never a half-written snapshot.
@@ -94,23 +94,19 @@ func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 // durable — the second half of the WriteFileAtomic commit protocol.
 func SyncDir(dir string) error { return syncDir(dir) }
 
-// LatestCheckpoint opens the newest checkpoint for reading and returns
-// it with the index of the newest segment it covers. The caller closes
-// the reader. Returns ErrNoCheckpoint when the log has none.
-func (l *Log) LatestCheckpoint() (io.ReadCloser, uint64, error) {
+// LatestCheckpoint returns the path of the newest checkpoint and the
+// index of the newest segment it covers, or ErrNoCheckpoint when the log
+// has none.
+func (l *Log) LatestCheckpoint() (string, uint64, error) {
 	_, ckpts, err := l.scanDir()
 	if err != nil {
-		return nil, 0, err
+		return "", 0, err
 	}
 	if len(ckpts) == 0 {
-		return nil, 0, ErrNoCheckpoint
+		return "", 0, ErrNoCheckpoint
 	}
 	idx := ckpts[len(ckpts)-1]
-	f, err := os.Open(l.ckptPath(idx))
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: opening checkpoint %d: %w", idx, err)
-	}
-	return f, idx, nil
+	return l.ckptPath(idx), idx, nil
 }
 
 // removeCheckpointsBelow deletes every checkpoint covering less than
@@ -131,30 +127,27 @@ func (l *Log) removeCheckpointsBelow(keep uint64) error {
 	return nil
 }
 
-// Recover rebuilds state from disk: it loads the newest checkpoint (if
-// one exists) via load, then replays every entry in segments newer than
-// the checkpoint's coverage via apply, oldest first. Because a
-// checkpoint may include entries that were appended while it was being
-// written, apply must treat duplicates as success. Recovery also
-// finishes an interrupted compaction: segments the checkpoint covers
-// are dropped rather than replayed.
+// Recover rebuilds state from disk: it hands the newest checkpoint's
+// path (if one exists) to load, which reads the file in whatever way
+// suits its format, then replays every entry in segments newer than the
+// checkpoint's coverage via apply, oldest first. Because a checkpoint
+// may include entries that were appended while it was being written,
+// apply must treat duplicates as success. Recovery also finishes an
+// interrupted compaction: segments the checkpoint covers are dropped
+// rather than replayed.
 //
 // Call Recover after Open and before the first Append.
-func (l *Log) Recover(load func(r io.Reader) error, apply func(payload []byte) error) error {
+func (l *Log) Recover(load func(path string) error, apply func(payload []byte) error) error {
 	covered := uint64(0)
-	r, idx, err := l.LatestCheckpoint()
+	path, idx, err := l.LatestCheckpoint()
 	switch {
 	case errors.Is(err, ErrNoCheckpoint):
 		// Cold start: replay everything.
 	case err != nil:
 		return err
 	default:
-		lerr := load(r)
-		if cerr := r.Close(); lerr == nil && cerr != nil {
-			lerr = cerr
-		}
-		if lerr != nil {
-			return fmt.Errorf("wal: loading checkpoint %d: %w", idx, lerr)
+		if err := load(path); err != nil {
+			return fmt.Errorf("wal: loading checkpoint %d: %w", idx, err)
 		}
 		covered = idx
 	}

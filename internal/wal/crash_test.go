@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -207,8 +206,8 @@ func TestCrashDuringCompaction(t *testing.T) {
 	var loaded string
 	var replayed []string
 	err = l2.Recover(
-		func(r io.Reader) error {
-			b, err := io.ReadAll(r)
+		func(path string) error {
+			b, err := os.ReadFile(path)
 			loaded = string(b)
 			return err
 		},

@@ -24,7 +24,7 @@
 //
 // The checkpoint file name carries the index of the newest segment it
 // wholly covers; its contents are opaque to this package (the central
-// store writes its SaveTo snapshot format).
+// store writes one store segment of all its records).
 //
 // # Durability contract
 //

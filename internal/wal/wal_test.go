@@ -233,8 +233,8 @@ func TestCheckpointCompaction(t *testing.T) {
 	defer l2.Close()
 	var fromCkpt, fromLog []string
 	err = l2.Recover(
-		func(r io.Reader) error {
-			data, err := io.ReadAll(r)
+		func(path string) error {
+			data, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
@@ -277,7 +277,7 @@ func TestRecoverColdStart(t *testing.T) {
 	defer l2.Close()
 	loads, replays := 0, 0
 	err = l2.Recover(
-		func(io.Reader) error { loads++; return nil },
+		func(string) error { loads++; return nil },
 		func([]byte) error { replays++; return nil },
 	)
 	if err != nil {

@@ -16,8 +16,8 @@
 #                          detector, -shuffle=on to surface order
 #                          dependence between tests)
 #   6. race stress smoke   (the WAL, RSU, DSRC fan-in, stripe,
-#                          estimate-cache, and tiered-store
-#                          concurrency stress tests again under -race
+#                          estimate-cache, checkpoint-vs-ingest and
+#                          tiered-store concurrency tests again under -race
 #                          -count=2 — the dynamic complement of the static
 #                          concguard contracts)
 #   7. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
@@ -75,12 +75,12 @@ fi
 step "go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-step "race stress smoke (-race -count=2, WAL group commit + RSU/DSRC striped ingest + estimate cache)"
+step "race stress smoke (-race -count=2, WAL group commit + RSU/DSRC striped ingest + estimate cache + checkpoint racing ingest)"
 go test -race -count=2 -run '^TestGroupCommitConcurrentAppends$' ./internal/wal/
 go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation|TestDifferentialAtomicVsSequential)$' ./internal/rsu/
 go test -race -count=2 -run '^TestConcurrentSendFanIn$' ./internal/dsrc/
 go test -race -count=2 -run '^TestPickAndSum$' ./internal/stripe/
-go test -race -count=2 -run '^TestEstCacheConcurrentQueryIngest$' ./internal/central/
+go test -race -count=2 -run '^(TestEstCacheConcurrentQueryIngest|TestDurableCheckpointRacingIngest)$' ./internal/central/
 go test -race -count=2 -run '^(TestTieredConcurrentSoak|TestTieredFreezeRacingRetention)$' ./internal/store/
 
 # Archive the committed benchmark baselines (regenerate with `make
