@@ -17,16 +17,16 @@
 // pins exactly for the duration of the estimator call.
 //
 // All methods are safe for concurrent use; consistency guarantees (the
-// (records, epoch) snapshot that fences the estimate cache) are the
+// record-set snapshot whose fence keys the estimate cache) are the
 // store's contract.
 //
 // # Query path
 //
-// Point and point-to-point queries first read each location's epoch
-// from the store's index (store.Store.Fence) and probe the estimate
-// cache with it. A hit is answered without reading a bitmap; only a miss
-// collects the records, computes, and fills the cache under the epoch
-// Collect returned with them.
+// Point and point-to-point queries first read each location's fence for
+// the named periods from the store's index (store.Store.Fence) and probe
+// the estimate cache with it. A hit is answered without reading a
+// bitmap; only a miss collects the records, computes, and fills the
+// cache under the fence Collect returned with them.
 package central
 
 import (
@@ -62,7 +62,7 @@ type Server struct {
 	s  int // system-wide representative-bit count, needed by Eq. (21)
 
 	// cache memoizes estimator results keyed by record-set identity,
-	// (location, epoch, periods). Set at construction (SetEstimateCache
+	// (location, fence, periods). Set at construction (SetEstimateCache
 	// reconfigures it for tests and benchmarks); nil disables caching —
 	// every query computes.
 	cache *core.EstCache
@@ -152,17 +152,12 @@ func (s *Server) CloseStore() error { return s.st.Close() }
 // Ingest stores one uploaded record. Duplicate (location, period) pairs
 // are rejected: an RSU reports each period exactly once, so a duplicate
 // indicates a replay or a misconfigured deployment.
+//
+// An ingest fences no cached estimate: a live entry names only records
+// that are still stored, so the new record is in none of them.
 func (s *Server) Ingest(rec *record.Record) error {
-	prior, err := s.st.Ingest(rec)
-	if err != nil {
-		return err
-	}
-	if prior > 0 {
-		// The location already had records, so cached estimates for it may
-		// exist; the epoch bump inside the store just fenced them.
-		s.cache.NoteInvalidation()
-	}
-	return nil
+	_, err := s.st.Ingest(rec)
+	return err
 }
 
 // Locations returns all locations with stored records, sorted.
@@ -198,16 +193,16 @@ func (s *Server) RecordBlobs(loc vhash.LocationID) ([][]byte, error) {
 	return blobs, nil
 }
 
-// get assembles the record set Π for (loc, periods) together with the
-// location's ingest epoch; the store reads the pair atomically, which is
-// what makes the epoch a sound cache fence. The caller must call unpin
+// get assembles the record set Π for (loc, periods) together with its
+// fence; the store reads the pair atomically, which is what makes the
+// fence a sound cache key. The caller must call unpin
 // after its last use of the set — cold-tier records view mapped pages
 // that stay valid only while pinned.
 func (s *Server) get(loc vhash.LocationID, periods []record.PeriodID) (*record.Set, uint64, func(), error) {
 	if len(periods) == 0 {
 		return nil, 0, nil, ErrNoPeriods
 	}
-	recs, epoch, unpin, err := s.st.Collect(loc, periods)
+	recs, fence, unpin, err := s.st.Collect(loc, periods)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -216,19 +211,20 @@ func (s *Server) get(loc vhash.LocationID, periods []record.PeriodID) (*record.S
 		unpin()
 		return nil, 0, nil, err
 	}
-	return set, epoch, unpin, nil
+	return set, fence, unpin, nil
 }
 
-// fence returns loc's epoch for periods from the store's index, so the
-// estimate cache can be probed before anything is collected. ok is false
-// when there is no cache or the index rejects the request; the collect
-// path then reports the error exactly as an uncached server would.
-func (s *Server) fence(loc vhash.LocationID, periods []record.PeriodID) (epoch uint64, ok bool) {
+// fence returns the fence of loc's records for periods from the store's
+// index, so the estimate cache can be probed before anything is
+// collected. ok is false when there is no cache or the index rejects the
+// request; the collect path then reports the error exactly as an
+// uncached server would.
+func (s *Server) fence(loc vhash.LocationID, periods []record.PeriodID) (fence uint64, ok bool) {
 	if s.cache == nil {
 		return 0, false
 	}
-	epoch, err := s.st.Fence(loc, periods)
-	return epoch, err == nil
+	fence, err := s.st.Fence(loc, periods)
+	return fence, err == nil
 }
 
 // Volume estimates the plain traffic volume at loc in one period (Eq. 1).
@@ -243,20 +239,20 @@ func (s *Server) Volume(loc vhash.LocationID, p record.PeriodID) (float64, error
 
 // PointPersistent estimates the point persistent traffic at loc over the
 // given periods (Eq. 12). Results are served from the estimate cache
-// when the location has not ingested since they were computed; a hit is
-// bit-identical to the cold computation.
+// while the named records are the ones they were computed from; a hit
+// is bit-identical to the cold computation.
 func (s *Server) PointPersistent(loc vhash.LocationID, periods []record.PeriodID) (*core.PointResult, error) {
-	if epoch, ok := s.fence(loc, periods); ok {
-		if res, ok := s.cache.ProbePoint(loc, epoch, periods, core.SplitHalves); ok {
+	if fence, ok := s.fence(loc, periods); ok {
+		if res, ok := s.cache.ProbePoint(loc, fence, periods, core.SplitHalves); ok {
 			return res, nil
 		}
 	}
-	set, epoch, unpin, err := s.get(loc, periods)
+	set, fence, unpin, err := s.get(loc, periods)
 	if err != nil {
 		return nil, err
 	}
 	defer unpin()
-	return s.cache.Point(epoch, set, core.SplitHalves)
+	return s.cache.Point(fence, set, core.SplitHalves)
 }
 
 // WindowResult is one sliding-window persistent estimate.
@@ -296,24 +292,24 @@ func (s *Server) PointPersistentSliding(loc vhash.LocationID, window int) ([]Win
 // PointToPointPersistent estimates the point-to-point persistent traffic
 // between locA and locB over the given periods (Eq. 21).
 func (s *Server) PointToPointPersistent(locA, locB vhash.LocationID, periods []record.PeriodID) (*core.PointToPointResult, error) {
-	if epochA, ok := s.fence(locA, periods); ok {
-		if epochB, ok := s.fence(locB, periods); ok {
-			if res, ok := s.cache.ProbePointToPoint(locA, locB, epochA, epochB, periods, s.s); ok {
+	if fenceA, ok := s.fence(locA, periods); ok {
+		if fenceB, ok := s.fence(locB, periods); ok {
+			if res, ok := s.cache.ProbePointToPoint(locA, locB, fenceA, fenceB, periods, s.s); ok {
 				return res, nil
 			}
 		}
 	}
-	setA, epochA, unpinA, err := s.get(locA, periods)
+	setA, fenceA, unpinA, err := s.get(locA, periods)
 	if err != nil {
 		return nil, err
 	}
 	defer unpinA()
-	setB, epochB, unpinB, err := s.get(locB, periods)
+	setB, fenceB, unpinB, err := s.get(locB, periods)
 	if err != nil {
 		return nil, err
 	}
 	defer unpinB()
-	return s.cache.PointToPoint(epochA, epochB, setA, setB, s.s)
+	return s.cache.PointToPoint(fenceA, fenceB, setA, setB, s.s)
 }
 
 // ODVolume estimates the single-period point-to-point volume between two

@@ -29,10 +29,34 @@ func seedLocation(t *testing.T, s *Server, loc vhash.LocationID, nPeriods, m int
 	return periods
 }
 
+// uncachedCopy is an uncached resident server holding the records s
+// stores at locs — the reference a cached answer must match.
+func uncachedCopy(t *testing.T, s *Server, locs ...vhash.LocationID) *Server {
+	t.Helper()
+	ref := newServer(t)
+	ref.SetEstimateCache(0)
+	for _, loc := range locs {
+		for _, p := range s.Periods(loc) {
+			rec, unpin, ok := s.Store().Lookup(loc, p)
+			if !ok {
+				t.Fatalf("loc=%d period=%d vanished", loc, p)
+			}
+			err := ref.Ingest(rec)
+			unpin()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return ref
+}
+
 // TestServerEstCacheHitsAndIngestInvalidation: repeated queries hit the
-// cache, results stay bit-identical, and an ingest at the location
-// fences the cached entry so the next query recomputes against the new
-// record set.
+// cache, results stay bit-identical, and an ingest at a period the
+// window does not name leaves the cached entry live. A wider window
+// naming the new period is its own key, and retention plus a re-ingest
+// with different bits at a named period fences the entry, so the next
+// query recomputes against the new record.
 func TestServerEstCacheHitsAndIngestInvalidation(t *testing.T) {
 	s := newServer(t)
 	rng := rand.New(rand.NewSource(81))
@@ -49,15 +73,12 @@ func TestServerEstCacheHitsAndIngestInvalidation(t *testing.T) {
 	if *first != *second {
 		t.Fatalf("cached query diverges: %+v vs %+v", first, second)
 	}
-	st := s.EstCacheStats()
-	if st.Hits != 1 || st.Misses != 1 {
+	if st := s.EstCacheStats(); st.Hits != 1 || st.Misses != 1 || st.Invalidations != 0 {
 		t.Fatalf("stats after warm query: %+v", st)
 	}
 
-	// New period at the same location: epoch bumps, entry is fenced.
-	// (Seeding already counted invalidations — every ingest after a
-	// location's first one does — so check the delta.)
-	invBefore := st.Invalidations
+	// New period at the same location, outside the window: the window's
+	// records are unchanged, so the entry still answers.
 	rec := mustRecord(t, 5, 99, 1<<10)
 	for k := 0; k < 200; k++ {
 		rec.Bitmap.Set(rng.Uint64())
@@ -65,23 +86,15 @@ func TestServerEstCacheHitsAndIngestInvalidation(t *testing.T) {
 	if err := s.Ingest(rec); err != nil {
 		t.Fatal(err)
 	}
-	st = s.EstCacheStats()
-	if st.Invalidations != invBefore+1 {
-		t.Fatalf("ingest at live location must count an invalidation: %+v (before: %d)", st, invBefore)
-	}
-
-	// Same periods as before — but the epoch changed, so this must be a
-	// recompute, not a stale hit.
 	third, err := s.PointPersistent(5, periods)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *third != *first {
-		t.Fatalf("query over unchanged periods must still be deterministic: %+v vs %+v", third, first)
+		t.Fatalf("hit after an unnamed ingest diverges: %+v vs %+v", third, first)
 	}
-	st = s.EstCacheStats()
-	if st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("post-ingest query must miss: %+v", st)
+	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 1 || st.Invalidations != 0 {
+		t.Fatalf("query after an ingest at an unnamed period must hit: %+v", st)
 	}
 
 	// Querying with the new period included is its own key.
@@ -89,13 +102,42 @@ func TestServerEstCacheHitsAndIngestInvalidation(t *testing.T) {
 	if _, err := s.PointPersistent(5, wider); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.EstCacheStats(); st.Misses != 3 {
+	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 2 {
 		t.Fatalf("wider period set should miss: %+v", st)
+	}
+
+	// Retire the window's oldest period and re-ingest it with other bits:
+	// the window now names a different record, so the query must miss
+	// and answer from the new one.
+	if n, err := s.RetainLatest(5, len(periods)); err != nil || n != 1 {
+		t.Fatalf("RetainLatest dropped %d records (%v), want 1", n, err)
+	}
+	if st := s.EstCacheStats(); st.Invalidations != 1 {
+		t.Fatalf("retention must count one invalidation per dropped record: %+v", st)
+	}
+	if err := s.Ingest(seededRecord(t, rng, 5, periods[0], 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	fourth, err := s.PointPersistent(5, periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 3 {
+		t.Fatalf("query over a re-ingested period must miss: %+v", st)
+	}
+	want, err := uncachedCopy(t, s, 5).PointPersistent(5, periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *fourth != *want || *fourth == *first {
+		t.Fatalf("re-ingested window answered %+v, want the new record's %+v (old %+v)", fourth, want, first)
 	}
 }
 
-// TestServerEstCacheP2P: the point-to-point path caches too, and an
-// ingest at either endpoint fences the pair entry.
+// TestServerEstCacheP2P: the point-to-point path caches too; an ingest
+// at an unnamed period of either endpoint leaves the pair entry live,
+// and retention plus a re-ingest at a named period of one endpoint
+// fences it.
 func TestServerEstCacheP2P(t *testing.T) {
 	s := newServer(t)
 	rng := rand.New(rand.NewSource(82))
@@ -125,9 +167,8 @@ func TestServerEstCacheP2P(t *testing.T) {
 		t.Fatalf("p2p stats: %+v", st)
 	}
 
-	// Ingest at the B endpoint only: the pair key's epochB changes.
-	rec := mustRecord(t, 8, 50, 1<<10)
-	if err := s.Ingest(rec); err != nil {
+	// Ingest at an unnamed period of the B endpoint: neither fence moves.
+	if err := s.Ingest(seededRecord(t, rng, 8, 50, 1<<10)); err != nil {
 		t.Fatal(err)
 	}
 	third, err := s.PointToPointPersistent(7, 8, periods)
@@ -135,10 +176,45 @@ func TestServerEstCacheP2P(t *testing.T) {
 		t.Fatal(err)
 	}
 	if *third != *first {
-		t.Fatalf("p2p over unchanged periods changed: %+v vs %+v", third, first)
+		t.Fatalf("p2p hit after an unnamed ingest diverges: %+v vs %+v", third, first)
 	}
-	if st := s.EstCacheStats(); st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("p2p post-ingest stats: %+v", st)
+	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 1 || st.Invalidations != 0 {
+		t.Fatalf("p2p after an ingest at an unnamed period must hit: %+v", st)
+	}
+
+	// The wider window naming period 50 at both endpoints is its own key.
+	if err := s.Ingest(seededRecord(t, rng, 7, 50, 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	wider := append(append([]record.PeriodID{}, periods...), 50)
+	if _, err := s.PointToPointPersistent(7, 8, wider); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 2 {
+		t.Fatalf("wider p2p window should miss: %+v", st)
+	}
+
+	// Re-ingest B's oldest named period with other bits: the pair misses
+	// and answers from the new record.
+	if n, err := s.RetainLatest(8, len(periods)); err != nil || n != 1 {
+		t.Fatalf("RetainLatest dropped %d records (%v), want 1", n, err)
+	}
+	if err := s.Ingest(seededRecord(t, rng, 8, periods[0], 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	fourth, err := s.PointToPointPersistent(7, 8, periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 3 || st.Invalidations != 1 {
+		t.Fatalf("p2p over a re-ingested period must miss: %+v", st)
+	}
+	want, err := uncachedCopy(t, s, 7, 8).PointToPointPersistent(7, 8, periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *fourth != *want || *fourth == *first {
+		t.Fatalf("re-ingested p2p answered %+v, want the new record's %+v (old %+v)", fourth, want, first)
 	}
 }
 
@@ -168,11 +244,10 @@ func TestServerEstCacheDisabled(t *testing.T) {
 
 // TestEstCacheConcurrentQueryIngest is the -race soak: readers hammer
 // point and p2p queries while a writer keeps ingesting fresh periods at
-// the queried locations (fencing the cache under the readers' feet) and
-// the tiered store freezes under its small budget. Locations 1 and 2
-// hold a fixed window. Location 3's window is churned: retired with
-// RetainLatest and re-ingested with the next of three contents, round
-// after round. Every answer must be the fixed window's, or the one of a
+// the queried locations (which must fence nothing) and the tiered store
+// freezes under its small budget. Locations 1 and 2 hold a fixed
+// window. Location 3's window is churned: retired with RetainLatest and
+// re-ingested with the next of three contents, round after round. Every answer must be the fixed window's, or the one of a
 // churn round that was live while the query ran, or ErrNotFound — never
 // an earlier round's. Run by check.sh's race stress stage with -count=2.
 func TestEstCacheConcurrentQueryIngest(t *testing.T) {
@@ -351,7 +426,7 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 		t.Fatalf("every answered read must count exactly once: %+v, %d answered", st, answered.Load())
 	}
 	if st.Invalidations == 0 {
-		t.Fatal("writer ingests at live locations must record invalidations")
+		t.Fatal("the churner's retention must record invalidations")
 	}
 }
 

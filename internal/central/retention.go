@@ -18,15 +18,24 @@ import (
 // at every location and reports how many were dropped. The error is
 // non-nil only for cold-tier stores whose segment files could not be
 // deleted — the index entries are gone either way.
+//
+// Retention is the one event that fences cached estimates (a dropped
+// record's windows can only be answered again after a re-ingest, under
+// a higher fence), so each dropped record counts one invalidation.
 func (s *Server) DropBefore(cutoff record.PeriodID) (int, error) {
-	return s.st.DropBefore(cutoff)
+	dropped, err := s.st.DropBefore(cutoff)
+	s.cache.NoteInvalidations(dropped)
+	return dropped, err
 }
 
 // RetainLatest keeps only the newest n periods at the given location and
 // reports how many records were dropped. n <= 0 drops everything at the
-// location.
+// location. Each dropped record counts one invalidation, as in
+// DropBefore.
 func (s *Server) RetainLatest(loc vhash.LocationID, n int) (int, error) {
-	return s.st.RetainLatest(loc, n)
+	dropped, err := s.st.RetainLatest(loc, n)
+	s.cache.NoteInvalidations(dropped)
+	return dropped, err
 }
 
 // StoreStats summarizes the store's contents.

@@ -3,17 +3,19 @@ package core
 // The estimate cache: memoized read side of the query plane.
 //
 // Records are immutable once ingested (the store only ever adds or drops
-// whole records), so an estimator's output is a pure function of
-// (location, period set, split parameters) — until an ingest changes
-// which records the location holds. EstCache memoizes full estimator
-// results behind that key, with ingest-time invalidation done by *epoch
-// fencing*: the record store keeps a per-location epoch counter that
-// every accepted upload bumps, and the epoch is part of the cache key.
-// The key is the record set's identity, not its contents, so a caller
-// can probe it from the store's index (store.Store.Fence) before reading
-// a single bitmap. A stale entry is never returned — its key simply
-// stops being generated — and dies by LRU eviction, so no ingest ever
-// scans the cache (lazy invalidation; DESIGN.md §13).
+// whole records), so an estimator's output is a pure function of the
+// records it joins: (location, period set, split parameters) — until
+// retention and a re-ingest change one of the named records.
+// EstCache memoizes full estimator results behind that key plus a
+// *fence*: the highest per-location sequence number among the named
+// records, which the store issues once per admitted record and never
+// reuses. Any change to the named set raises its fence; an upload at a
+// period the set does not name leaves it alone. The key is the record
+// set's identity, not its contents, so a caller can probe it from the
+// store's index (store.Store.Fence) before reading a single bitmap. A
+// stale entry is never returned — its key simply stops being generated —
+// and dies by LRU eviction, so nothing ever scans the cache (lazy
+// invalidation; DESIGN.md §13).
 //
 // Hits are bit-identical to misses by construction: the cache stores the
 // exact result struct a cold computation produced and hands back copies
@@ -75,19 +77,19 @@ const (
 	estKindP2P
 )
 
-// estKey identifies one memoizable estimator invocation. Epochs are part
-// of the key: any ingest at a location bumps its epoch, so stale entries
-// become unreachable instead of being hunted down. The period set enters
-// as an FNV-1a hash; the entry keeps the exact periods and every hit
-// re-verifies them, so a hash collision degrades to a miss, never to a
-// wrong answer.
+// estKey identifies one memoizable estimator invocation. Fences are part
+// of the key: a change to a named record set raises its fence, so stale
+// entries become unreachable instead of being hunted down. The period
+// set enters as an FNV-1a hash; the entry keeps the exact periods and
+// every hit re-verifies them, so a hash collision degrades to a miss,
+// never to a wrong answer.
 type estKey struct {
 	kind           estKind
 	strategy       SplitStrategy
 	s              int
 	t              int
 	locA, locB     vhash.LocationID
-	epochA, epochB uint64
+	fenceA, fenceB uint64
 	phash          uint64
 }
 
@@ -142,7 +144,7 @@ func NewEstCache(capacity int) *EstCache {
 // periods must be sorted and free of duplicates (a record.Set's order).
 //
 //ptm:noalloc
-func makeKey(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.LocationID, epochA, epochB uint64, periods []record.PeriodID) estKey {
+func makeKey(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.LocationID, fenceA, fenceB uint64, periods []record.PeriodID) estKey {
 	return estKey{
 		kind:     kind,
 		strategy: strategy,
@@ -150,8 +152,8 @@ func makeKey(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.Locat
 		t:        len(periods),
 		locA:     locA,
 		locB:     locB,
-		epochA:   epochA,
-		epochB:   epochB,
+		fenceA:   fenceA,
+		fenceB:   fenceB,
 		phash:    hashPeriods(periods),
 	}
 }
@@ -254,10 +256,10 @@ func (c *EstCache) countMiss() {
 	estMissesTotal.Add(1)
 }
 
-// probe looks a request up under the epochs the store's Fence returned.
+// probe looks a request up under the fences the store's Fence returned.
 // periods may be in any order; one that repeats a period names no valid
 // set and is never probed.
-func (c *EstCache) probe(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.LocationID, epochA, epochB uint64, periods []record.PeriodID) (estEntry, bool) {
+func (c *EstCache) probe(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.LocationID, fenceA, fenceB uint64, periods []record.PeriodID) (estEntry, bool) {
 	if c == nil {
 		return estEntry{}, false
 	}
@@ -265,15 +267,15 @@ func (c *EstCache) probe(kind estKind, strategy SplitStrategy, s int, locA, locB
 	if !ok {
 		return estEntry{}, false
 	}
-	return c.lookup(makeKey(kind, strategy, s, locA, locB, epochA, epochB, sorted), sorted)
+	return c.lookup(makeKey(kind, strategy, s, locA, locB, fenceA, fenceB, sorted), sorted)
 }
 
 // ProbePoint answers a point query from the cache alone: the result
-// Point cached under the same (location, epoch, periods, strategy), if
+// Point cached under the same (location, fence, periods, strategy), if
 // any. A hit counts one hit; a miss counts nothing, because the caller
 // then collects the set and calls Point, which counts it.
-func (c *EstCache) ProbePoint(loc vhash.LocationID, epoch uint64, periods []record.PeriodID, strategy SplitStrategy) (*PointResult, bool) {
-	e, ok := c.probe(estKindPoint, strategy, 0, loc, 0, epoch, 0, periods)
+func (c *EstCache) ProbePoint(loc vhash.LocationID, fence uint64, periods []record.PeriodID, strategy SplitStrategy) (*PointResult, bool) {
+	e, ok := c.probe(estKindPoint, strategy, 0, loc, 0, fence, 0, periods)
 	if !ok {
 		return nil, false
 	}
@@ -282,8 +284,8 @@ func (c *EstCache) ProbePoint(loc vhash.LocationID, epoch uint64, periods []reco
 }
 
 // ProbePointToPoint is ProbePoint for PointToPoint.
-func (c *EstCache) ProbePointToPoint(locL, locLPrime vhash.LocationID, epochL, epochLP uint64, periods []record.PeriodID, s int) (*PointToPointResult, bool) {
-	e, ok := c.probe(estKindP2P, 0, s, locL, locLPrime, epochL, epochLP, periods)
+func (c *EstCache) ProbePointToPoint(locL, locLPrime vhash.LocationID, fenceL, fenceLP uint64, periods []record.PeriodID, s int) (*PointToPointResult, bool) {
+	e, ok := c.probe(estKindP2P, 0, s, locL, locLPrime, fenceL, fenceLP, periods)
 	if !ok {
 		return nil, false
 	}
@@ -291,15 +293,15 @@ func (c *EstCache) ProbePointToPoint(locL, locLPrime vhash.LocationID, epochL, e
 	return &out, true
 }
 
-// Point is EstimatePointOpts memoized under (location, epoch, periods,
-// strategy). epoch must be the one the store returned atomically with
+// Point is EstimatePointOpts memoized under (location, fence, periods,
+// strategy). fence must be the one the store returned atomically with
 // set's records (store.Store.Collect).
-func (c *EstCache) Point(epoch uint64, set *record.Set, strategy SplitStrategy) (*PointResult, error) {
+func (c *EstCache) Point(fence uint64, set *record.Set, strategy SplitStrategy) (*PointResult, error) {
 	if c == nil {
 		return EstimatePointOpts(set, strategy)
 	}
 	periods := set.Periods()
-	key := makeKey(estKindPoint, strategy, 0, set.Location(), 0, epoch, 0, periods)
+	key := makeKey(estKindPoint, strategy, 0, set.Location(), 0, fence, 0, periods)
 	if e, ok := c.lookup(key, periods); ok {
 		out := e.point
 		return &out, nil
@@ -316,17 +318,17 @@ func (c *EstCache) Point(epoch uint64, set *record.Set, strategy SplitStrategy) 
 }
 
 // PointToPoint is EstimatePointToPoint memoized under (both locations,
-// both epochs, periods, s). The location order is part of the key
+// both fences, periods, s). The location order is part of the key
 // (Eq. 21 is symmetric in the result but the caller's argument order is
 // preserved, matching the uncached path exactly). The key holds setL's
 // periods only, so sets that do not cover the same periods skip the
 // lookup and get EstimatePointToPoint's error.
-func (c *EstCache) PointToPoint(epochL, epochLP uint64, setL, setLPrime *record.Set, s int) (*PointToPointResult, error) {
+func (c *EstCache) PointToPoint(fenceL, fenceLP uint64, setL, setLPrime *record.Set, s int) (*PointToPointResult, error) {
 	if c == nil {
 		return EstimatePointToPoint(setL, setLPrime, s)
 	}
 	periods := setL.Periods()
-	key := makeKey(estKindP2P, 0, s, setL.Location(), setLPrime.Location(), epochL, epochLP, periods)
+	key := makeKey(estKindP2P, 0, s, setL.Location(), setLPrime.Location(), fenceL, fenceLP, periods)
 	if record.CheckAligned(setL, setLPrime) == nil {
 		if e, ok := c.lookup(key, periods); ok {
 			out := e.p2p
@@ -342,15 +344,14 @@ func (c *EstCache) PointToPoint(epochL, epochLP uint64, setL, setLPrime *record.
 	return res, nil
 }
 
-// NoteInvalidation records that an ingest invalidated (by epoch fencing)
-// whatever entries the affected location had. Counters only; no entry is
-// touched.
+// NoteInvalidations records that n records were dropped, fencing
+// whatever entries named them. Counters only; no entry is touched.
 //
 //ptm:noalloc
-func (c *EstCache) NoteInvalidation() {
-	if c != nil {
-		c.invalidations.Add(1)
-		estInvalidationsTotal.Add(1)
+func (c *EstCache) NoteInvalidations(n int) {
+	if c != nil && n > 0 {
+		c.invalidations.Add(uint64(n))
+		estInvalidationsTotal.Add(uint64(n))
 	}
 }
 

@@ -220,7 +220,7 @@ func TestEstCacheNilComputes(t *testing.T) {
 	if *gotP != *wantP {
 		t.Fatal("nil cache p2p diverges from direct estimation")
 	}
-	c.NoteInvalidation() // must not panic
+	c.NoteInvalidations(2) // must not panic
 	if st := c.Stats(); st != (EstCacheStats{}) {
 		t.Fatalf("nil cache stats: %+v", st)
 	}

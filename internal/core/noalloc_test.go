@@ -75,9 +75,9 @@ func TestEstCacheHelpersDoNotAllocate(t *testing.T) {
 		t.Errorf("sortedPeriods allocated %.1f times per run on a sorted request, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		c.NoteInvalidation()
+		c.NoteInvalidations(2)
 	}); n != 0 {
-		t.Errorf("NoteInvalidation allocated %.1f times per run, want 0", n)
+		t.Errorf("NoteInvalidations allocated %.1f times per run, want 0", n)
 	}
 	_, _, _ = sinkU, sinkB, sinkK
 }

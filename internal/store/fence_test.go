@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"ptm/internal/record"
@@ -125,8 +126,9 @@ func TestFenceMatchesCollect(t *testing.T) {
 }
 
 // TestFenceEpochIsRecordSetIdentity: the fence moves exactly when the
-// record set behind a request can change — on ingest, not on a tier move
-// — and retention answers ErrNotFound until a re-ingest, which moves it.
+// record set behind a request changes — on a re-ingest of a named
+// period, not on a tier move — and retention answers ErrNotFound until
+// that re-ingest.
 func TestFenceEpochIsRecordSetIdentity(t *testing.T) {
 	window := []record.PeriodID{1, 2, 3, 4}
 	stores := fenceStores(t)
@@ -170,6 +172,161 @@ func TestFenceEpochIsRecordSetIdentity(t *testing.T) {
 			}
 			if e1 == e0 {
 				t.Fatalf("re-ingest after retention left the fence at %d", e0)
+			}
+		})
+	}
+}
+
+// TestFenceNamesRecordSet: a window's fence is the identity of the
+// records it names. While one goroutine ingests unnamed periods at the
+// window's location and another freezes, the fence never changes and
+// Collect returns the same value. Retention plus a re-ingest of one
+// named period strictly raises it, and emptying the location and
+// refilling it never reissues a value seen before. Run by check.sh's
+// race stress stage with -count=2.
+func TestFenceNamesRecordSet(t *testing.T) {
+	const loc = 5
+	window := []record.PeriodID{1, 2, 3, 4}
+	for _, name := range []string{"mem", "tiered"} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(29))
+			var st Store
+			var tiered *Tiered
+			if name == "mem" {
+				mem, err := NewMem(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st = mem
+			} else {
+				var err error
+				if tiered, err = OpenTiered(t.TempDir(), TieredOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { tiered.Close() })
+				st = tiered
+			}
+			for _, p := range window {
+				if _, err := st.Ingest(testRecord(rng, loc, p, 1024)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// fenceOf reads the window's fence through Fence and through
+			// Collect, which must agree.
+			fenceOf := func(periods []record.PeriodID) uint64 {
+				t.Helper()
+				f, err := st.Fence(loc, periods)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, c, unpin, err := st.Collect(loc, periods)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unpin()
+				if c != f {
+					t.Fatalf("Fence %d, Collect %d", f, c)
+				}
+				return f
+			}
+			f0 := fenceOf(window)
+
+			// Writers: unnamed periods at the same location, and (tiered)
+			// a freezer moving records, named ones included, to the cold
+			// tier under the readers' feet until the ingests are done.
+			var wg sync.WaitGroup
+			ingested, done := make(chan struct{}), make(chan struct{})
+			errc := make(chan error, 2)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer close(ingested)
+				wrng := rand.New(rand.NewSource(30))
+				for p := record.PeriodID(100); p < 300; p++ {
+					if _, err := st.Ingest(testRecord(wrng, loc, p, 1024)); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}()
+			if tiered != nil {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						if _, err := tiered.Freeze(0); err != nil {
+							errc <- err
+							return
+						}
+						select {
+						case <-ingested:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			go func() {
+				wg.Wait()
+				close(done)
+			}()
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				if f := fenceOf(window); f != f0 {
+					t.Fatalf("unnamed ingests or a freeze moved the fence: %d -> %d", f0, f)
+				}
+			}
+			close(errc)
+			for err := range errc {
+				t.Fatal(err)
+			}
+			if f := fenceOf(window); f != f0 {
+				t.Fatalf("fence after the writers: %d, want %d", f, f0)
+			}
+
+			// Retire the oldest named period and re-ingest it.
+			if n, err := st.DropBefore(window[1]); err != nil || n != 1 {
+				t.Fatalf("DropBefore dropped %d (%v), want 1", n, err)
+			}
+			if _, err := st.Ingest(testRecord(rng, loc, window[0], 1024)); err != nil {
+				t.Fatal(err)
+			}
+			f1 := fenceOf(window)
+			if f1 <= f0 {
+				t.Fatalf("re-ingest of a named period: fence %d -> %d, want a rise", f0, f1)
+			}
+
+			// Empty the location (cold records too) and refill the
+			// window: every fence is new.
+			seen := f1
+			for _, p := range st.Periods(loc) {
+				seen = max(seen, fenceOf([]record.PeriodID{p}))
+			}
+			if tiered != nil {
+				if _, err := tiered.Freeze(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := st.RetainLatest(loc, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Periods(loc); len(got) != 0 {
+				t.Fatalf("location not empty after RetainLatest(0): %v", got)
+			}
+			for _, p := range window {
+				if _, err := st.Ingest(testRecord(rng, loc, p, 1024)); err != nil {
+					t.Fatal(err)
+				}
+				if f := fenceOf([]record.PeriodID{p}); f <= seen {
+					t.Fatalf("refilled period %d reissued fence %d (highest before: %d)", p, f, seen)
+				}
+			}
+			if f2 := fenceOf(window); f2 <= seen {
+				t.Fatalf("refilled window fence %d, highest before %d", f2, seen)
 			}
 		})
 	}

@@ -25,16 +25,26 @@ type Mem struct {
 // memShard is one lock domain.
 type memShard struct {
 	mu sync.RWMutex
-	// byLoc[loc][period] holds this shard's records (the guard covers
-	// the inner maps too).
+	// byLoc[loc][period] holds this shard's records with their
+	// sequence numbers (the guard covers the inner maps too).
 	//ptm:guardedby mu
-	byLoc map[vhash.LocationID]map[record.PeriodID]*record.Record
-	// epoch[loc] counts accepted ingests at loc — the estimate cache's
-	// fence (DESIGN.md §13). Tier migration deliberately does NOT run
-	// through this counter: freezing a record moves bits, not values,
-	// so cached estimates stay valid across it.
+	byLoc map[vhash.LocationID]map[record.PeriodID]memEntry
+	// seq[loc] is the last sequence number issued at loc: every record
+	// admitted there (an ingest, or a cold entry indexed at open) takes
+	// the next one. The counter is never reset or deleted, not even when
+	// retention empties the location, so no number is issued twice and
+	// the maximum over a window's records names that record set — the
+	// estimate cache's fence (DESIGN.md §13). A freeze carries a record's
+	// number into the cold index with it: a move is not a new record.
 	//ptm:guardedby mu
-	epoch map[vhash.LocationID]uint64
+	seq map[vhash.LocationID]uint64
+}
+
+// memEntry is one resident record and the sequence number it was
+// admitted with.
+type memEntry struct {
+	rec *record.Record
+	seq uint64
 }
 
 // DefaultShards is the shard count used when the caller passes 0.
@@ -56,8 +66,8 @@ func NewMem(nShards int) (*Mem, error) {
 		mask:   uint64(nShards - 1),
 	}
 	for i := range m.shards {
-		m.shards[i].byLoc = make(map[vhash.LocationID]map[record.PeriodID]*record.Record)
-		m.shards[i].epoch = make(map[vhash.LocationID]uint64)
+		m.shards[i].byLoc = make(map[vhash.LocationID]map[record.PeriodID]memEntry)
+		m.shards[i].seq = make(map[vhash.LocationID]uint64)
 	}
 	return m, nil
 }
@@ -89,20 +99,30 @@ func (m *Mem) Ingest(rec *record.Record) (int, error) {
 	defer sh.mu.Unlock()
 	byPeriod, ok := sh.byLoc[rec.Location]
 	if !ok {
-		byPeriod = make(map[record.PeriodID]*record.Record)
+		byPeriod = make(map[record.PeriodID]memEntry)
 		sh.byLoc[rec.Location] = byPeriod
 	}
 	if _, dup := byPeriod[rec.Period]; dup {
 		return 0, fmt.Errorf("%w: loc=%d period=%d", ErrDuplicate, rec.Location, rec.Period)
 	}
 	prior := len(byPeriod)
-	byPeriod[rec.Period] = rec
-	// Every accepted upload bumps the location's epoch under the shard
-	// lock, so a query that assembled its set before this record landed
-	// also read the pre-bump epoch — its cache entry stays keyed to the
-	// old state, never mistaken for the new one.
-	sh.epoch[rec.Location]++
+	byPeriod[rec.Period] = memEntry{rec: rec, seq: sh.nextSeqLocked(rec.Location)}
 	return prior, nil
+}
+
+// nextSeqLocked issues loc's next sequence number. Caller holds sh.mu.
+func (sh *memShard) nextSeqLocked(loc vhash.LocationID) uint64 {
+	sh.seq[loc]++
+	return sh.seq[loc]
+}
+
+// nextSeq issues loc's next sequence number for a record admitted
+// outside the resident tier (a cold entry indexed at open).
+func (m *Mem) nextSeq(loc vhash.LocationID) uint64 {
+	sh := m.shardFor(loc)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.nextSeqLocked(loc)
 }
 
 // Contains implements Store.
@@ -120,76 +140,77 @@ func (m *Mem) Contains(loc vhash.LocationID, p record.PeriodID) bool {
 func (m *Mem) Lookup(loc vhash.LocationID, p record.PeriodID) (*record.Record, func(), bool) {
 	sh := m.shardFor(loc)
 	sh.mu.RLock()
-	rec, ok := sh.byLoc[loc][p]
+	e, ok := sh.byLoc[loc][p]
 	sh.mu.RUnlock()
-	return rec, noopUnpin, ok
+	return e.rec, noopUnpin, ok
 }
 
-// Collect implements Store: all requested records plus the location's
-// epoch, read under one lock hold so the (records, epoch) pair is
-// mutually consistent.
+// Collect implements Store: all requested records plus the highest
+// sequence number among them, read under one lock hold.
 func (m *Mem) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*record.Record, uint64, func(), error) {
-	recs, epoch, missing := m.collectPartial(loc, periods)
+	recs, fence, missing := m.collectPartial(loc, periods)
 	if missing >= 0 {
 		return nil, 0, nil, notFound(loc, periods[missing])
 	}
-	return recs, epoch, noopUnpin, nil
+	return recs, fence, noopUnpin, nil
 }
 
 // Fence implements Store: the same single shard lock hold as Collect.
 func (m *Mem) Fence(loc vhash.LocationID, periods []record.PeriodID) (uint64, error) {
-	_, epoch, missing := m.collectPartial(loc, periods)
+	_, fence, missing := m.collectPartial(loc, periods)
 	if missing >= 0 {
 		return 0, notFound(loc, periods[missing])
 	}
-	return epoch, nil
+	return fence, nil
 }
 
-// collectPartial fetches whichever requested periods are present, under
-// a single shard lock hold (records and epoch mutually consistent).
-// Absent periods leave nil holes; missing is the index of the first
-// hole, or -1 when the set is complete. Tiered fills the holes from its
-// cold index under its own tiering lock — the two-tier Collect.
-func (m *Mem) collectPartial(loc vhash.LocationID, periods []record.PeriodID) (recs []*record.Record, epoch uint64, missing int) {
+// collectPartial fetches whichever requested periods are present, and
+// the highest sequence number among them, under a single shard lock
+// hold. Absent periods leave nil holes; missing is the index of the
+// first hole, or -1 when the set is complete. Tiered fills the holes
+// (and their sequence numbers) from its cold index under its own
+// tiering lock — the two-tier Collect.
+func (m *Mem) collectPartial(loc vhash.LocationID, periods []record.PeriodID) (recs []*record.Record, fence uint64, missing int) {
 	missing = -1
 	recs = make([]*record.Record, len(periods))
 	sh := m.shardFor(loc)
 	sh.mu.RLock()
 	byPeriod := sh.byLoc[loc]
-	epoch = sh.epoch[loc]
 	for i, p := range periods {
-		rec, ok := byPeriod[p]
+		e, ok := byPeriod[p]
 		if !ok {
 			if missing < 0 {
 				missing = i
 			}
 			continue
 		}
-		recs[i] = rec
+		recs[i] = e.rec
+		fence = max(fence, e.seq)
 	}
 	sh.mu.RUnlock()
-	return recs, epoch, missing
+	return recs, fence, missing
 }
 
 // Remove deletes rec if it is still the stored record for its (location,
-// period), without touching the location's epoch: the freeze path moves
-// records to the cold tier, and a move must not invalidate cached
-// estimates (the bits do not change). It reports whether rec was removed;
-// false means retention dropped it, and perhaps a re-ingest replaced it,
-// since the freeze picked it.
-func (m *Mem) Remove(rec *record.Record) bool {
+// period) and hands back its sequence number: the freeze path moves
+// records to the cold tier, and a move keeps the number, so cached
+// estimates stay valid (the bits do not change). ok false means
+// retention dropped rec, and perhaps a re-ingest replaced it, since the
+// freeze picked it.
+func (m *Mem) Remove(rec *record.Record) (seq uint64, ok bool) {
 	sh := m.shardFor(rec.Location)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	byPeriod := sh.byLoc[rec.Location]
-	if byPeriod[rec.Period] != rec {
-		return false
+	e := byPeriod[rec.Period]
+	if e.rec != rec {
+		return 0, false
 	}
 	delete(byPeriod, rec.Period)
 	if len(byPeriod) == 0 {
 		delete(sh.byLoc, rec.Location)
 	}
-	return true
+	return e.seq, true
 }
 
 // Locations implements Store.
@@ -236,11 +257,11 @@ func (m *Mem) dropBefore(cutoff record.PeriodID) (dropped int, bits int64) {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		for loc, byPeriod := range sh.byLoc {
-			for p, rec := range byPeriod {
+			for p, e := range byPeriod {
 				if p < cutoff {
 					delete(byPeriod, p)
 					dropped++
-					bits += int64(rec.Size())
+					bits += int64(e.rec.Size())
 				}
 			}
 			if len(byPeriod) == 0 {
@@ -269,11 +290,11 @@ func (m *Mem) dropAt(loc vhash.LocationID, cut record.PeriodID) (dropped int, bi
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	byPeriod := sh.byLoc[loc]
-	for p, rec := range byPeriod {
+	for p, e := range byPeriod {
 		if p < cut {
 			delete(byPeriod, p)
 			dropped++
-			bits += int64(rec.Size())
+			bits += int64(e.rec.Size())
 		}
 	}
 	if len(byPeriod) == 0 {
@@ -305,8 +326,8 @@ func (m *Mem) appendAll(dst []*record.Record) []*record.Record {
 		sh := &m.shards[i]
 		sh.mu.RLock()
 		for _, byPeriod := range sh.byLoc {
-			for _, rec := range byPeriod {
-				dst = append(dst, rec)
+			for _, e := range byPeriod {
+				dst = append(dst, e.rec)
 			}
 		}
 		sh.mu.RUnlock()
@@ -333,8 +354,8 @@ func (m *Mem) Stats() Stats {
 		st.Locations += len(sh.byLoc)
 		for _, byPeriod := range sh.byLoc {
 			st.Records += len(byPeriod)
-			for _, rec := range byPeriod {
-				st.Bits += int64(rec.Size())
+			for _, e := range byPeriod {
+				st.Bits += int64(e.rec.Size())
 			}
 		}
 		sh.mu.RUnlock()

@@ -14,8 +14,8 @@ import (
 // store's cold directory) and query a data set far larger than RAM.
 //
 // Mutations (Ingest, DropBefore, RetainLatest) fail with ErrReadOnly.
-// Location epochs are constant zero: nothing ever ingests, so the
-// estimate cache's fence has nothing to fence.
+// Each record's sequence number is issued once, when the segment is
+// indexed at open; nothing ever ingests, so no fence ever moves.
 type Mmap struct {
 	t *Tiered
 }

@@ -35,10 +35,15 @@ var (
 //
 // Records are immutable once ingested: a successful Ingest of
 // (loc, period) fixes that record's bits forever (until retention drops
-// it). Every accepted ingest bumps its location's epoch; tier moves and
-// retention do not. So (loc, epoch, periods) names one record set —
-// the identity the estimate cache keys results by, read from the index
-// alone by Fence — and queries are tier-oblivious.
+// it), and a record is never replaced in place. Each record admitted at
+// a location takes that location's next sequence number, which is never
+// issued again; a tier move keeps it. So the highest sequence number
+// among a window's records — the fence — names the record set: any
+// change to the set re-ingests one of its periods under a number above
+// every number issued before, and the fence strictly rises. An upload
+// at a period the window does not name leaves it alone. (loc, fence,
+// periods) is the identity the estimate cache keys results by, read
+// from the index alone by Fence, and queries are tier-oblivious.
 //
 // Cold-tier reads hand out records whose bitmaps view mapped (or cached)
 // pages; the unpin function returned by Lookup and Collect releases
@@ -48,9 +53,7 @@ var (
 type Store interface {
 	// Ingest stores one record, rejecting duplicates with ErrDuplicate.
 	// On success, prior reports how many records the location already
-	// held (across all tiers) when the record was admitted — the signal
-	// the central server's estimate cache uses to count invalidations
-	// (a location's first record cannot fence any cached estimate).
+	// held (across all tiers) when the record was admitted.
 	Ingest(rec *record.Record) (prior int, err error)
 
 	// Contains reports whether a record for (loc, p) is stored, in any
@@ -62,18 +65,19 @@ type Store interface {
 	Lookup(loc vhash.LocationID, p record.PeriodID) (rec *record.Record, unpin func(), ok bool)
 
 	// Collect fetches the records for every requested period along with
-	// the location's ingest epoch; the (records, epoch) pair is read
-	// atomically with respect to ingest and retention, which is what
-	// makes the epoch a sound estimate-cache fence. Any missing period
-	// fails the whole call with ErrNotFound (wrapped). On success the
-	// caller must call unpin (exactly once) after its last use of recs.
-	Collect(loc vhash.LocationID, periods []record.PeriodID) (recs []*record.Record, epoch uint64, unpin func(), err error)
+	// their fence, the highest sequence number among them; the records
+	// are read atomically with respect to ingest and retention, so the
+	// fence names exactly the set returned — a sound estimate-cache
+	// fence. Any missing period fails the whole call with ErrNotFound
+	// (wrapped). On success the caller must call unpin (exactly once)
+	// after its last use of recs.
+	Collect(loc vhash.LocationID, periods []record.PeriodID) (recs []*record.Record, fence uint64, unpin func(), err error)
 
-	// Fence returns the epoch Collect would return for the same call, and
+	// Fence returns the fence Collect would return for the same call, and
 	// the same ErrNotFound for a missing period, from the index alone: no
 	// cold data is read and no pin is taken. The estimate cache is probed
 	// with it before anything is collected.
-	Fence(loc vhash.LocationID, periods []record.PeriodID) (epoch uint64, err error)
+	Fence(loc vhash.LocationID, periods []record.PeriodID) (fence uint64, err error)
 
 	// Locations returns all locations with stored records, sorted.
 	Locations() []vhash.LocationID

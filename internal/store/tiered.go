@@ -16,9 +16,10 @@ package store
 //
 // Freeze moves bits, never values: the segment stores the bitmap words
 // verbatim, so a query answered from the cold tier is bit-identical to
-// one answered before the freeze. Location epochs therefore do NOT
-// change on freeze — cached estimates stay valid, which is the whole
-// point of making the estimator plane tier-oblivious.
+// one answered before the freeze. A record's sequence number therefore
+// moves with it into the cold index, and no fence changes on freeze —
+// cached estimates stay valid, which is the whole point of making the
+// estimator plane tier-oblivious.
 //
 // # Locking
 //
@@ -31,16 +32,16 @@ package store
 //     their hot twins under one mu.Lock — so an ingest can never slip a
 //     duplicate between "not in cold yet" and "already out of hot", and
 //     a reader holding mu.RLock sees every record in exactly one tier.
-//   - Collect and Fence read the hot tier (records + epoch, one shard
-//     lock hold); a request served entirely from it is done. Otherwise
-//     they take mu.RLock, read the hot tier again, and fill the holes
-//     from the cold index. Freeze commits and retention need mu.Lock, so
-//     under mu.RLock the hot tier only gains records, each bumping the
-//     epoch: the second hot read plus the cold index is one consistent
-//     (records, epoch) snapshot. Pairing the first hot read with the
+//   - Collect and Fence read the hot tier (records + their sequence
+//     numbers, one shard lock hold); a request served entirely from it
+//     is done. Otherwise they take mu.RLock, read the hot tier again,
+//     and fill the holes, sequence numbers included, from the cold
+//     index. Freeze commits and retention need mu.Lock, so under
+//     mu.RLock the hot tier only gains records: the second hot read plus
+//     the cold index is one consistent record set, and the fence is the
+//     highest sequence number in it. Pairing the first hot read with the
 //     cold index would not be — a retention, re-ingest and freeze of the
-//     same period between the two could join an old epoch to a new
-//     record.
+//     same period between the two could name a set that never existed.
 //
 // # Crash safety
 //
@@ -78,10 +79,12 @@ type TieredOptions struct {
 	CacheBytes int64
 }
 
-// coldRef locates a cold record: entry idx of segment seg.
+// coldRef locates a cold record — entry idx of segment seg — and keeps
+// the sequence number it was admitted with.
 type coldRef struct {
 	seg uint64
 	idx int
+	seq uint64
 }
 
 // Tiered implements Store over a hot Mem tier and cold mapped segments.
@@ -155,7 +158,8 @@ func OpenTiered(dir string, opts TieredOptions) (*Tiered, error) {
 				_ = t.Close()
 				return nil, fmt.Errorf("store: record loc=%d period=%d appears in multiple segments", e.loc, e.period)
 			}
-			t.addColdLocked(e.loc, e.period, coldRef{seg: id, idx: i}, int64(e.nbits))
+			ref := coldRef{seg: id, idx: i, seq: t.hot.nextSeq(e.loc)}
+			t.addColdLocked(e.loc, e.period, ref, int64(e.nbits))
 		}
 		if id >= t.nextSeg {
 			t.nextSeg = id + 1
@@ -317,10 +321,11 @@ func (t *Tiered) freezeLocked(targetBytes int64) (int, error) {
 	t.segs[id] = seg
 	frozen, frozenBits := 0, int64(0)
 	for i, rec := range victims {
-		if !t.hot.Remove(rec) {
+		seq, ok := t.hot.Remove(rec)
+		if !ok {
 			continue
 		}
-		t.addColdLocked(rec.Location, rec.Period, coldRef{seg: id, idx: i}, int64(rec.Size()))
+		t.addColdLocked(rec.Location, rec.Period, coldRef{seg: id, idx: i, seq: seq}, int64(rec.Size()))
 		frozen++
 		frozenBits += int64(rec.Size())
 	}
@@ -380,14 +385,14 @@ func (t *Tiered) Lookup(loc vhash.LocationID, p record.PeriodID) (*record.Record
 	return rec, unpin, true
 }
 
-// Collect implements Store: hot records and the epoch are read under
-// one shard lock hold, holes are filled from the cold tier under the
-// tiering read lock. See the package comment on why the pair stays a
-// consistent snapshot.
+// Collect implements Store: hot records and their sequence numbers are
+// read under one shard lock hold, holes are filled from the cold tier
+// under the tiering read lock. See the package comment on why the
+// result stays a consistent snapshot.
 func (t *Tiered) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*record.Record, uint64, func(), error) {
-	recs, epoch, missing := t.hot.collectPartial(loc, periods)
+	recs, fence, missing := t.hot.collectPartial(loc, periods)
 	if missing < 0 {
-		return recs, epoch, noopUnpin, nil
+		return recs, fence, noopUnpin, nil
 	}
 	var unpins []func()
 	release := func() {
@@ -396,7 +401,7 @@ func (t *Tiered) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*re
 		}
 	}
 	t.mu.RLock()
-	recs, epoch, _ = t.hot.collectPartial(loc, periods)
+	recs, fence, _ = t.hot.collectPartial(loc, periods)
 	for i, p := range periods {
 		if recs[i] != nil {
 			continue
@@ -415,31 +420,37 @@ func (t *Tiered) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*re
 		}
 		recs[i] = rec
 		unpins = append(unpins, unpin)
+		fence = max(fence, ref.seq)
 	}
 	t.mu.RUnlock()
 	if len(unpins) == 0 {
-		return recs, epoch, noopUnpin, nil
+		return recs, fence, noopUnpin, nil
 	}
-	return recs, epoch, release, nil
+	return recs, fence, release, nil
 }
 
 // Fence implements Store: Collect's two reads, with the cold holes
-// checked against the index instead of pinned.
+// looked up in the index instead of pinned.
 func (t *Tiered) Fence(loc vhash.LocationID, periods []record.PeriodID) (uint64, error) {
-	_, epoch, missing := t.hot.collectPartial(loc, periods)
+	_, fence, missing := t.hot.collectPartial(loc, periods)
 	if missing < 0 {
-		return epoch, nil
+		return fence, nil
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	recs, epoch, _ := t.hot.collectPartial(loc, periods)
+	recs, fence, _ := t.hot.collectPartial(loc, periods)
 	cold := t.cold[loc]
 	for i, p := range periods {
-		if _, ok := cold[p]; recs[i] == nil && !ok {
+		if recs[i] != nil {
+			continue
+		}
+		ref, ok := cold[p]
+		if !ok {
 			return 0, notFound(loc, p)
 		}
+		fence = max(fence, ref.seq)
 	}
-	return epoch, nil
+	return fence, nil
 }
 
 // Locations implements Store (union of tiers).

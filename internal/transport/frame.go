@@ -15,63 +15,65 @@ import (
 // MsgType discriminates protocol frames.
 type MsgType uint8
 
-// Protocol message types.
+// Protocol message types. Each number is written out: it is what goes
+// on the wire, so a new type takes the next free number and no existing
+// one ever moves (TestMsgTypeNumbersPinned holds them).
 const (
 	// MsgUpload carries one marshaled traffic record (RSU -> server).
-	MsgUpload MsgType = iota + 1
+	MsgUpload MsgType = 1
 	// MsgUploadAck acknowledges an upload (server -> RSU).
-	MsgUploadAck
+	MsgUploadAck MsgType = 2
 	// MsgQueryVolume requests a per-period volume estimate.
-	MsgQueryVolume
+	MsgQueryVolume MsgType = 3
 	// MsgQueryPoint requests a point persistent estimate.
-	MsgQueryPoint
+	MsgQueryPoint MsgType = 4
 	// MsgQueryP2P requests a point-to-point persistent estimate.
-	MsgQueryP2P
+	MsgQueryP2P MsgType = 5
 	// MsgResult carries a query result (server -> client).
-	MsgResult
+	MsgResult MsgType = 6
 	// MsgListLocations requests the stored location IDs.
-	MsgListLocations
+	MsgListLocations MsgType = 7
 	// MsgLocations carries the location list (server -> client).
-	MsgLocations
+	MsgLocations MsgType = 8
 	// MsgListPeriods requests the stored periods for one location.
-	MsgListPeriods
+	MsgListPeriods MsgType = 9
 	// MsgPeriods carries the period list (server -> client).
-	MsgPeriods
+	MsgPeriods MsgType = 10
 	// MsgUploadBatch carries several length-prefixed marshaled records in
 	// one frame (RSU -> server), amortizing one round trip over the
 	// batch.
-	MsgUploadBatch
+	MsgUploadBatch MsgType = 11
 	// MsgUploadBatchAck acknowledges a batch, reporting how many records
 	// were accepted and the first per-record failure, if any.
-	MsgUploadBatchAck
+	MsgUploadBatchAck MsgType = 12
 
 	// Cluster extension frames (internal/cluster). The core server
 	// delegates these to its store's Extension implementation; a
 	// non-cluster store answers them with a MsgResult failure.
 
 	// MsgRingGet requests a node's current ring configuration.
-	MsgRingGet
+	MsgRingGet MsgType = 13
 	// MsgRing carries a ring configuration (node -> client, and the
 	// response to MsgRingSet, echoing the ring now in effect).
-	MsgRing
+	MsgRing MsgType = 14
 	// MsgRingSet installs a ring configuration on a node if it is newer
 	// than the one in effect (admin -> node).
-	MsgRingSet
+	MsgRingSet MsgType = 15
 	// MsgReplBatch carries replicated records from a partition leader to
 	// a follower, with the shipper's watermark header.
-	MsgReplBatch
+	MsgReplBatch MsgType = 16
 	// MsgReplAck acknowledges a replication batch once every record in
 	// it is as durable on the follower as its store promises.
-	MsgReplAck
+	MsgReplAck MsgType = 17
 	// MsgFetchRecords requests a location's full record set (router ->
 	// node), for cross-partition joins computed client-side.
-	MsgFetchRecords
+	MsgFetchRecords MsgType = 18
 	// MsgRecords carries a batch of marshaled records (node -> router).
-	MsgRecords
+	MsgRecords MsgType = 19
 	// MsgStatus requests a node's cluster status summary.
-	MsgStatus
+	MsgStatus MsgType = 20
 	// MsgStatusResp carries the JSON-encoded status summary.
-	MsgStatusResp
+	MsgStatusResp MsgType = 21
 )
 
 // String implements fmt.Stringer.

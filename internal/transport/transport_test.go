@@ -84,6 +84,54 @@ func TestMsgTypeString(t *testing.T) {
 	}
 }
 
+// TestMsgTypeNumbersPinned pins every message type's wire number. The
+// numbers are the protocol: an RSU and a server built from different
+// versions must agree on them, so a new type takes a new number and no
+// existing one ever moves.
+func TestMsgTypeNumbersPinned(t *testing.T) {
+	pinned := []struct {
+		t    MsgType
+		name string
+		num  uint8
+	}{
+		{MsgUpload, "UPLOAD", 1},
+		{MsgUploadAck, "UPLOAD_ACK", 2},
+		{MsgQueryVolume, "QUERY_VOLUME", 3},
+		{MsgQueryPoint, "QUERY_POINT", 4},
+		{MsgQueryP2P, "QUERY_P2P", 5},
+		{MsgResult, "RESULT", 6},
+		{MsgListLocations, "LIST_LOCATIONS", 7},
+		{MsgLocations, "LOCATIONS", 8},
+		{MsgListPeriods, "LIST_PERIODS", 9},
+		{MsgPeriods, "PERIODS", 10},
+		{MsgUploadBatch, "UPLOAD_BATCH", 11},
+		{MsgUploadBatchAck, "UPLOAD_BATCH_ACK", 12},
+		{MsgRingGet, "RING_GET", 13},
+		{MsgRing, "RING", 14},
+		{MsgRingSet, "RING_SET", 15},
+		{MsgReplBatch, "REPL_BATCH", 16},
+		{MsgReplAck, "REPL_ACK", 17},
+		{MsgFetchRecords, "FETCH_RECORDS", 18},
+		{MsgRecords, "RECORDS", 19},
+		{MsgStatus, "STATUS", 20},
+		{MsgStatusResp, "STATUS_RESP", 21},
+	}
+	named := 0
+	for n := 0; n <= 255; n++ {
+		if !strings.HasPrefix(MsgType(n).String(), "MsgType(") {
+			named++
+		}
+	}
+	if named != len(pinned) {
+		t.Errorf("%d message types have names, %d are pinned: pin the new one here", named, len(pinned))
+	}
+	for _, p := range pinned {
+		if uint8(p.t) != p.num || p.t.String() != p.name {
+			t.Errorf("%s is %d on the wire (named %q), pinned at %d", p.name, uint8(p.t), p.t.String(), p.num)
+		}
+	}
+}
+
 func TestQueryCodecs(t *testing.T) {
 	vq := VolumeQuery{Loc: 7, Period: 3}
 	got, err := decodeVolumeQuery(vq.encode())

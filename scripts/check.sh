@@ -16,10 +16,11 @@
 #                          detector, -shuffle=on to surface order
 #                          dependence between tests)
 #   6. race stress smoke   (the WAL, RSU, DSRC fan-in, stripe,
-#                          estimate-cache, checkpoint-vs-ingest and
-#                          tiered-store concurrency tests again under -race
-#                          -count=2 — the dynamic complement of the static
-#                          concguard contracts)
+#                          estimate-cache, checkpoint-vs-ingest,
+#                          tiered-store and fence-vs-ingest-and-freeze
+#                          concurrency tests again under -race -count=2 —
+#                          the dynamic complement of the static concguard
+#                          contracts)
 #   7. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
 #   8. traced pipeline     (each bench/ptmload workload once at full scale
 #                          with -trace 1: answers, exact counts and the
@@ -75,13 +76,13 @@ fi
 step "go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-step "race stress smoke (-race -count=2, WAL group commit + RSU/DSRC striped ingest + estimate cache + checkpoint racing ingest)"
+step "race stress smoke (-race -count=2, WAL group commit + RSU/DSRC striped ingest + estimate cache + checkpoint racing ingest + tiered store + fence racing ingest and freeze)"
 go test -race -count=2 -run '^TestGroupCommitConcurrentAppends$' ./internal/wal/
 go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation|TestDifferentialAtomicVsSequential)$' ./internal/rsu/
 go test -race -count=2 -run '^TestConcurrentSendFanIn$' ./internal/dsrc/
 go test -race -count=2 -run '^TestPickAndSum$' ./internal/stripe/
 go test -race -count=2 -run '^(TestEstCacheConcurrentQueryIngest|TestDurableCheckpointRacingIngest)$' ./internal/central/
-go test -race -count=2 -run '^(TestTieredConcurrentSoak|TestTieredFreezeRacingRetention)$' ./internal/store/
+go test -race -count=2 -run '^(TestTieredConcurrentSoak|TestTieredFreezeRacingRetention|TestFenceNamesRecordSet)$' ./internal/store/
 
 # Archive the committed benchmark baselines (regenerate with `make
 # bench-json` / `make bench-ingest`) next to the lint report so CI
