@@ -356,47 +356,3 @@ func BenchmarkConfidenceInterval(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEncodeThroughput measures the vehicle-side encoding cost: one
-// hash per passing vehicle (the entire per-vehicle protocol work).
-func BenchmarkEncodeThroughput(b *testing.B) {
-	v, err := NewSeededVehicleIdentity(1, DefaultS, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = v.Index(LocationID(i&1023), 1<<20)
-	}
-}
-
-// BenchmarkEstimatorThroughput measures the server-side estimation cost on
-// Table I-scale records (m' = 2^20, t = 10).
-func BenchmarkEstimatorThroughput(b *testing.B) {
-	g, err := synth.NewGenerator(1, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := g.Pair(synth.PairConfig{
-		LocA: 1, LocB: 2,
-		VolumesA: repeat(28000, 10), VolumesB: repeat(451000, 10),
-		NCommon: 3000,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.EstimatePointToPoint(w.SetA, w.SetB, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func repeat(v, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}

@@ -102,20 +102,13 @@ func NewCentralServer(s int) (*CentralServer, error) {
 	return central.NewServer(s)
 }
 
-// NewCentralServerSharded creates an empty record store with an explicit
-// lock-shard count (a power of two); larger deployments admit more
-// concurrent uploads with more shards.
-func NewCentralServerSharded(s, shards int) (*CentralServer, error) {
-	return central.NewServerSharded(s, shards)
-}
-
 // OpenDurableCentralServer opens a WAL-backed record store rooted at
 // dir, recovering any previous contents (newest checkpoint plus newer
 // log segments). checkpointEvery > 0 compacts the log automatically
 // after that many ingested records; 0 compacts only on explicit
 // Checkpoint calls.
-func OpenDurableCentralServer(dir string, s, shards int, opts WALOptions, checkpointEvery int) (*DurableCentralServer, error) {
-	return central.OpenDurable(dir, s, shards, opts, checkpointEvery)
+func OpenDurableCentralServer(dir string, s int, opts WALOptions, checkpointEvery int) (*DurableCentralServer, error) {
+	return central.OpenDurable(dir, s, opts, checkpointEvery)
 }
 
 // NewTransportServer exposes a record store (in-memory or durable) over

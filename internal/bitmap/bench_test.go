@@ -2,8 +2,8 @@ package bitmap
 
 // Benchmarks comparing the materialized join pipeline (ExpandTo + AndAll)
 // against the fused kernels, across the record sizes and period counts of
-// the paper's evaluation. `make bench-kernel` parses this output into
-// BENCH_pr8.json (earlier baselines: BENCH_pr3.json via `make bench-json`).
+// the paper's evaluation. Run with `go test -run=NONE -bench=.
+// ./internal/bitmap/`.
 //
 // Join benchmarks report throughput via b.SetBytes as *operand bytes
 // folded per op*: the kernel touches words(m) output positions and folds
@@ -11,8 +11,8 @@ package bitmap
 // 8·words store traffic for the Into variants). That is the same
 // per-word unit BenchmarkBandwidthBaseline/popcount reports, so the
 // kernels' bytes/ns divided by the baseline's is the fraction of the
-// machine's streaming ceiling the join plane reaches (benchjson derives
-// bytes_per_ns from the MB/s column).
+// machine's streaming ceiling the join plane reaches (MB/s in the
+// output is bytes per µs).
 
 import (
 	"fmt"

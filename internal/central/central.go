@@ -55,8 +55,7 @@ var (
 const DefaultShards = store.DefaultShards
 
 // Server is the record store and query engine. The zero value is not
-// usable; construct with NewServer, NewServerSharded, or
-// NewServerWithStore.
+// usable; construct with NewServer or NewServerWithStore.
 type Server struct {
 	st store.Store
 	s  int // system-wide representative-bit count, needed by Eq. (21)
@@ -72,22 +71,7 @@ type Server struct {
 // system-wide representative-bit parameter s (Section II-D) and
 // DefaultShards lock shards.
 func NewServer(s int) (*Server, error) {
-	return NewServerSharded(s, DefaultShards)
-}
-
-// NewServerSharded creates an empty resident server with an explicit
-// shard count, which must be a power of two in [1, 1<<12]. More shards
-// admit more concurrent uploads at the cost of slower cross-shard
-// iteration.
-//
-//ptm:exclusive constructor: the Server is not shared until it returns
-func NewServerSharded(s, nShards int) (*Server, error) {
-	if nShards == 0 {
-		// store.NewMem treats 0 as "default"; this constructor's contract
-		// predates that and rejects it.
-		return nil, fmt.Errorf("central: shard count 0 is not a power of two in [1, 4096]")
-	}
-	st, err := store.NewMem(nShards)
+	st, err := store.NewMem(DefaultShards)
 	if err != nil {
 		return nil, err
 	}
@@ -135,15 +119,6 @@ func (s *Server) S() int { return s.s }
 // Store returns the underlying record store (for stats surfaces that
 // need store-specific interfaces, e.g. the block-cache counters).
 func (s *Server) Store() store.Store { return s.st }
-
-// Shards returns the resident tier's shard count (1 when the store does
-// not shard).
-func (s *Server) Shards() int {
-	if sh, ok := s.st.(interface{ Shards() int }); ok {
-		return sh.Shards()
-	}
-	return 1
-}
 
 // CloseStore releases the store's OS resources (mappings, files). The
 // server must not be used afterwards.

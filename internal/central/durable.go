@@ -64,8 +64,8 @@ type Durable struct {
 // newer log segments are replayed. checkpointEvery > 0 compacts the log
 // automatically after that many ingested records; pass 0 to checkpoint
 // only explicitly (e.g. on shutdown).
-func OpenDurable(dir string, s, shards int, opts wal.Options, checkpointEvery int) (*Durable, error) {
-	srv, err := NewServerSharded(s, shards)
+func OpenDurable(dir string, s int, opts wal.Options, checkpointEvery int) (*Durable, error) {
+	srv, err := NewServer(s)
 	if err != nil {
 		return nil, err
 	}

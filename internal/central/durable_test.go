@@ -114,7 +114,7 @@ func estimates(t *testing.T, s *Server) []float64 {
 
 func openDurable(t *testing.T, dir string, every int) *Durable {
 	t.Helper()
-	d, err := OpenDurable(dir, 3, DefaultShards, wal.Options{Sync: wal.SyncAlways, SegmentSize: 1 << 16}, every)
+	d, err := OpenDurable(dir, 3, wal.Options{Sync: wal.SyncAlways, SegmentSize: 1 << 16}, every)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,27 +7,20 @@ import (
 	"testing"
 
 	"ptm/internal/record"
+	"ptm/internal/store"
 	"ptm/internal/vhash"
 )
 
+// TestNewServerShardedValidation: NewServer shards its resident store
+// DefaultShards ways. Which shard counts a store accepts is
+// store.NewMem's contract (TestMemShardCountValidation).
 func TestNewServerShardedValidation(t *testing.T) {
-	for _, n := range []int{0, -1, 3, 12, 1 << 13} {
-		if _, err := NewServerSharded(3, n); err == nil {
-			t.Errorf("shard count %d accepted", n)
-		}
+	srv, err := NewServer(3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range []int{1, 2, 16, 1 << 12} {
-		srv, err := NewServerSharded(3, n)
-		if err != nil {
-			t.Errorf("shard count %d rejected: %v", n, err)
-			continue
-		}
-		if srv.Shards() != n {
-			t.Errorf("Shards() = %d, want %d", srv.Shards(), n)
-		}
-	}
-	if srv, err := NewServer(3); err != nil || srv.Shards() != DefaultShards {
-		t.Errorf("NewServer: %v, shards %d", err, srv.Shards())
+	if n := srv.Store().(*store.Mem).Shards(); n != DefaultShards {
+		t.Errorf("NewServer: %d shards, want %d", n, DefaultShards)
 	}
 }
 
@@ -36,7 +29,11 @@ func TestNewServerShardedValidation(t *testing.T) {
 func TestSnapshotShardCountIndependent(t *testing.T) {
 	var snaps [][]byte
 	for _, n := range []int{1, 4, 64} {
-		srv, err := NewServerSharded(3, n)
+		st, err := store.NewMem(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServerWithStore(3, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +65,7 @@ func TestConcurrentUploadQuerySoak(t *testing.T) {
 		writers = 8
 		perLoc  = 40
 	)
-	srv, err := NewServerSharded(3, 16)
+	srv, err := NewServer(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,52 +138,4 @@ func TestConcurrentUploadQuerySoak(t *testing.T) {
 	if st := srv.Stats(); st.Records != 0 || st.Locations != 0 {
 		t.Errorf("store not empty after drop: %+v", st)
 	}
-}
-
-// benchParallelIngest drives concurrent ingest of Table I-scale records
-// against a store; every goroutine writes distinct locations, the
-// paper's deployment shape (one RSU per location).
-func benchParallelIngest(b *testing.B, srv *Server) {
-	b.Helper()
-	tmpl, err := record.New(1, 1, 1<<16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var next atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		loc := vhash.LocationID(next.Add(1) << 32)
-		p := record.PeriodID(0)
-		for pb.Next() {
-			p++
-			if p > 1<<20 {
-				loc++
-				p = 1
-			}
-			r := &record.Record{Location: loc, Period: p, Bitmap: tmpl.Bitmap}
-			if err := srv.Ingest(r); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkStoreGlobal is the pre-sharding baseline: one shard, i.e. a
-// single global RWMutex over the whole store.
-func BenchmarkStoreGlobal(b *testing.B) {
-	srv, err := NewServerSharded(3, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchParallelIngest(b, srv)
-}
-
-// BenchmarkStoreSharded is the same workload over 64 shards.
-func BenchmarkStoreSharded(b *testing.B) {
-	srv, err := NewServerSharded(3, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchParallelIngest(b, srv)
 }

@@ -68,22 +68,3 @@ func TestSoakCityScale(t *testing.T) {
 		t.Errorf("store not empty: %+v", st)
 	}
 }
-
-// BenchmarkIngest measures store insertion of Table I-scale records.
-func BenchmarkIngest(b *testing.B) {
-	s, err := NewServer(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec, err := record.New(1, 1, 1<<16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := &record.Record{Location: vhash.LocationID(i), Period: 1, Bitmap: rec.Bitmap}
-		if err := s.Ingest(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -38,7 +38,7 @@ type testNode struct {
 func startNode(t *testing.T, id string) *testNode {
 	t.Helper()
 	dir := t.TempDir()
-	d, err := central.OpenDurable(dir, testS, central.DefaultShards,
+	d, err := central.OpenDurable(dir, testS,
 		wal.Options{Sync: wal.SyncAlways, SegmentSize: 1 << 14}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestClusterFailoverAndReviveNoAckedLoss(t *testing.T) {
 
 	// Revive: restart the victim over the same WAL (kill -9 semantics:
 	// reopen and recover), then push a ring returning it to Up.
-	d2, err := central.OpenDurable(victim.dir, testS, central.DefaultShards,
+	d2, err := central.OpenDurable(victim.dir, testS,
 		wal.Options{Sync: wal.SyncAlways, SegmentSize: 1 << 14}, 0)
 	if err != nil {
 		t.Fatalf("reopening victim WAL: %v", err)

@@ -30,7 +30,7 @@ type testNode struct {
 func startNode(t testing.TB, id string) *testNode {
 	t.Helper()
 	dir := t.TempDir()
-	d, err := central.OpenDurable(dir, testS, central.DefaultShards,
+	d, err := central.OpenDurable(dir, testS,
 		wal.Options{Sync: wal.SyncAlways, SegmentSize: 1 << 14}, 0)
 	if err != nil {
 		t.Fatal(err)

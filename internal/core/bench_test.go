@@ -5,8 +5,8 @@ package core
 // paper's evaluation. The "materialized" arms run the differential
 // harness's reference pipeline (the pre-kernel implementation); the
 // "fused" arms run the shipping kernels with a per-loop JoinScratch, the
-// steady-state serving configuration. `make bench-json` records the
-// results in BENCH_pr3.json.
+// steady-state serving configuration. Run with `go test -run=NONE
+// -bench=. ./internal/core/`.
 
 import (
 	"fmt"
@@ -134,9 +134,9 @@ var estSink *PointResult
 // BenchmarkEstimateCache contrasts a cold point estimation (the cache
 // miss path: full fused join + store) with a warm repeat of the same
 // query (key build + one locked map probe + struct copy). The hit/cold
-// ratio in BENCH_pr8.json is the speedup a dashboard replaying a fixed
-// window sees; acceptance wants hits ≥100× faster than cold at the
-// serving shape (m=2^20, t=10).
+// ratio is the speedup a dashboard replaying a fixed window sees;
+// acceptance wants hits ≥100× faster than cold at the serving shape
+// (m=2^20, t=10).
 func BenchmarkEstimateCache(b *testing.B) {
 	for _, m := range []int{1 << 14, 1 << 20, 1 << 24} {
 		for _, t := range []int{5, 10} {

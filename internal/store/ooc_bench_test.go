@@ -85,8 +85,8 @@ func benchJoin(b *testing.B, st Store) {
 // PTM_BLOCKCACHE_BYTES), and (c) the cold tier with a degenerate
 // 1-byte cache, so every iteration reloads its spans from the mapped
 // segment after madvise(DONTNEED) — the page-fault-bounded floor. The
-// key=value name segments (tier, pagecache, budget, m, t) land in
-// BENCH_pr9.json as structured params via cmd/benchjson.
+// sub-benchmark names carry the parameters as key=value segments (tier,
+// pagecache, budget, m, t).
 func BenchmarkOOCJoin(b *testing.B) {
 	recs := oocRecords(b)
 

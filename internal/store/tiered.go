@@ -223,9 +223,6 @@ func (t *Tiered) Contains(loc vhash.LocationID, p record.PeriodID) bool {
 	return ok
 }
 
-// Shards returns the hot tier's shard count.
-func (t *Tiered) Shards() int { return t.hot.Shards() }
-
 // maybeFreeze freezes the oldest periods when the hot payload exceeds
 // the resident budget. It freezes down to half the budget (hysteresis:
 // a freeze per ingest at the boundary would write one-record segments),

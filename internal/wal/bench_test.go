@@ -7,7 +7,8 @@ import (
 
 // The append path is what sits between an RSU's upload and its Ack, so
 // its cost per sync policy is the ingest plane's durability overhead.
-// Run via `make bench-wal`; the committed baseline is BENCH_pr5.json.
+// Run with `go test -run=NONE -bench=Append ./internal/wal/`; the
+// end-to-end figure is bench/ptmload's wal.append_sync_us.
 
 func benchAppend(b *testing.B, policy SyncPolicy, payload int) {
 	l, err := Open(b.TempDir(), Options{Sync: policy})

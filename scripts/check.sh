@@ -24,12 +24,16 @@
 #   7. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
 #   8. traced pipeline     (each bench/ptmload workload once at full scale
 #                          with -trace 1: answers, exact counts and the
-#                          traced blocking path against the untraced one)
-#   9. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
-#  10. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
+#                          traced blocking path against the untraced one;
+#                          output in $ARTIFACT_DIR/ptmload/<workload>.txt)
+#   9. exact-count gate    (the counts those runs print that repeat run to
+#                          run, against scripts/testdata/counts.golden;
+#                          PTM_UPDATE_GOLDEN=1 rewrites the golden values)
+#  10. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
+#  11. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
 #                          peak-RSS bound + estimates identical to the
 #                          all-resident daemon)
-#  11. cluster smoke       (3-node cluster, R=2: kill -9 the partition
+#  12. cluster smoke       (3-node cluster, R=2: kill -9 the partition
 #                          leader mid-ingest, fail over, revive, join,
 #                          drain — zero acked-record loss and estimates
 #                          byte-identical to a single-node reference)
@@ -84,15 +88,6 @@ go test -race -count=2 -run '^TestPickAndSum$' ./internal/stripe/
 go test -race -count=2 -run '^(TestEstCacheConcurrentQueryIngest|TestDurableCheckpointRacingIngest)$' ./internal/central/
 go test -race -count=2 -run '^(TestTieredConcurrentSoak|TestTieredFreezeRacingRetention|TestFenceNamesRecordSet)$' ./internal/store/
 
-# Archive the committed benchmark baselines (regenerate with `make
-# bench-json` / `make bench-ingest`) next to the lint report so CI
-# surfaces them all.
-for bench in BENCH_*.json; do
-	[ -f "$bench" ] || continue
-	step "archiving $bench -> $ARTIFACT_DIR/"
-	cp "$bench" "$ARTIFACT_DIR/$bench"
-done
-
 step "fuzz smoke ($FUZZTIME per target)"
 # Each fuzz target runs alone: `go test -fuzz` accepts a single match.
 go test -run=NONE -fuzz='^FuzzUnmarshal$' -fuzztime="$FUZZTIME" ./internal/bitmap/
@@ -113,10 +108,43 @@ step "traced pipeline smoke (each ptmload workload once, full scale, -trace 1)"
 # change that sends traced and untraced requests down different paths
 # fails here. The go test suite runs these workloads scaled down, where
 # timing checks are excused. One workload at a time: each sizes itself
-# to the whole machine.
+# to the whole machine. Each run's output goes to a file (not a pipe, so
+# its exit status is not lost) for the count gate below.
+PTMLOAD_DIR="$ARTIFACT_DIR/ptmload"
+mkdir -p "$PTMLOAD_DIR"
 for workload in edge-storm upload-durable query-mix ring-mixed; do
-	go run ./bench/ptmload -workload "$workload" -seconds 2 -trace 1 -dir "$ARTIFACT_DIR/ptmload"
+	status=0
+	go run ./bench/ptmload -workload "$workload" -seconds 2 -trace 1 -dir "$PTMLOAD_DIR" \
+		> "$PTMLOAD_DIR/$workload.txt" || status=$?
+	cat "$PTMLOAD_DIR/$workload.txt"
+	[ "$status" -eq 0 ] || exit "$status"
 done
+
+step "exact-count gate (traced runs against scripts/testdata/counts.golden)"
+# Each golden line is "workload metric value": a count the traced run of
+# that workload prints identically every time (an fsync, a fetched byte,
+# a folded word, a cache hit). A change that moves one fails here; a
+# change meant to move one reruns this script with PTM_UPDATE_GOLDEN=1,
+# which rewrites the values, and commits the diff as its evidence.
+golden=scripts/testdata/counts.golden
+updated=""
+mismatches=0
+while read -r workload metric want; do
+	got="$(awk -v m="$metric" '$1 == "metric" && $2 == m { print $3 }' "$PTMLOAD_DIR/$workload.txt")"
+	updated="$updated$workload $metric ${got:-missing}
+"
+	if [ "$got" != "$want" ]; then
+		printf 'count gate: %s %s = %s, golden %s\n' "$workload" "$metric" "${got:-missing}" "$want" >&2
+		mismatches=$((mismatches + 1))
+	fi
+done < "$golden"
+if [ "${PTM_UPDATE_GOLDEN:-}" = 1 ]; then
+	printf '%s' "$updated" > "$golden"
+	step "rewrote $golden"
+elif [ "$mismatches" -ne 0 ]; then
+	printf 'count gate: %d exact counts moved; if the change means to move them, rerun with PTM_UPDATE_GOLDEN=1 and commit %s\n' "$mismatches" "$golden" >&2
+	exit 1
+fi
 
 step "crash-recovery smoke (WAL-backed centrald, kill -9 mid-stream)"
 scripts/crashsmoke.sh
