@@ -31,6 +31,18 @@ import (
 // redundant log entry; recovery tolerates duplicates, so that costs
 // bytes, never correctness.
 //
+// # Batches
+//
+// A transport UploadBatch or a replication batch marks every record but
+// its last (record.MarkMore). Ingest logs a marked record without
+// waiting for a sync, and the last record's Ingest waits for one sync
+// covering the whole batch, so a batch of N costs N appends and one
+// fsync, and the batch ack still goes out only after that sync. The
+// price is a window: from a marked record's store insert until its
+// batch's closing sync, a query can see a record a crash could still
+// lose. SyncInterval has the same window today, and a lost record was
+// never acked, so its RSU retries and re-sends the same bytes.
+//
 // # Checkpoint ordering
 //
 // A checkpoint drops every sealed log segment, so its snapshot must
@@ -50,6 +62,10 @@ type Durable struct {
 	// checkpointEvery triggers automatic compaction after that many
 	// successful ingests (0 disables automatic checkpoints).
 	checkpointEvery int
+
+	// syncAlways records that the log's policy is wal.SyncAlways: only
+	// then does a batch's last record wait for a sync (Commit).
+	syncAlways bool
 
 	// applying is held shared across each ingest's append and apply, and
 	// exclusively by Checkpoint between seal and snapshot.
@@ -89,7 +105,7 @@ func OpenDurableServer(dir string, srv *Server, opts wal.Options, checkpointEver
 	if err != nil {
 		return nil, err
 	}
-	d := &Durable{Server: srv, log: log, checkpointEvery: checkpointEvery}
+	d := &Durable{Server: srv, log: log, checkpointEvery: checkpointEvery, syncAlways: opts.Sync == wal.SyncAlways}
 	if err := log.Recover(srv.LoadFrom, d.applyEntry); err != nil {
 		//ptmlint:allow errdrop -- the recovery error is what the caller sees; close is best-effort cleanup
 		_ = log.Close()
@@ -116,29 +132,29 @@ func (d *Durable) applyEntry(payload []byte) error {
 // WAL append completed under the log's sync policy, so a nil return
 // means the record survives a crash (SyncAlways) or will within the
 // flush interval (SyncInterval).
+//
+// A record marked by record.MarkMore (a batch decoder's "more of this
+// batch follows") is the exception: it is logged without waiting for a
+// sync and stored, and the batch's unmarked last record commits it.
+// Under SyncAlways an unmarked record returns only after a sync that
+// covers every entry logged so far, on every return path — duplicate,
+// invalid and failed appends included — so a batch of N records costs
+// N appends and one fsync, and a nil (or duplicate) answer for the last
+// record vouches for the whole batch. A failed commit outranks the
+// record's own answer: the batch is not durable, and a duplicate must
+// not read as delivered.
 func (d *Durable) Ingest(rec *record.Record) error {
 	if rec == nil {
 		return record.ErrNilBitmap
 	}
-	if err := rec.Validate(); err != nil {
-		return err
+	more := rec.TakeMore()
+	committed, err := d.ingest(rec, more)
+	if !more && !committed {
+		if cerr := d.Commit(); cerr != nil {
+			return cerr
+		}
 	}
-	// Cheap duplicate pre-check: replayed uploads are common (an RSU
-	// retries every un-acked record), and rejecting them before the
-	// append keeps them out of the log entirely. Contains touches no
-	// cold-tier data — the index alone answers. The racy window
-	// between this check and the insert below only costs a redundant
-	// log entry, which replay tolerates.
-	if d.Server.st.Contains(rec.Location, rec.Period) {
-		return fmt.Errorf("%w: loc=%d period=%d", ErrDuplicate, rec.Location, rec.Period)
-	}
-	blob, err := rec.MarshalBinary()
 	if err != nil {
-		return err
-	}
-	// The auto checkpoint below takes applying exclusively, so it must
-	// run after logAndApply has released its shared hold.
-	if err := d.logAndApply(rec, blob); err != nil {
 		return err
 	}
 	if d.checkpointEvery > 0 {
@@ -161,15 +177,62 @@ func (d *Durable) Ingest(rec *record.Record) error {
 	return nil
 }
 
-// logAndApply appends the record's blob to the log and then inserts the
-// record into the store, holding applying shared across both steps.
-func (d *Durable) logAndApply(rec *record.Record, blob []byte) error {
+// ingest validates, logs and stores one record. committed reports that
+// the record's own append waited on the sync policy, which then covers
+// every entry logged before it.
+func (d *Durable) ingest(rec *record.Record, more bool) (committed bool, err error) {
+	if err := rec.Validate(); err != nil {
+		return false, err
+	}
+	// Cheap duplicate pre-check: replayed uploads are common (an RSU
+	// retries every un-acked record), and rejecting them before the
+	// append keeps them out of the log entirely. Contains touches no
+	// cold-tier data — the index alone answers. The racy window
+	// between this check and the insert below only costs a redundant
+	// log entry, which replay tolerates.
+	if d.Server.st.Contains(rec.Location, rec.Period) {
+		return false, fmt.Errorf("%w: loc=%d period=%d", ErrDuplicate, rec.Location, rec.Period)
+	}
+	blob, err := rec.MarshalBinary()
+	if err != nil {
+		return false, err
+	}
+	// The auto checkpoint in Ingest takes applying exclusively, so it
+	// must run after logAndApply has released its shared hold.
+	return d.logAndApply(rec, blob, more)
+}
+
+// logAndApply appends the record's blob to the log — without waiting
+// for a sync when more records of its batch follow — and then inserts
+// the record into the store, holding applying shared across both
+// steps.
+func (d *Durable) logAndApply(rec *record.Record, blob []byte, more bool) (committed bool, err error) {
 	d.applying.RLock()
 	defer d.applying.RUnlock()
-	if err := d.log.Append(blob); err != nil {
-		return fmt.Errorf("central: logging record: %w", err)
+	appendEntry := d.log.Append
+	if more {
+		appendEntry = d.log.AppendNoSync
 	}
-	return d.Server.Ingest(rec)
+	if err := appendEntry(blob); err != nil {
+		return false, fmt.Errorf("central: logging record: %w", err)
+	}
+	return !more, d.Server.Ingest(rec)
+}
+
+// Commit closes a batch whose last record did not log itself: under
+// SyncAlways it returns once a sync covers every entry logged so far,
+// at no cost when none is pending; under the other policies it returns
+// nil. Ingest calls it for an unmarked record that was not appended; a
+// caller that rejects a batch's last record before Ingest calls it
+// itself.
+func (d *Durable) Commit() error {
+	if !d.syncAlways {
+		return nil
+	}
+	if err := d.log.Sync(); err != nil {
+		return fmt.Errorf("central: committing batch: %w", err)
+	}
+	return nil
 }
 
 // Checkpoint writes the whole store as one segment (SaveTo) and drops

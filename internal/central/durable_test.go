@@ -481,3 +481,92 @@ func TestDurableEmptyStoreCheckpoint(t *testing.T) {
 		t.Fatalf("log prefix survived the checkpoint: %d entries", st.Entries)
 	}
 }
+
+// TestDurableBatchCommitsOnLastRecord pins Ingest's batch contract
+// under SyncAlways: records marked "more follow" are logged without a
+// sync, and the batch's unmarked last record costs exactly one — on
+// every way it can end: appended, rejected as a duplicate, or rejected
+// as invalid before it reaches the log.
+func TestDurableBatchCommitsOnLastRecord(t *testing.T) {
+	d := openDurable(t, t.TempDir(), 0)
+	defer d.Close()
+	period := record.PeriodID(0)
+	fresh := func() *record.Record {
+		period++
+		return mustRecord(t, 5, period, 64)
+	}
+	stored := fresh()
+	if err := d.Ingest(stored); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		last *record.Record
+		want error
+	}{
+		{"appended", fresh(), nil},
+		{"duplicate", stored, ErrDuplicate},
+		{"invalid", &record.Record{Location: 5, Period: 999}, record.ErrNilBitmap},
+	} {
+		before := d.LogStats()
+		for i := 0; i < 7; i++ {
+			rec := fresh()
+			rec.MarkMore()
+			if err := d.Ingest(rec); err != nil {
+				t.Fatalf("%s: marked record %d: %v", tc.name, i, err)
+			}
+			if rec.TakeMore() {
+				t.Fatalf("%s: Ingest left the batch mark on a stored record", tc.name)
+			}
+		}
+		if got := d.LogStats().Syncs - before.Syncs; got != 0 {
+			t.Fatalf("%s: %d syncs before the batch's last record, want 0", tc.name, got)
+		}
+		if err := d.Ingest(tc.last); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: last record err = %v, want %v", tc.name, err, tc.want)
+		}
+		after := d.LogStats()
+		if got := after.Syncs - before.Syncs; got != 1 {
+			t.Fatalf("%s: batch cost %d syncs, want 1", tc.name, got)
+		}
+		wantAppends := int64(7)
+		if tc.want == nil {
+			wantAppends = 8
+		}
+		if got := after.Appends - before.Appends; got != wantAppends {
+			t.Fatalf("%s: batch cost %d appends, want %d", tc.name, got, wantAppends)
+		}
+	}
+	// A last record with nothing pending costs no sync at all.
+	before := d.LogStats().Syncs
+	if err := d.Ingest(stored); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("lone duplicate err = %v", err)
+	}
+	if got := d.LogStats().Syncs - before; got != 0 {
+		t.Fatalf("a duplicate with nothing pending cost %d syncs", got)
+	}
+}
+
+// TestDurableFailedCommitOutranksDuplicate: when the batch's closing
+// sync fails, the last record's answer is that failure even if the
+// record itself is a duplicate — a duplicate reads as "delivered", and
+// the batch is not durable.
+func TestDurableFailedCommitOutranksDuplicate(t *testing.T) {
+	d := openDurable(t, t.TempDir(), 0)
+	stored := mustRecord(t, 6, 1, 64)
+	if err := d.Ingest(stored); err != nil {
+		t.Fatal(err)
+	}
+	marked := mustRecord(t, 6, 2, 64)
+	marked.MarkMore()
+	if err := d.Ingest(marked); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Log().Close(); err != nil {
+		t.Fatal(err)
+	}
+	err := d.Ingest(stored)
+	if err == nil || errors.Is(err, ErrDuplicate) || !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("closing duplicate over a failed commit: err = %v, want the commit failure", err)
+	}
+}

@@ -159,25 +159,42 @@ func (n *Node) Ring() *Ring {
 // ring installed, only the partition leader accepts uploads — followers
 // reject with a NotLeaderPrefix error naming the leader so the router
 // can re-route; a leaderless partition (down, unpromoted primary)
-// rejects with ErrNoLeader until `ptmcluster failover`.
+// rejects with ErrNoLeader until `ptmcluster failover`. A rejected
+// record that closes its batch (not marked by record.MarkMore) still
+// commits the batch's earlier records, as Durable.Ingest would have.
 func (n *Node) Ingest(rec *record.Record) error {
 	if rec == nil {
 		return record.ErrNilBitmap
 	}
+	if err := n.gate(rec); err != nil {
+		if !rec.TakeMore() {
+			if cerr := n.Durable.Commit(); cerr != nil {
+				return cerr
+			}
+		}
+		return err
+	}
+	return n.Durable.Ingest(rec)
+}
+
+// gate is the leader check: nil when no ring is installed or this node
+// leads rec's partition.
+func (n *Node) gate(rec *record.Record) error {
 	n.mu.Lock()
 	r := n.ring
 	n.mu.Unlock()
-	if r != nil {
-		leader, err := r.Leader(rec.Location)
-		if err != nil {
-			return err
-		}
-		if leader.ID != n.cfg.ID {
-			return fmt.Errorf("%s for location %d: leader is %s@%s (epoch %d)",
-				NotLeaderPrefix, rec.Location, leader.ID, leader.Addr, r.Epoch)
-		}
+	if r == nil {
+		return nil
 	}
-	return n.Durable.Ingest(rec)
+	leader, err := r.Leader(rec.Location)
+	if err != nil {
+		return err
+	}
+	if leader.ID != n.cfg.ID {
+		return fmt.Errorf("%s for location %d: leader is %s@%s (epoch %d)",
+			NotLeaderPrefix, rec.Location, leader.ID, leader.Addr, r.Epoch)
+	}
+	return nil
 }
 
 // Close stops the shipper and closes peer connections. It does NOT
@@ -284,7 +301,10 @@ func (n *Node) handleRingSet(payload []byte) []byte {
 // handleReplBatch applies a replication batch. Application bypasses the
 // leader gate — replication is how non-leaders legitimately receive
 // records — and goes through the durable store, so replicated records
-// get the same WAL durability as uploaded ones. Duplicates are counted
+// get the same WAL durability as uploaded ones. Every record but the
+// last is marked (record.MarkMore), so the batch costs one fsync, taken
+// by the last record's Ingest; a batch cut short by a failure commits
+// what it logged before the error ack goes out. Duplicates are counted
 // and skipped: immutable deduplicated records make redelivery free.
 func (n *Node) handleReplBatch(payload []byte) []byte {
 	h, batch, err := decodeReplBatch(payload)
@@ -295,6 +315,9 @@ func (n *Node) handleReplBatch(payload []byte) []byte {
 	if err != nil {
 		return encodeReplAck(replAck{Err: err.Error()})
 	}
+	for _, rec := range recs[:len(recs)-1] {
+		rec.MarkMore()
+	}
 	appliedN, dups := 0, 0
 	for _, rec := range recs {
 		switch err := n.Durable.Ingest(rec); {
@@ -303,6 +326,7 @@ func (n *Node) handleReplBatch(payload []byte) []byte {
 		case errors.Is(err, central.ErrDuplicate):
 			dups++
 		default:
+			err = errors.Join(err, n.Durable.Commit())
 			return encodeReplAck(replAck{Err: err.Error(), Applied: appliedN, Dups: dups})
 		}
 	}

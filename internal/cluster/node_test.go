@@ -585,3 +585,86 @@ func TestReplBatchDuplicateAndAppliedTracking(t *testing.T) {
 		t.Fatalf("fetched %v/%v, want %v/%v", recs[0].Location, recs[0].Period, rec.Location, rec.Period)
 	}
 }
+
+// replFrame frames records as a replication batch from peer "b".
+func replFrame(t *testing.T, recs []*record.Record) []byte {
+	t.Helper()
+	batch, err := transport.EncodeRecordBatch(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := encodeReplBatch(replHeader{From: "b", Epoch: 1, Through: 1}, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// TestReplBatchOneSyncPerBatch: a follower commits a shipped batch of 8
+// with one WAL sync, and a full redelivery of it acks OK without one.
+func TestReplBatchOneSyncPerBatch(t *testing.T) {
+	a := startNode(t, "a")
+	recs := make([]*record.Record, 8)
+	for i := range recs {
+		recs[i] = testRecord(t, 3, i+1, 64)
+	}
+	payload := replFrame(t, recs)
+	for _, tc := range []struct {
+		name                 string
+		applied, dups, syncs int
+	}{
+		{"first delivery", 8, 0, 1},
+		{"redelivery", 0, 8, 0},
+	} {
+		before := a.node.LogStats()
+		_, resp, _ := a.node.HandleFrame(transport.MsgReplBatch, payload)
+		ack, err := decodeReplAck(resp)
+		if err != nil || !ack.OK || ack.Applied != tc.applied || ack.Dups != tc.dups {
+			t.Fatalf("%s: ack = %+v, %v", tc.name, ack, err)
+		}
+		if got := a.node.LogStats().Syncs - before.Syncs; got != int64(tc.syncs) {
+			t.Fatalf("%s: cost %d syncs, want %d", tc.name, got, tc.syncs)
+		}
+	}
+}
+
+// TestLeaderGateRejectingLastRecordCommitsBatch: when the leader gate
+// rejects a batch's last record, the records before it are still
+// committed with the batch's one sync, and the ack reports none
+// accepted (the closing record failed).
+func TestLeaderGateRejectingLastRecordCommitsBatch(t *testing.T) {
+	a, b := startNode(t, "a"), startNode(t, "b")
+	r := ringOf(1, 1, a, b)
+	pushRing(t, r, a, b)
+	nodes := map[string]*testNode{"a": a, "b": b}
+	own, foreign := -1, -1
+	for loc := 1; own < 0 || foreign < 0; loc++ {
+		if leaderOf(t, r, nodes, loc) == a {
+			own = loc
+		} else {
+			foreign = loc
+		}
+	}
+	recs := make([]*record.Record, 8)
+	for i := 0; i < 7; i++ {
+		recs[i] = testRecord(t, own, i+1, 64)
+	}
+	recs[7] = testRecord(t, foreign, 1, 64)
+	c, err := transport.Dial(a.addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before := a.node.LogStats()
+	accepted, err := c.UploadBatch(recs)
+	if !IsNotLeader(err) || accepted != 0 {
+		t.Fatalf("UploadBatch = %d, %v; want 0 accepted and a not-leader error", accepted, err)
+	}
+	after := a.node.LogStats()
+	if got := after.Appends - before.Appends; got != 7 {
+		t.Fatalf("batch logged %d records, want 7", got)
+	}
+	if got := after.Syncs - before.Syncs; got != 1 {
+		t.Fatalf("batch cost %d syncs, want 1: the gate must commit the records before it", got)
+	}
+}

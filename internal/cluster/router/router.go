@@ -21,7 +21,6 @@ package router
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -355,7 +354,7 @@ func (r *Router) UploadBatch(recs []*record.Record) (int, error) {
 			case cluster.IsNotLeader(err), cluster.IsLeaderless(err):
 				retry = append(retry, group...)
 				lastErr = err
-			case isDuplicate(err):
+			case transport.IsDuplicate(err):
 				// Everything in the group is already stored (or was
 				// stored by the partial attempt this retry repeats).
 				accepted += len(group)
@@ -373,12 +372,6 @@ func (r *Router) UploadBatch(recs []*record.Record) (int, error) {
 			len(remaining), maxUploadAttempts, lastErr)
 	}
 	return accepted, nil
-}
-
-// isDuplicate matches the store's duplicate sentinel through transport
-// wrapping.
-func isDuplicate(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "already stored")
 }
 
 // queryCandidates orders the replicas to ask for loc: leader first,

@@ -24,6 +24,11 @@ type Record struct {
 	Location vhash.LocationID
 	Period   PeriodID
 	Bitmap   *bitmap.Bitmap
+
+	// more marks a record decoded from a batch that has records after
+	// it. It never leaves the process: the codec neither writes nor
+	// reads it.
+	more bool
 }
 
 // Validation and codec errors.
@@ -43,6 +48,21 @@ func New(loc vhash.LocationID, period PeriodID, m int) (*Record, error) {
 		return nil, fmt.Errorf("record: sizing bitmap: %w", err)
 	}
 	return &Record{Location: loc, Period: period, Bitmap: b}, nil
+}
+
+// MarkMore notes that more records of this record's batch follow it.
+// Only the code that decoded a batch marks its records, every one but
+// the last; a durable store then logs a marked record without waiting
+// for a sync and lets the batch's last record wait for one sync that
+// covers them all.
+func (r *Record) MarkMore() { r.more = true }
+
+// TakeMore reports whether MarkMore marked the record, and clears the
+// mark, so a record the store keeps carries none.
+func (r *Record) TakeMore() bool {
+	more := r.more
+	r.more = false
+	return more
 }
 
 // Validate checks structural invariants.

@@ -22,6 +22,7 @@ import (
 // segment drop re-sends the batch on the next drain. The central server
 // rejects the replays as duplicates, which the drainer treats as
 // delivered — see Drain.
+//
 // Lock order: drainMu is taken before mu (Drain holds drainMu across
 // the seal → send → drop cycle and briefly takes mu to adjust pending);
 // mu is never held across I/O.
@@ -69,18 +70,34 @@ func (s *Spool) Pending() int {
 	return s.pending
 }
 
+// drainChunkBytes bounds the UploadBatch payload of one drain chunk:
+// the frame limit less the batch's 4-byte record count. Each record
+// adds its 4-byte length and its blob.
+const drainChunkBytes = transport.MaxFrameSize - 4
+
 // Drain makes one delivery attempt: it seals the log (so concurrent
 // Enqueues land in a fresh segment), reads every sealed record, hands
-// them to send in one batch, and drops the sealed segments once send
-// reports success. It returns how many records were delivered.
+// them to send in batches that fit one UploadBatch frame (at most
+// transport.MaxBatchRecords records and MaxFrameSize bytes each), and
+// drops the sealed segments once every batch is delivered. It returns
+// how many records were delivered.
 //
 // send is typically a transport.Client UploadBatch wrapper. A
-// *transport.RemoteError counts as delivered: the server saw the batch
-// and rejected individual records at the application level — almost
-// always duplicates from a batch whose ack was lost — so retrying the
-// same bytes can never succeed and would wedge the spool. Transport
-// failures leave the segments in place for the next attempt.
+// *transport.RemoteError that names a duplicate (transport.IsDuplicate)
+// counts as delivered: the server already holds those records —
+// almost always a batch whose ack was lost — so retrying the same bytes
+// can never succeed and would wedge the spool. Any other failure,
+// remote ones included (a server whose log failed answers with a
+// RemoteError too), leaves the segments in place for the next attempt,
+// which re-sends every batch; the server rejects the ones it already
+// holds as duplicates.
 func (s *Spool) Drain(send func([]*record.Record) (int, error)) (int, error) {
+	return s.drain(send, transport.MaxBatchRecords, drainChunkBytes)
+}
+
+// drain is Drain with the batch bounds as parameters, so a test can
+// split a small backlog.
+func (s *Spool) drain(send func([]*record.Record) (int, error), maxRecords, maxBytes int) (int, error) {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	sealed, err := s.log.Seal()
@@ -88,12 +105,14 @@ func (s *Spool) Drain(send func([]*record.Record) (int, error)) (int, error) {
 		return 0, fmt.Errorf("rsu: sealing spool: %w", err)
 	}
 	var recs []*record.Record
+	var sizes []int // each record's share of a batch payload
 	err = s.log.ReplayThrough(sealed, func(payload []byte) error {
 		rec, err := record.Unmarshal(payload)
 		if err != nil {
 			return fmt.Errorf("rsu: decoding spooled record: %w", err)
 		}
 		recs = append(recs, rec)
+		sizes = append(sizes, 4+len(payload))
 		return nil
 	})
 	if err != nil {
@@ -102,8 +121,16 @@ func (s *Spool) Drain(send func([]*record.Record) (int, error)) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	if _, err := send(recs); err != nil && !transport.IsRemote(err) {
-		return 0, err
+	for start := 0; start < len(recs); {
+		end, bytes := start+1, sizes[start]
+		for end < len(recs) && end-start < maxRecords && bytes+sizes[end] <= maxBytes {
+			bytes += sizes[end]
+			end++
+		}
+		if _, err := send(recs[start:end]); err != nil && !transport.IsDuplicate(err) {
+			return 0, err
+		}
+		start = end
 	}
 	if err := s.log.DropThrough(sealed); err != nil {
 		return 0, fmt.Errorf("rsu: dropping delivered segments: %w", err)

@@ -2,12 +2,16 @@ package rsu
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"testing"
 	"time"
 
+	"ptm/internal/central"
 	"ptm/internal/record"
 	"ptm/internal/transport"
 	"ptm/internal/vhash"
+	"ptm/internal/wal"
 )
 
 func spoolRecord(t *testing.T, loc vhash.LocationID, p record.PeriodID) *record.Record {
@@ -84,25 +88,171 @@ func TestSpoolTransportFailureKeepsRecords(t *testing.T) {
 	}
 }
 
+// spoolServer serves store over loopback TCP and returns a client.
+func spoolServer(t *testing.T, store transport.Store) *transport.Client {
+	t.Helper()
+	srv, err := transport.NewServer(store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	c, err := transport.Dial(ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	return c
+}
+
 func TestSpoolRemoteErrorCountsAsDelivered(t *testing.T) {
 	s, err := OpenSpool(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Enqueue(spoolRecord(t, 4, 1)); err != nil {
+	rec := spoolRecord(t, 4, 1)
+	if err := s.Enqueue(rec); err != nil {
 		t.Fatal(err)
 	}
-	// The server says "duplicate": the record is already there, so the
-	// spool must drop it rather than retry forever.
-	n, err := s.Drain(func(recs []*record.Record) (int, error) {
-		return 0, &transport.RemoteError{Msg: "central: duplicate record"}
-	})
+	// A real server already holds the record, so it answers "duplicate":
+	// the spool must drop it rather than retry forever.
+	srv, err := central.NewServer(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Ingest(spoolRecord(t, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	c := spoolServer(t, srv)
+	n, err := s.Drain(c.UploadBatch)
 	if err != nil || n != 1 {
-		t.Fatalf("Drain = %d, %v; RemoteError should count as delivered", n, err)
+		t.Fatalf("Drain = %d, %v; a duplicate RemoteError should count as delivered", n, err)
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0", s.Pending())
+	}
+}
+
+// walFailingStore answers every Ingest the way a server whose WAL fsync
+// failed does.
+type walFailingStore struct{ *central.Server }
+
+func (walFailingStore) Ingest(*record.Record) error {
+	return errors.New("central: logging record: wal: fsync: input/output error")
+}
+
+// TestSpoolServerDurabilityFailureKeepsRecords: a RemoteError that does
+// not name a duplicate — a server whose log failed — means the records
+// are not stored, so Drain must keep them for the next attempt.
+func TestSpoolServerDurabilityFailureKeepsRecords(t *testing.T) {
+	s, err := OpenSpool(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for p := 1; p <= 8; p++ {
+		if err := s.Enqueue(spoolRecord(t, 4, record.PeriodID(p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := central.NewServer(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := spoolServer(t, walFailingStore{srv})
+	n, err := s.Drain(c.UploadBatch)
+	if !transport.IsRemote(err) || n != 0 {
+		t.Fatalf("Drain = %d, %v; want 0 delivered and the server's error", n, err)
+	}
+	if got := s.Pending(); got != 8 {
+		t.Fatalf("Pending = %d after a server durability failure, want 8", got)
+	}
+}
+
+// TestSpoolDrainChunksBacklog: a backlog over one batch's bounds goes
+// out in several UploadBatch calls, each committed by one server fsync,
+// and the sealed segments are dropped only once every batch is in. A
+// failure part-way keeps the whole backlog; the retry re-sends it and
+// the batches already stored count as duplicates.
+func TestSpoolDrainChunksBacklog(t *testing.T) {
+	s, err := OpenSpool(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 10
+	for p := 1; p <= n; p++ {
+		if err := s.Enqueue(spoolRecord(t, 4, record.PeriodID(p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := central.OpenDurable(t.TempDir(), 3, wal.Options{Sync: wal.SyncAlways}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	c := spoolServer(t, d)
+
+	var sizes []int
+	calls := 0
+	cut := errors.New("connection reset")
+	send := func(recs []*record.Record) (int, error) {
+		if calls++; calls == 3 {
+			return 0, cut
+		}
+		sizes = append(sizes, len(recs))
+		return c.UploadBatch(recs)
+	}
+	if got, err := s.drain(send, 3, drainChunkBytes); !errors.Is(err, cut) || got != 0 {
+		t.Fatalf("interrupted drain = %d, %v", got, err)
+	}
+	if got := s.Pending(); got != n {
+		t.Fatalf("Pending = %d after an interrupted drain, want %d", got, n)
+	}
+
+	sizes, calls = nil, 10
+	before := d.LogStats()
+	if got, err := s.drain(send, 3, drainChunkBytes); err != nil || got != n {
+		t.Fatalf("drain = %d, %v", got, err)
+	}
+	if want := []int{3, 3, 3, 1}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Fatalf("batch sizes = %v, want %v", sizes, want)
+	}
+	after := d.LogStats()
+	// The first two batches were stored before the cut: re-sent, they
+	// are duplicates and append nothing. The last two cost one sync each.
+	if got := after.Syncs - before.Syncs; got != 2 {
+		t.Fatalf("drain cost %d server syncs, want 2 (one per new batch)", got)
+	}
+	if got := after.Appends - before.Appends; got != n-6 {
+		t.Fatalf("drain cost %d server appends, want %d", got, n-6)
+	}
+	if s.Pending() != 0 || len(d.Periods(4)) != n {
+		t.Fatalf("Pending = %d, server holds %d periods; want 0 and %d", s.Pending(), len(d.Periods(4)), n)
+	}
+
+	// The byte budget splits too: each record's share is its blob plus
+	// a 4-byte length, and two fit in the budget below.
+	for p := n + 1; p <= n+5; p++ {
+		if err := s.Enqueue(spoolRecord(t, 4, record.PeriodID(p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := spoolRecord(t, 4, 1).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes = nil
+	if got, err := s.drain(send, transport.MaxBatchRecords, 2*(4+len(blob))); err != nil || got != 5 {
+		t.Fatalf("byte-bounded drain = %d, %v", got, err)
+	}
+	if want := []int{2, 2, 1}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Fatalf("byte-bounded batch sizes = %v, want %v", sizes, want)
 	}
 }
 

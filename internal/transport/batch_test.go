@@ -3,12 +3,16 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"ptm/internal/central"
 	"ptm/internal/record"
 	"ptm/internal/vhash"
+	"ptm/internal/wal"
 )
 
 func makeBatch(t testing.TB, n int) []*record.Record {
@@ -210,5 +214,132 @@ func TestUploadBatchEmptyRejectedClientSide(t *testing.T) {
 	_, client := newTestStack(t)
 	if _, err := client.UploadBatch(nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("empty batch err = %v", err)
+	}
+}
+
+// durableStack serves a SyncAlways central.Durable, optionally wrapped,
+// over loopback TCP.
+func durableStack(t *testing.T, wrap func(*central.Durable) Store) (*central.Durable, *Client) {
+	t.Helper()
+	d, err := central.OpenDurable(t.TempDir(), 3, wal.Options{Sync: wal.SyncAlways}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var store Store = d
+	if wrap != nil {
+		store = wrap(d)
+	}
+	srv, err := NewServer(store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() {
+		_ = srv.Close()
+		_ = d.Close()
+	})
+	client, err := Dial(ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = client.Close() })
+	return d, client
+}
+
+// TestUploadBatchOneSyncPerBatch: a durable store commits an UploadBatch
+// of 8 with exactly one WAL sync (one per record before batches marked
+// their records), and the ack still follows that sync. A batch whose
+// last record is a duplicate costs the same single sync and names that
+// record.
+func TestUploadBatchOneSyncPerBatch(t *testing.T) {
+	d, client := durableStack(t, nil)
+	recs := makeBatch(t, 16)
+
+	before := d.LogStats()
+	accepted, err := client.UploadBatch(recs[:8])
+	if err != nil || accepted != 8 {
+		t.Fatalf("UploadBatch = %d, %v", accepted, err)
+	}
+	after := d.LogStats()
+	if got := after.Syncs - before.Syncs; got != 1 {
+		t.Fatalf("batch of 8 cost %d syncs, want 1", got)
+	}
+	if got := after.Appends - before.Appends; got != 8 {
+		t.Fatalf("batch of 8 cost %d appends, want 8", got)
+	}
+
+	if err := client.Upload(recs[15]); err != nil {
+		t.Fatal(err)
+	}
+	before = d.LogStats()
+	accepted, err = client.UploadBatch(recs[8:])
+	if !IsDuplicate(err) || !strings.Contains(err.Error(), "record 7/8") || accepted != 7 {
+		t.Fatalf("batch ending in a duplicate = %d, %v; want 7 accepted and record 7/8 named", accepted, err)
+	}
+	if got := d.LogStats().Syncs - before.Syncs; got != 1 {
+		t.Fatalf("batch ending in a duplicate cost %d syncs, want 1", got)
+	}
+	if got := d.Periods(42); len(got) != 16 {
+		t.Fatalf("store holds %d periods, want 16", len(got))
+	}
+}
+
+// failLastStore closes the durable log just before the batch's last
+// record, so the closing sync fails with the first seven records logged
+// but not committed.
+type failLastStore struct {
+	*central.Durable
+	n, last int
+}
+
+func (s *failLastStore) Ingest(rec *record.Record) error {
+	if s.n++; s.n == s.last {
+		if err := s.Log().Close(); err != nil {
+			return err
+		}
+	}
+	return s.Durable.Ingest(rec)
+}
+
+// TestUploadBatchFailedCommitAcceptsNone: when the batch's last record
+// fails with anything but a duplicate — here its commit — the ack
+// reports 0 accepted and that record's error: no record of the batch is
+// known to be durable.
+func TestUploadBatchFailedCommitAcceptsNone(t *testing.T) {
+	_, client := durableStack(t, func(d *central.Durable) Store {
+		return &failLastStore{Durable: d, last: 8}
+	})
+	accepted, err := client.UploadBatch(makeBatch(t, 8))
+	if !IsRemote(err) || IsDuplicate(err) || accepted != 0 {
+		t.Fatalf("UploadBatch = %d, %v; want 0 accepted and a non-duplicate RemoteError", accepted, err)
+	}
+	if !strings.Contains(err.Error(), "record 7/8") || !strings.Contains(err.Error(), wal.ErrClosed.Error()) {
+		t.Fatalf("err = %v, want record 7/8's commit failure", err)
+	}
+}
+
+// TestIsDuplicateMatchesServerMessage: IsDuplicate recognizes the
+// duplicate rejection exactly as a server sends it, single and batched,
+// and nothing else.
+func TestIsDuplicateMatchesServerMessage(t *testing.T) {
+	_, client := newTestStack(t)
+	recs := makeBatch(t, 2)
+	if _, err := client.UploadBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Upload(recs[0]); !IsDuplicate(err) {
+		t.Errorf("single duplicate upload: IsDuplicate(%v) = false", err)
+	}
+	if _, err := client.UploadBatch(recs); !IsDuplicate(err) {
+		t.Errorf("duplicate batch: IsDuplicate(%v) = false", err)
+	}
+	for _, err := range []error{nil, errors.New("connection refused"), &RemoteError{Msg: "central: logging record: wal: fsync: input/output error"}} {
+		if IsDuplicate(err) {
+			t.Errorf("IsDuplicate(%v) = true", err)
+		}
 	}
 }

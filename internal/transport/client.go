@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -376,7 +377,10 @@ func (c *Client) Upload(rec *record.Record) error {
 // the whole batch instead of one per record — and returns how many the
 // server accepted. The server applies every record even when some fail;
 // per-record failures (e.g. one duplicate) surface as a *RemoteError
-// naming the first, with accepted still counting the rest.
+// naming the first, with accepted still counting the rest. When the
+// last record fails with anything but a duplicate, the error names it
+// and accepted is 0: the last record commits the batch, so none of it
+// is known to be durable.
 //
 //ptm:sink transport upload
 func (c *Client) UploadBatch(recs []*record.Record) (accepted int, err error) {
@@ -465,4 +469,17 @@ func (c *Client) ListPeriods(loc vhash.LocationID) ([]record.PeriodID, error) {
 func IsRemote(err error) bool {
 	var re *RemoteError
 	return errors.As(err, &re)
+}
+
+// duplicateText is the tail of the store's duplicate sentinel
+// (store.ErrDuplicate), the one part of it that survives a RemoteError.
+const duplicateText = "already stored"
+
+// IsDuplicate reports whether err, local or carried back as a
+// RemoteError (inside an UploadBatch's "record i/n:" wrapper too),
+// names the store's duplicate rejection: the record is already stored,
+// so the upload counts as delivered. Any other RemoteError — a server
+// whose log failed, say — means the records are not known to be stored.
+func IsDuplicate(err error) bool {
+	return err != nil && strings.Contains(err.Error(), duplicateText)
 }

@@ -21,7 +21,10 @@ import (
 // the record as durable as the store promises.
 type Store interface {
 	// Ingest stores one uploaded record; the Ack is sent iff it
-	// returns nil.
+	// returns nil. The UploadBatch handler marks every record of a
+	// batch but the last (record.MarkMore) and ingests them in order: a
+	// store may defer a marked record's durability to the last record's
+	// Ingest, which must then vouch for the whole batch.
 	Ingest(*record.Record) error
 	// Volume estimates one period's traffic volume (Eq. 1).
 	Volume(vhash.LocationID, record.PeriodID) (float64, error)
@@ -198,13 +201,24 @@ func (s *Server) dispatch(t MsgType, payload []byte) (MsgType, []byte) {
 			return MsgUploadBatchAck, batchResult{ok: false, errMsg: err.Error()}.encode()
 		}
 		// Apply every record even when some fail: one duplicate must not
-		// discard the rest of an RSU's backlog.
+		// discard the rest of an RSU's backlog. Every record but the last
+		// is marked, so a durable store commits the batch with one sync
+		// in the last record's Ingest.
+		for _, rec := range recs[:len(recs)-1] {
+			rec.MarkMore()
+		}
 		var accepted uint32
 		var firstErr error
 		for i, rec := range recs {
 			if err := s.store.Ingest(rec); err != nil {
+				err = fmt.Errorf("record %d/%d: %w", i, len(recs), err)
+				if i == len(recs)-1 && !IsDuplicate(err) {
+					// The closing record failed: no record of the batch
+					// is known to be durable.
+					return MsgUploadBatchAck, batchResult{errMsg: err.Error()}.encode()
+				}
 				if firstErr == nil {
-					firstErr = fmt.Errorf("record %d/%d: %w", i, len(recs), err)
+					firstErr = err
 				}
 				continue
 			}

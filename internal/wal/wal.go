@@ -32,12 +32,15 @@
 // and — under SyncAlways — fsynced. Concurrent appenders share one
 // fsync (group commit): each waits until a sync covering its entry has
 // completed, but only one goroutine at a time issues Fsync, so a burst
-// of N appends costs far fewer than N disk flushes. SyncInterval fsyncs
-// on a timer (bounded data loss, bounded latency); SyncNever leaves
-// flushing to the OS. A failed fsync poisons the log permanently:
-// after a sync error every Append and Sync fails, because the kernel
-// may have dropped the dirty pages and silently retrying would turn
-// "maybe lost" into "acknowledged and lost".
+// of N appends costs far fewer than N disk flushes. One caller can
+// group its own entries the same way: AppendNoSync writes an entry
+// without waiting, and the next Append (or Sync) waits for one fsync
+// that covers it too, so a batch of N entries costs one flush.
+// SyncInterval fsyncs on a timer (bounded data loss, bounded latency);
+// SyncNever leaves flushing to the OS. A failed fsync poisons the log
+// permanently: after a sync error every Append and Sync fails, because
+// the kernel may have dropped the dirty pages and silently retrying
+// would turn "maybe lost" into "acknowledged and lost".
 //
 // # Recovery
 //
@@ -343,11 +346,39 @@ func (l *Log) Stats() Stats {
 //
 //ptm:sink wal append
 func (l *Log) Append(payload []byte) error {
+	seq, err := l.write(payload)
+	if err != nil {
+		return err
+	}
+	if l.opts.Sync == SyncAlways {
+		return l.syncTo(seq)
+	}
+	return nil
+}
+
+// AppendNoSync writes one entry like Append but returns without waiting
+// for a sync, whatever the policy. The entry becomes durable with the
+// next sync that covers it: a later Append's under SyncAlways, an
+// explicit Sync, or the SyncInterval flusher. A batch written as N-1
+// AppendNoSync calls and one closing Append therefore costs one fsync
+// under SyncAlways, and the closing Append's nil is the promise for the
+// whole batch. A write error poisons the log, so the closing Append
+// reports it too.
+//
+//ptm:sink wal append
+func (l *Log) AppendNoSync(payload []byte) error {
+	_, err := l.write(payload)
+	return err
+}
+
+// write frames one entry onto the active segment, rotating first if it
+// would overflow, and returns the entry's sequence number.
+func (l *Log) write(payload []byte) (int64, error) {
 	if len(payload) > MaxEntrySize {
-		return fmt.Errorf("%w: %d bytes", ErrEntryTooBig, len(payload))
+		return 0, fmt.Errorf("%w: %d bytes", ErrEntryTooBig, len(payload))
 	}
 	if err := l.stickyErr(); err != nil {
-		return err
+		return 0, err
 	}
 
 	// Frame outside the lock: the CRC over a large payload must not
@@ -358,25 +389,21 @@ func (l *Log) Append(payload []byte) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if l.segSize > segHeader && l.segSize+entryHdr+int64(len(payload)) > l.opts.SegmentSize {
 		if err := l.rotateLocked(); err != nil {
 			l.mu.Unlock()
-			return err
+			return 0, err
 		}
 	}
-	mySeq, err := l.writeEntryLocked(&hdr, payload)
+	seq, err := l.writeEntryLocked(&hdr, payload)
 	l.mu.Unlock()
 	if err != nil {
 		// A partial write desyncs the entry framing; poison the log.
-		return l.poison(err)
+		return 0, l.poison(err)
 	}
-
-	if l.opts.Sync == SyncAlways {
-		return l.syncTo(mySeq)
-	}
-	return nil
+	return seq, nil
 }
 
 // putEntryHeader encodes one entry's framing — payload length and

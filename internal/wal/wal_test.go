@@ -361,6 +361,129 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
+// TestAppendNoSyncBatchCostsOneSync pins the batch contract: N
+// AppendNoSync calls and one closing Append cost one fsync, the closing
+// Append's sync covers every entry before it, and a Sync with nothing
+// pending costs none.
+func TestAppendNoSyncBatchCostsOneSync(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const n = 7
+	for batch := 0; batch < 3; batch++ {
+		before := l.Stats().Syncs
+		for i := 0; i < n; i++ {
+			if err := l.AppendNoSync(entry(batch*(n+1) + i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := l.Stats().Syncs - before; got != 0 {
+			t.Fatalf("batch %d: %d syncs before the closing append, want 0", batch, got)
+		}
+		if err := l.Append(entry(batch*(n+1) + n)); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Stats().Syncs - before; got != 1 {
+			t.Fatalf("batch %d: %d syncs for %d appends, want 1", batch, got, n+1)
+		}
+		l.syncMu.Lock()
+		synced := l.syncedSeq
+		l.syncMu.Unlock()
+		if want := int64((batch + 1) * (n + 1)); synced != want {
+			t.Fatalf("batch %d: synced through entry %d, want %d", batch, synced, want)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Stats().Syncs - before; got != 1 {
+			t.Fatalf("batch %d: Sync with nothing pending cost a sync (%d total)", batch, got)
+		}
+	}
+	if got := collect(t, l); len(got) != 3*(n+1) {
+		t.Fatalf("replayed %d entries, want %d", len(got), 3*(n+1))
+	}
+}
+
+// TestConcurrentBatchesAtMostOneSyncEach: writers interleaving batches
+// of AppendNoSync entries closed by one Append never cost more than one
+// fsync per batch (two writers' batches may share one), and every entry
+// survives.
+func TestConcurrentBatchesAtMostOneSyncEach(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const workers, batches, size = 4, 25, 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				for i := 0; i < size; i++ {
+					appendEntry := l.AppendNoSync
+					if i == size-1 {
+						appendEntry = l.Append
+					}
+					if err := appendEntry(entry((w*batches+b)*size + i)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := l.Stats()
+	if st.Rotations != 0 {
+		t.Fatalf("%d rotations; the bound below assumes none", st.Rotations)
+	}
+	if st.Syncs > workers*batches {
+		t.Fatalf("syncs = %d for %d batches, want at most one each", st.Syncs, workers*batches)
+	}
+	if got := collect(t, l); len(got) != workers*batches*size {
+		t.Fatalf("replayed %d, want %d", len(got), workers*batches*size)
+	}
+}
+
+// TestAppendNoSyncWriteErrorPoisons: a write failure on a non-waiting
+// append poisons the log, so the batch's closing Append reports it
+// instead of vouching for entries that never reached the file.
+func TestAppendNoSyncWriteErrorPoisons(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendNoSync(entry(0)); err != nil {
+		t.Fatal(err)
+	}
+	// Close the active segment underneath the log: the next write fails.
+	l.mu.Lock()
+	if err := l.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Unlock()
+	werr := l.AppendNoSync(entry(1))
+	if werr == nil {
+		t.Fatal("write to a closed segment succeeded")
+	}
+	if err := l.Append(entry(2)); err == nil || err.Error() != werr.Error() {
+		t.Fatalf("closing append = %v, want the poisoning write error %v", err, werr)
+	}
+	if err := l.Sync(); err == nil || err.Error() != werr.Error() {
+		t.Fatalf("sync after poisoning = %v, want %v", err, werr)
+	}
+	if got := l.Stats().Syncs; got != 0 {
+		t.Fatalf("a poisoned batch cost %d syncs", got)
+	}
+	if err := l.Close(); err == nil {
+		t.Fatal("closing a poisoned log reported no error")
+	}
+}
+
 func TestSyncIntervalFlushes(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{Sync: SyncInterval, Interval: 5 * time.Millisecond})
 	if err != nil {

@@ -15,9 +15,10 @@
 #   5. go test -race       (unit + integration tests under the race
 #                          detector, -shuffle=on to surface order
 #                          dependence between tests)
-#   6. race stress smoke   (the WAL, RSU, DSRC fan-in, stripe,
-#                          estimate-cache, checkpoint-vs-ingest,
-#                          tiered-store and fence-vs-ingest-and-freeze
+#   6. race stress smoke   (the WAL group commit and batch commit, RSU,
+#                          DSRC fan-in, stripe, estimate-cache,
+#                          checkpoint-vs-ingest, tiered-store and
+#                          fence-vs-ingest-and-freeze
 #                          concurrency tests again under -race -count=2 —
 #                          the dynamic complement of the static concguard
 #                          contracts)
@@ -28,7 +29,9 @@
 #                          output in $ARTIFACT_DIR/ptmload/<workload>.txt)
 #   9. exact-count gate    (the counts those runs print that repeat run to
 #                          run, against scripts/testdata/counts.golden;
-#                          PTM_UPDATE_GOLDEN=1 rewrites the golden values)
+#                          PTM_UPDATE_GOLDEN=1 rewrites the golden values;
+#                          then ceilings on counts that vary but stay
+#                          bounded: one fsync per upload batch)
 #  10. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
 #  11. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
 #                          peak-RSS bound + estimates identical to the
@@ -80,8 +83,8 @@ fi
 step "go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-step "race stress smoke (-race -count=2, WAL group commit + RSU/DSRC striped ingest + estimate cache + checkpoint racing ingest + tiered store + fence racing ingest and freeze)"
-go test -race -count=2 -run '^TestGroupCommitConcurrentAppends$' ./internal/wal/
+step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + estimate cache + checkpoint racing ingest + tiered store + fence racing ingest and freeze)"
+go test -race -count=2 -run '^(TestGroupCommitConcurrentAppends|TestConcurrentBatchesAtMostOneSyncEach)$' ./internal/wal/
 go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation|TestDifferentialAtomicVsSequential)$' ./internal/rsu/
 go test -race -count=2 -run '^TestConcurrentSendFanIn$' ./internal/dsrc/
 go test -race -count=2 -run '^TestPickAndSum$' ./internal/stripe/
@@ -145,6 +148,19 @@ elif [ "$mismatches" -ne 0 ]; then
 	printf 'count gate: %d exact counts moved; if the change means to move them, rerun with PTM_UPDATE_GOLDEN=1 and commit %s\n' "$mismatches" "$golden" >&2
 	exit 1
 fi
+# Ceilings: counts that vary run to run but never past a bound. Each
+# upload-durable UploadBatch carries 8 records and is committed by its
+# last record's one fsync; with no rotations (gated above) and no
+# duplicates in the workload, wal.syncs_per_append cannot exceed 1/8.
+while read -r workload metric ceiling; do
+	got="$(awk -v m="$metric" '$1 == "metric" && $2 == m { print $3 }' "$PTMLOAD_DIR/$workload.txt")"
+	if ! awk -v g="$got" -v c="$ceiling" 'BEGIN { exit !(g != "" && g + 0 <= c + 0) }'; then
+		printf 'ceiling gate: %s %s = %s, ceiling %s\n' "$workload" "$metric" "${got:-missing}" "$ceiling" >&2
+		exit 1
+	fi
+done <<'EOF'
+upload-durable wal.syncs_per_append 0.125
+EOF
 
 step "crash-recovery smoke (WAL-backed centrald, kill -9 mid-stream)"
 scripts/crashsmoke.sh
