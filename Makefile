@@ -24,7 +24,7 @@ lint:
 # harvesting dominate lint wall time. Use it as the editor/pre-commit
 # loop; `make lint` and scripts/check.sh remain the full gate.
 lint-fast:
-	$(GO) run ./cmd/ptmlint -rules=cryptorand,pow2size,lockedfields,errdrop,goroutinehygiene ./...
+	$(GO) run ./cmd/ptmlint -rules=cryptorand,pow2size,errdrop,goroutinehygiene ./...
 
 check:
 	scripts/check.sh

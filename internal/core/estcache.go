@@ -25,7 +25,6 @@ package core
 
 import (
 	"container/list"
-	"expvar"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,35 +32,6 @@ import (
 	"ptm/internal/record"
 	"ptm/internal/vhash"
 )
-
-// Process-wide counter totals, aggregated across every EstCache ever
-// constructed and published under expvar ("ptm.estcache.*"). Per-cache
-// counters live on the cache (Stats); these exist so operators get the
-// standard /debug/vars view without the package holding references to
-// individual caches (which would leak short-lived test servers).
-var (
-	estExpvarOnce sync.Once
-
-	estHitsTotal          atomic.Uint64
-	estMissesTotal        atomic.Uint64
-	estInvalidationsTotal atomic.Uint64
-)
-
-// publishEstCacheVars registers the expvar views exactly once, on first
-// cache construction, so merely importing core never claims the names.
-func publishEstCacheVars() {
-	estExpvarOnce.Do(func() {
-		expvar.Publish("ptm.estcache.hits", expvar.Func(func() any {
-			return estHitsTotal.Load()
-		}))
-		expvar.Publish("ptm.estcache.misses", expvar.Func(func() any {
-			return estMissesTotal.Load()
-		}))
-		expvar.Publish("ptm.estcache.invalidations", expvar.Func(func() any {
-			return estInvalidationsTotal.Load()
-		}))
-	})
-}
 
 // DefaultEstCacheEntries is the LRU capacity central servers use unless
 // configured otherwise: at ~200 bytes per entry it bounds the cache near
@@ -132,7 +102,6 @@ func NewEstCache(capacity int) *EstCache {
 	if capacity <= 0 {
 		return nil
 	}
-	publishEstCacheVars()
 	return &EstCache{
 		entries: make(map[estKey]*list.Element, capacity),
 		order:   list.New(),
@@ -228,7 +197,6 @@ func (c *EstCache) lookup(key estKey, periods []record.PeriodID) (estEntry, bool
 	}
 	c.order.MoveToFront(el)
 	c.hits.Add(1)
-	estHitsTotal.Add(1)
 	return *e, true
 }
 
@@ -253,7 +221,6 @@ func (c *EstCache) store(e *estEntry) {
 // countMiss counts one query that the cache could not answer.
 func (c *EstCache) countMiss() {
 	c.misses.Add(1)
-	estMissesTotal.Add(1)
 }
 
 // probe looks a request up under the fences the store's Fence returned.
@@ -351,7 +318,6 @@ func (c *EstCache) PointToPoint(fenceL, fenceLP uint64, setL, setLPrime *record.
 func (c *EstCache) NoteInvalidations(n int) {
 	if c != nil && n > 0 {
 		c.invalidations.Add(uint64(n))
-		estInvalidationsTotal.Add(uint64(n))
 	}
 }
 

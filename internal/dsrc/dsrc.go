@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -148,9 +149,11 @@ func (c *Channel) AttachSink(fn func(Report, stripe.ID)) error {
 }
 
 // Broadcast delivers the beacon to every subscribed vehicle, dropping each
-// copy independently with probability BeaconLoss. Listeners run on the
-// caller's goroutine, outside the channel lock. Beacons are visible to
-// every radio in range: a public sink.
+// copy independently with probability BeaconLoss. Listeners draw their
+// loss decisions in subscription order, so a seeded channel drops the
+// same copies on every run. Listeners run on the caller's goroutine,
+// outside the channel lock. Beacons are visible to every radio in range:
+// a public sink.
 //
 //ptm:sink dsrc broadcast
 func (c *Channel) Broadcast(b Beacon) error {
@@ -159,8 +162,14 @@ func (c *Channel) Broadcast(b Beacon) error {
 		c.mu.Unlock()
 		return ErrClosed
 	}
+	ids := make([]int, 0, len(c.listeners))
+	for id := range c.listeners {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	var deliver []func(Beacon)
-	for _, fn := range c.listeners {
+	for _, id := range ids {
+		fn := c.listeners[id]
 		c.beaconsSent.Add(1)
 		if c.cfg.BeaconLoss > 0 && c.rng.Float64() < c.cfg.BeaconLoss {
 			c.beaconsLost.Add(1)

@@ -122,6 +122,36 @@ func TestLossRates(t *testing.T) {
 	}
 }
 
+// TestSeededLossRepeats pins Config.Seed's promise: two channels with
+// the same seed and the same subscriptions drop the same listeners'
+// copies, beacon for beacon.
+func TestSeededLossRepeats(t *testing.T) {
+	pattern := func() []int {
+		c, err := NewChannel(Config{BeaconLoss: 0.5, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int, 64)
+		for i := range got {
+			if _, err := c.Subscribe(func(Beacon) { got[i]++ }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for b := 0; b < 4; b++ {
+			if err := c.Broadcast(Beacon{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got
+	}
+	first, second := pattern(), pattern()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("listener %d received %d beacons, then %d under the same seed", i, first[i], second[i])
+		}
+	}
+}
+
 func TestClose(t *testing.T) {
 	c, err := NewChannel(Config{})
 	if err != nil {

@@ -29,14 +29,8 @@ func AtomicMix() *Analyzer {
 }
 
 func runAtomicMix(pass *ProgramPass) {
-	m := buildConcguard(pass)
-	if len(m.atomicFields) == 0 && len(m.atomicTyped) == 0 {
-		return
-	}
-	m.buildCallers()
-	excl := m.exclusiveCovered()
-
-	for _, f := range m.sortedFuncs() {
+	m := pass.prog
+	for _, f := range m.sorted {
 		for _, a := range f.accesses {
 			if a.atomicArg || a.rangeKeyOnly {
 				continue
@@ -51,7 +45,7 @@ func runAtomicMix(pass *ProgramPass) {
 			if typed && !inferred && a.addrOf {
 				continue
 			}
-			if excl[f.key] || !m.nonDepPos(a.pos) {
+			if m.exclusive[f.key] || !m.nonDepPos(a.pos) {
 				continue
 			}
 			verb := "read"

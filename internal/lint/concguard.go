@@ -1,14 +1,13 @@
 package lint
 
-// concguard: the shared whole-program model behind the four
-// concurrency-contract rules (lockorder, guardedby, atomicmix, rcu).
+// concguard: the lock summaries behind the four concurrency-contract
+// rules (lockorder, guardedby, atomicmix, rcu).
 //
-// The model is built once per rule invocation from the same loaded
-// program privflow sees: every package (dependencies included) is walked
-// with a flow-sensitive held-lock tracker, producing per-function
-// summaries — direct lock acquisitions, call sites with held-set
-// snapshots, guarded-field accesses, atomic accesses, and RCU
-// loads/stores. The rules then run interprocedural fixed points over the
+// The program model (program.go) walks every function of the loaded
+// program once with the flow-sensitive held-lock tracker below,
+// producing per-function summaries — direct lock acquisitions, call
+// sites with held-set snapshots, guarded-field accesses, atomic
+// accesses, and RCU loads/stores. The rules then run interprocedural fixed points over the
 // summaries: transitive-acquisition chains for lockorder, and
 // greatest-fixed-point "coverage" (is the guard held at every call site,
 // transitively?) for guardedby/atomicmix/rcu.
@@ -46,16 +45,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
-)
-
-// concguard annotation kinds.
-const (
-	factLockOrder = "ptm:lockorder"
-	factGuardedBy = "ptm:guardedby"
-	factRCU       = "ptm:rcu"
-	factExclusive = "ptm:exclusive"
-	factBlocking  = "ptm:blocking"
 )
 
 // lockKey names a lock instance-insensitively: "pkg/path.Type.field" for
@@ -185,24 +174,6 @@ type cgRCUOp struct {
 	bindPos token.Pos
 }
 
-// cgFunc is the per-function summary the walker produces.
-type cgFunc struct {
-	key  string
-	pos  token.Pos
-	decl *ast.FuncDecl // nil for function literals
-	pkg  *Package
-
-	exclusive bool // //ptm:exclusive
-	blocking  bool // //ptm:blocking
-
-	acquires  []cgAcquire
-	calls     []cgCallSite
-	accesses  []cgAccess
-	rcuOps    []cgRCUOp
-	blockPts  []token.Pos // blocking points, in source order
-	usesAfter []objUse    // identifier uses, for rcu retention
-}
-
 // objUse is one identifier use inside a function body.
 type objUse struct {
 	obj types.Object
@@ -213,29 +184,11 @@ type objUse struct {
 type declaredEdge struct {
 	before, after lockKey
 	pos           token.Pos
-	pkg           *Package
 }
 
-// cgModel is the whole-program concurrency model.
-type cgModel struct {
-	pass *ProgramPass
-	fset *token.FileSet
-
-	funcs map[string]*cgFunc // by funcKey (and synthetic literal keys)
-	// callers maps callee funcKey -> call sites referencing it.
-	callers map[string][]callerRef
-	// addressTaken marks functions referenced outside call position:
-	// they have unknown call sites.
-	addressTaken map[string]bool
-
-	declared  []declaredEdge
-	guards    map[string]guardFact // fieldKey -> guard
-	rcuFields map[string]guardFact // fieldKey -> rotation lock
-	// atomicFields are fields address-taken in sync/atomic calls
-	// (inferred), mapped to one representative atomic-access position.
-	atomicFields map[string]token.Pos
-	// atomicTyped are fields whose declared type is a sync/atomic type.
-	atomicTyped map[string]bool
+type callerRef struct {
+	caller string // funcKey of the calling function
+	site   cgCallSite
 }
 
 // guardFact ties a guarded field to its guard lock.
@@ -245,172 +198,6 @@ type guardFact struct {
 	pos     token.Pos
 	owner   string // owning struct's full name, for messages
 	name    string // bare field name
-}
-
-// buildConcguard walks the whole loaded program into a cgModel.
-func buildConcguard(pass *ProgramPass) *cgModel {
-	m := &cgModel{
-		pass:         pass,
-		fset:         pass.Fset,
-		funcs:        make(map[string]*cgFunc),
-		callers:      make(map[string][]callerRef),
-		addressTaken: make(map[string]bool),
-		guards:       make(map[string]guardFact),
-		rcuFields:    make(map[string]guardFact),
-		atomicFields: make(map[string]token.Pos),
-		atomicTyped:  make(map[string]bool),
-	}
-	for _, pkg := range pass.Pkgs {
-		m.collectAnnotations(pkg)
-	}
-	for _, pkg := range pass.Pkgs {
-		m.walkPackage(pkg)
-	}
-	return m
-}
-
-type callerRef struct {
-	caller string // funcKey of the calling function
-	site   cgCallSite
-}
-
-// --- annotation collection -------------------------------------------
-
-// collectAnnotations scans struct declarations for lockorder, guardedby,
-// and rcu facts, and function declarations for exclusive/blocking.
-func (m *cgModel) collectAnnotations(pkg *Package) {
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				fn, _ := pkg.Info.Defs[d.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				key := funcKey(fn)
-				f := m.getFunc(key)
-				f.pkg, f.decl, f.pos = pkg, d, d.Pos()
-				if _, ok := ptmFact(factExclusive, d.Doc); ok {
-					f.exclusive = true
-				}
-				if _, ok := ptmFact(factBlocking, d.Doc); ok {
-					f.blocking = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					m.collectStructFacts(pkg, d, ts, st)
-				}
-			}
-		}
-	}
-}
-
-func (m *cgModel) collectStructFacts(pkg *Package, gd *ast.GenDecl, ts *ast.TypeSpec, st *ast.StructType) {
-	owner := pkg.Path + "." + ts.Name.Name
-
-	fieldType := func(name string) types.Type {
-		for _, fl := range st.Fields.List {
-			for _, n := range fl.Names {
-				if n.Name == name {
-					return pkg.Info.TypeOf(fl.Type)
-				}
-			}
-		}
-		return nil
-	}
-	resolveLock := func(name string, pos token.Pos) (lockKey, bool, bool) {
-		t := fieldType(name)
-		if t == nil {
-			m.pass.Report(pos, nil, "//ptm annotation names %q, which is not a field of %s", name, ts.Name.Name)
-			return "", false, false
-		}
-		rw := isRWMutexType(t)
-		if !rw && !isMutexType(t) {
-			m.pass.Report(pos, nil, "//ptm annotation guard %s.%s is not a sync.Mutex or sync.RWMutex", ts.Name.Name, name)
-			return "", false, false
-		}
-		return lockKey(owner + "." + name), rw, true
-	}
-
-	// lockorder pairs: in the type doc and on any field comment.
-	scanOrder := func(g *ast.CommentGroup) {
-		text, ok := ptmFact(factLockOrder, g)
-		if !ok {
-			return
-		}
-		for _, pair := range strings.Fields(text) {
-			a, b, found := strings.Cut(pair, "<")
-			if !found || a == "" || b == "" {
-				m.pass.Report(g.Pos(), nil, "//%s pair %q is not of the form a<b", factLockOrder, pair)
-				continue
-			}
-			ka, _, okA := resolveLock(a, g.Pos())
-			kb, _, okB := resolveLock(b, g.Pos())
-			if okA && okB {
-				m.declared = append(m.declared, declaredEdge{before: ka, after: kb, pos: g.Pos(), pkg: pkg})
-			}
-		}
-	}
-	scanOrder(gd.Doc)
-	scanOrder(ts.Doc)
-	scanOrder(ts.Comment)
-
-	// The guard name is the first token; anything after it is prose
-	// (e.g. "//ptm:guardedby mu (all entries <= syncedSeq are durable)").
-	firstToken := func(s string) string {
-		if f := strings.Fields(s); len(f) > 0 {
-			return f[0]
-		}
-		return ""
-	}
-	for _, fl := range st.Fields.List {
-		scanOrder(fl.Doc)
-		scanOrder(fl.Comment)
-		if name, ok := ptmFact(factGuardedBy, fl.Doc, fl.Comment); ok {
-			name = firstToken(name)
-			if guard, rw, resolved := resolveLock(name, fl.Pos()); resolved {
-				for _, fn := range fl.Names {
-					m.guards[owner+"."+fn.Name] = guardFact{
-						guard: guard, guardRW: rw, pos: fl.Pos(),
-						owner: owner, name: fn.Name,
-					}
-				}
-			}
-		}
-		if name, ok := ptmFact(factRCU, fl.Doc, fl.Comment); ok {
-			name = firstToken(name)
-			if guard, rw, resolved := resolveLock(name, fl.Pos()); resolved {
-				for _, fn := range fl.Names {
-					m.rcuFields[owner+"."+fn.Name] = guardFact{
-						guard: guard, guardRW: rw, pos: fl.Pos(),
-						owner: owner, name: fn.Name,
-					}
-				}
-			}
-		}
-		if t := pkg.Info.TypeOf(fl.Type); t != nil && isAtomicType(t) {
-			for _, fn := range fl.Names {
-				m.atomicTyped[owner+"."+fn.Name] = true
-			}
-		}
-	}
-}
-
-func (m *cgModel) getFunc(key string) *cgFunc {
-	f, ok := m.funcs[key]
-	if !ok {
-		f = &cgFunc{key: key}
-		m.funcs[key] = f
-	}
-	return f
 }
 
 // --- type helpers -----------------------------------------------------
@@ -504,13 +291,13 @@ func declaringStruct(recv types.Type, v *types.Var) string {
 // lockKeyOf resolves the receiver expression of a Lock/Unlock call (the
 // `l.mu` in `l.mu.Lock()`) to a lock key.
 func lockKeyOf(info *types.Info, enclosing string, e ast.Expr) (lockKey, bool) {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		if key := fieldKeyOf(info, e); key != "" {
 			return lockKey(key), true
 		}
 		// Package-qualified var: pkg.Mu.
-		if id, ok := unparen(e.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
 			if pn, ok := info.Uses[id].(*types.PkgName); ok {
 				return lockKey(pn.Imported().Path() + "." + e.Sel.Name), true
 			}
@@ -562,44 +349,26 @@ func (w *walkState) merge(o *walkState) {
 
 // funcWalker accumulates one function's summary.
 type funcWalker struct {
-	m    *cgModel
-	pkg  *Package
-	fn   *cgFunc
+	m    *program
+	fn   *progFunc
 	info *types.Info
 	// lits queues function literals for analysis as separate roots.
 	lits []*ast.FuncLit
 }
 
-// walkPackage summarizes every function (and function literal) in pkg.
-func (m *cgModel) walkPackage(pkg *Package) {
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			f := m.getFunc(funcKey(fn))
-			f.pkg, f.decl, f.pos = pkg, fd, fd.Pos()
-			w := &funcWalker{m: m, pkg: pkg, fn: f, info: pkg.Info}
-			st := newWalkState()
-			w.walkStmts(fd.Body.List, st)
-			// Function literals run on their own goroutine's schedule (or
-			// at least at unknown call sites): analyze each as a root with
-			// nothing held.
-			for i := 0; i < len(w.lits); i++ {
-				lit := w.lits[i]
-				lf := m.getFunc(f.key + fmt.Sprintf("$lit%d", i+1))
-				lf.pkg, lf.pos = pkg, lit.Pos()
-				lw := &funcWalker{m: m, pkg: pkg, fn: lf, info: pkg.Info}
-				lst := newWalkState()
-				lw.walkStmts(lit.Body.List, lst)
-				w.lits = append(w.lits, lw.lits...)
-			}
-		}
+// walkFunc summarizes a declared function and the function literals in
+// its body. Literals run on their own goroutine's schedule (or at least
+// at unknown call sites): each is analyzed as a root with nothing held.
+func (m *program) walkFunc(f *progFunc) {
+	w := &funcWalker{m: m, fn: f, info: f.pkg.Info}
+	w.walkStmts(f.decl.Body.List, newWalkState())
+	for i := 0; i < len(w.lits); i++ {
+		lit := w.lits[i]
+		lf := &progFunc{key: f.key + fmt.Sprintf("$lit%d", i+1), pos: lit.Pos(), pkg: f.pkg}
+		f.lits = append(f.lits, lf)
+		lw := &funcWalker{m: m, fn: lf, info: f.pkg.Info}
+		lw.walkStmts(lit.Body.List, newWalkState())
+		w.lits = append(w.lits, lw.lits...)
 	}
 }
 
@@ -636,7 +405,7 @@ func (w *funcWalker) walkStmt(s ast.Stmt, st *walkState) {
 			for _, a := range s.Call.Args {
 				w.walkExpr(a, st, false)
 			}
-			if lit, ok := unparen(s.Call.Fun).(*ast.FuncLit); ok {
+			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 				w.lits = append(w.lits, lit)
 			}
 		}
@@ -644,9 +413,9 @@ func (w *funcWalker) walkStmt(s ast.Stmt, st *walkState) {
 		for _, a := range s.Call.Args {
 			w.walkExpr(a, st, false)
 		}
-		if lit, ok := unparen(s.Call.Fun).(*ast.FuncLit); ok {
+		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 			w.lits = append(w.lits, lit)
-		} else if callee := w.staticCallee(s.Call); callee != "" {
+		} else if callee := w.calleeKey(s.Call); callee != "" {
 			w.fn.calls = append(w.fn.calls, cgCallSite{
 				callee: callee, pos: s.Call.Pos(), mustHeld: make(lockSet), goCall: true,
 			})
@@ -777,7 +546,7 @@ func (w *funcWalker) walkRangeExpr(s *ast.RangeStmt, st *walkState) {
 			w.fn.blockPts = append(w.fn.blockPts, s.Pos())
 		}
 	}
-	if sel, ok := unparen(s.X).(*ast.SelectorExpr); ok && s.Value == nil {
+	if sel, ok := ast.Unparen(s.X).(*ast.SelectorExpr); ok && s.Value == nil {
 		if key := fieldKeyOf(w.info, sel); key != "" {
 			w.walkExpr(sel.X, st, false)
 			w.fn.accesses = append(w.fn.accesses, cgAccess{
@@ -792,7 +561,7 @@ func (w *funcWalker) walkRangeExpr(s *ast.RangeStmt, st *walkState) {
 // lockCallKind classifies call as "Lock", "RLock", "Unlock", "RUnlock"
 // on a sync mutex, or "" when it is none of those.
 func (w *funcWalker) lockCallKind(call *ast.CallExpr) string {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
@@ -808,23 +577,10 @@ func (w *funcWalker) lockCallKind(call *ast.CallExpr) string {
 	return sel.Sel.Name
 }
 
-// staticCallee resolves a call's target funcKey when the callee is a
-// declared function or method (not a func value or interface method).
-func (w *funcWalker) staticCallee(call *ast.CallExpr) string {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := w.info.Uses[fun].(*types.Func); ok {
-			return funcKey(f)
-		}
-	case *ast.SelectorExpr:
-		if s, ok := w.info.Selections[fun]; ok && s.Kind() == types.MethodVal {
-			if f, ok := s.Obj().(*types.Func); ok {
-				return funcKey(f)
-			}
-		}
-		if f, ok := w.info.Uses[fun.Sel].(*types.Func); ok {
-			return funcKey(f)
-		}
+// calleeKey is the funcKey of the call's static callee, or "".
+func (w *funcWalker) calleeKey(call *ast.CallExpr) string {
+	if fn, _ := staticCallee(w.info, call); fn != nil {
+		return funcKey(fn)
 	}
 	return ""
 }
@@ -833,11 +589,11 @@ func (w *funcWalker) staticCallee(call *ast.CallExpr) string {
 // method on a sync/atomic type, returning the bare name ("OrUint64",
 // "Load", "Store", ...).
 func (w *funcWalker) atomicCallee(call *ast.CallExpr) (string, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
-	if id, ok := unparen(sel.X).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
 		if pn, ok := w.info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "sync/atomic" {
 			return sel.Sel.Name, true
 		}
@@ -853,7 +609,7 @@ func (w *funcWalker) atomicCallee(call *ast.CallExpr) (string, bool) {
 // the lock-free planes (e.g. an RNG draw under a mutex) is not a grace
 // period. //ptm:blocking extends the set.
 func (w *funcWalker) blockingCall(call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -863,7 +619,7 @@ func (w *funcWalker) blockingCall(call *ast.CallExpr) bool {
 			return true
 		}
 	}
-	if id, ok := unparen(sel.X).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
 		if pn, ok := w.info.Uses[id].(*types.PkgName); ok {
 			p := pn.Imported().Path()
 			if (p == "time" && sel.Sel.Name == "Sleep") || (p == "runtime" && sel.Sel.Name == "Gosched") {
@@ -871,8 +627,8 @@ func (w *funcWalker) blockingCall(call *ast.CallExpr) bool {
 			}
 		}
 	}
-	if callee := w.staticCallee(call); callee != "" {
-		if f, ok := w.m.funcs[callee]; ok && f.blocking {
+	if callee := w.calleeKey(call); callee != "" {
+		if f, ok := w.m.funcs[callee]; ok && f.has(factBlocking) {
 			return true
 		}
 	}
@@ -946,7 +702,7 @@ func (w *funcWalker) walkExpr(e ast.Expr, st *walkState, write bool) {
 func (w *funcWalker) walkCall(call *ast.CallExpr, st *walkState) {
 	// Lock/Unlock on a resolvable mutex expression.
 	if kind := w.lockCallKind(call); kind != "" {
-		sel := unparen(call.Fun).(*ast.SelectorExpr)
+		sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		key, ok := lockKeyOf(w.info, w.fn.key, sel.X)
 		if !ok {
 			return
@@ -974,8 +730,8 @@ func (w *funcWalker) walkCall(call *ast.CallExpr, st *walkState) {
 	// sync/atomic: the field operands are atomic accesses, and annotated
 	// atomic.Pointer fields get rcu op records.
 	if name, ok := w.atomicCallee(call); ok {
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if fsel, ok := unparen(sel.X).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			if fsel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
 				if key := fieldKeyOf(w.info, fsel); key != "" {
 					if _, rcu := w.m.rcuFields[key]; rcu {
 						w.fn.rcuOps = append(w.fn.rcuOps, cgRCUOp{
@@ -993,10 +749,10 @@ func (w *funcWalker) walkCall(call *ast.CallExpr, st *walkState) {
 	}
 
 	// Builtins with access semantics.
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		switch id.Name {
 		case "len", "cap":
-			if sel, ok := unparen(call.Args[0]).(*ast.SelectorExpr); ok {
+			if sel, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr); ok {
 				if key := fieldKeyOf(w.info, sel); key != "" {
 					w.walkExpr(sel.X, st, false)
 					w.fn.accesses = append(w.fn.accesses, cgAccess{
@@ -1026,7 +782,7 @@ func (w *funcWalker) walkCall(call *ast.CallExpr, st *walkState) {
 
 	// Ordinary call: walk the function expression (its base is a read)
 	// and arguments, record blocking-ness and the call site.
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		// Method value receivers and package selectors: record accesses
 		// in the receiver chain, but the selector itself is a method, not
@@ -1041,7 +797,7 @@ func (w *funcWalker) walkCall(call *ast.CallExpr, st *walkState) {
 		w.lits = append(w.lits, fun)
 	case *ast.Ident:
 		// Direct call (or conversion): the callee is resolved via
-		// staticCallee below; an identifier in call position is not an
+		// calleeKey below; an identifier in call position is not an
 		// address-taken function reference.
 	default:
 		w.walkExpr(call.Fun, st, false)
@@ -1054,7 +810,7 @@ func (w *funcWalker) walkCall(call *ast.CallExpr, st *walkState) {
 		// point is the call's end.
 		w.fn.blockPts = append(w.fn.blockPts, call.End())
 	}
-	if callee := w.staticCallee(call); callee != "" {
+	if callee := w.calleeKey(call); callee != "" {
 		w.fn.calls = append(w.fn.calls, cgCallSite{
 			callee: callee, pos: call.Pos(), mustHeld: st.must.clone(),
 		})
@@ -1066,7 +822,7 @@ func (w *funcWalker) walkCall(call *ast.CallExpr, st *walkState) {
 // address-taken operands (`&b.words[i]`).
 func (w *funcWalker) markAtomicOperand(a ast.Expr, st *walkState) {
 	addrOf := false
-	if u, ok := unparen(a).(*ast.UnaryExpr); ok && u.Op == token.AND {
+	if u, ok := ast.Unparen(a).(*ast.UnaryExpr); ok && u.Op == token.AND {
 		addrOf = true
 	}
 	ast.Inspect(a, func(n ast.Node) bool {
@@ -1140,12 +896,12 @@ func (w *funcWalker) recordSelector(sel *ast.SelectorExpr, st *walkState, write,
 // field (possibly through index/slice steps), the field's address
 // escapes and is recorded as an address-taken write.
 func (w *funcWalker) recordAddrOf(e ast.Expr, st *walkState) {
-	base := unparen(e)
+	base := ast.Unparen(e)
 	for {
 		switch b := base.(type) {
 		case *ast.IndexExpr:
 			w.walkExpr(b.Index, st, false)
-			base = unparen(b.X)
+			base = ast.Unparen(b.X)
 			continue
 		case *ast.SliceExpr:
 			for _, x := range []ast.Expr{b.Low, b.High, b.Max} {
@@ -1153,7 +909,7 @@ func (w *funcWalker) recordAddrOf(e ast.Expr, st *walkState) {
 					w.walkExpr(x, st, false)
 				}
 			}
-			base = unparen(b.X)
+			base = ast.Unparen(b.X)
 			continue
 		}
 		break
@@ -1204,15 +960,15 @@ func (w *funcWalker) recordRCUBinding(s *ast.AssignStmt, st *walkState) {
 	if obj == nil {
 		return
 	}
-	call, ok := unparen(s.Rhs[0]).(*ast.CallExpr)
+	call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
 	if !ok {
 		return
 	}
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || (sel.Sel.Name != "Load" && sel.Sel.Name != "Swap") {
 		return
 	}
-	fsel, ok := unparen(sel.X).(*ast.SelectorExpr)
+	fsel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
@@ -1238,28 +994,19 @@ func (w *funcWalker) recordRCUBinding(s *ast.AssignStmt, st *walkState) {
 
 // --- interprocedural coverage ----------------------------------------
 
-// buildCallers indexes call sites by callee.
-func (m *cgModel) buildCallers() {
-	for _, f := range m.funcs {
-		for _, c := range f.calls {
-			m.callers[c.callee] = append(m.callers[c.callee], callerRef{caller: f.key, site: c})
-		}
-	}
-}
-
 // exclusiveCovered computes, for every function, whether all execution
 // paths reaching it come from //ptm:exclusive functions (greatest fixed
 // point: assume covered, knock out).
-func (m *cgModel) exclusiveCovered() map[string]bool {
+func (m *program) exclusiveCovered() map[string]bool {
 	cov := make(map[string]bool, len(m.funcs))
 	for k, f := range m.funcs {
 		// Literal roots and address-taken functions have unknown callers.
-		cov[k] = f.exclusive || (!m.addressTaken[k] && len(m.callers[k]) > 0)
+		cov[k] = f.has(factExclusive) || (!m.addressTaken[k] && len(m.callers[k]) > 0)
 	}
 	for changed := true; changed; {
 		changed = false
 		for k, f := range m.funcs {
-			if !cov[k] || f.exclusive {
+			if !cov[k] || f.has(factExclusive) {
 				continue
 			}
 			for _, ref := range m.callers[k] {
@@ -1274,11 +1021,14 @@ func (m *cgModel) exclusiveCovered() map[string]bool {
 	return cov
 }
 
-// guardCovered computes whether lock g (in mode need) is held on every
-// path into each function: at every call site the guard is in the
-// caller's must-held set, or the caller is itself covered, or the caller
-// runs exclusively. Greatest fixed point.
-func (m *cgModel) guardCovered(g lockKey, need lockMode, exclusive map[string]bool) map[string]bool {
+// covered computes whether lock g (in mode need) is held on every path
+// into each function: at every call site the guard is in the caller's
+// must-held set, or the caller is itself covered, or the caller runs
+// exclusively. Greatest fixed point, memoized per (guard, mode).
+func (m *program) covered(g lockKey, need lockMode) map[string]bool {
+	if cov, ok := m.coverage[guardNeed{g, need}]; ok {
+		return cov
+	}
 	cov := make(map[string]bool, len(m.funcs))
 	for k := range m.funcs {
 		cov[k] = !m.addressTaken[k] && len(m.callers[k]) > 0
@@ -1291,7 +1041,7 @@ func (m *cgModel) guardCovered(g lockKey, need lockMode, exclusive map[string]bo
 			}
 			for _, ref := range m.callers[k] {
 				siteOK := !ref.site.goCall &&
-					(ref.site.mustHeld.holds(g, need) || cov[ref.caller] || exclusive[ref.caller])
+					(ref.site.mustHeld.holds(g, need) || cov[ref.caller] || m.exclusive[ref.caller])
 				if !siteOK {
 					cov[k] = false
 					changed = true
@@ -1300,17 +1050,19 @@ func (m *cgModel) guardCovered(g lockKey, need lockMode, exclusive map[string]bo
 			}
 		}
 	}
+	m.coverage[guardNeed{g, need}] = cov
 	return cov
 }
 
 // uncoveredSite returns one call site that breaks g's coverage of f, for
 // witness paths. Returns the zero ref when none is found.
-func (m *cgModel) uncoveredSite(fk string, g lockKey, need lockMode, cov, exclusive map[string]bool) (callerRef, bool) {
+func (m *program) uncoveredSite(fk string, g lockKey, need lockMode) (callerRef, bool) {
 	if m.addressTaken[fk] {
 		return callerRef{}, false
 	}
+	cov := m.covered(g, need)
 	for _, ref := range m.callers[fk] {
-		if ref.site.goCall || (!ref.site.mustHeld.holds(g, need) && !cov[ref.caller] && !exclusive[ref.caller]) {
+		if ref.site.goCall || (!ref.site.mustHeld.holds(g, need) && !cov[ref.caller] && !m.exclusive[ref.caller]) {
 			return ref, true
 		}
 	}
@@ -1324,37 +1076,10 @@ func shortLock(k lockKey) string {
 	return shortKey(string(k))
 }
 
-// sortedFuncs returns the model's functions ordered by position for
-// deterministic diagnostics.
-func (m *cgModel) sortedFuncs() []*cgFunc {
-	out := make([]*cgFunc, 0, len(m.funcs))
-	for _, f := range m.funcs {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].pos != out[j].pos {
-			return out[i].pos < out[j].pos
-		}
-		return out[i].key < out[j].key
-	})
-	return out
-}
-
 // nonDepPos reports whether pos lies in a non-dependency package, where
 // findings may be anchored.
-func (m *cgModel) nonDepPos(pos token.Pos) bool {
-	name := m.fset.Position(pos).Filename
-	for _, p := range m.pass.Pkgs {
-		if p.Dep {
-			continue
-		}
-		for _, f := range p.fileNames {
-			if f == name {
-				return true
-			}
-		}
-	}
-	return false
+func (m *program) nonDepPos(pos token.Pos) bool {
+	return m.target[m.fset.Position(pos).Filename]
 }
 
 // funcLabel renders a function key for messages ("Type.Method" or

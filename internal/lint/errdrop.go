@@ -35,7 +35,7 @@ func runErrDrop(pass *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
-				call, ok := unparen(n.X).(*ast.CallExpr)
+				call, ok := ast.Unparen(n.X).(*ast.CallExpr)
 				if !ok {
 					return true
 				}
@@ -48,7 +48,7 @@ func runErrDrop(pass *Pass) {
 					return true
 				}
 				for _, rhs := range n.Rhs {
-					call, ok := unparen(rhs).(*ast.CallExpr)
+					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 					if !ok || !returnsError(pass, call) || errExempt(pass, call) {
 						continue
 					}
@@ -122,16 +122,7 @@ func errExempt(pass *Pass, call *ast.CallExpr) bool {
 
 // calleeFunc resolves the called function or method object, if static.
 func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
-		return nil
-	}
-	fn, _ := pass.ObjectOf(id).(*types.Func)
+	fn, _ := staticCallee(pass.Pkg.Info, call)
 	return fn
 }
 
@@ -154,7 +145,7 @@ func receiverNamed(fn *types.Func) string {
 
 // isStdStream matches the expressions os.Stdout and os.Stderr.
 func isStdStream(pass *Pass, e ast.Expr) bool {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}

@@ -7,17 +7,12 @@ import (
 )
 
 // GoroutineHygiene returns the analyzer for `go` statements in non-test
-// files. It reports two hazards:
-//
-//   - a goroutine closure that captures a `for` loop variable. Go 1.22
-//     made loop variables per-iteration, so this is no longer the classic
-//     aliasing bug, but the repo keeps the rule: hoisting the value into
-//     the closure's parameter list makes the data flow explicit and keeps
-//     the code correct under pre-1.22 toolchains and manual backports;
-//   - a goroutine with no visible completion linkage — nothing in the
-//     launch references a sync.WaitGroup, sends or receives on a channel,
-//     or takes a context.Context. Such fire-and-forget goroutines are how
-//     the transport and sim layers would leak work past Close/shutdown.
+// files. It reports a goroutine with no visible completion linkage —
+// nothing in the launch references a sync.WaitGroup, sends or receives
+// on a channel, or takes a context.Context. Such fire-and-forget
+// goroutines are how the transport and sim layers would leak work past
+// Close/shutdown. (Loop-variable capture needs no rule: go.mod declares
+// go 1.23, and since Go 1.22 every iteration has its own variables.)
 //
 // The linkage check is syntactic and local to the launch expression; a
 // goroutine coordinated through struct state it mutates under lock should
@@ -26,105 +21,20 @@ import (
 func GoroutineHygiene() *Analyzer {
 	return &Analyzer{
 		Name: "goroutinehygiene",
-		Doc:  "goroutines must not capture loop variables and need a visible completion linkage",
+		Doc:  "goroutines need a visible completion linkage",
 		Run:  runGoroutineHygiene,
 	}
 }
 
 func runGoroutineHygiene(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		var walk func(n ast.Node, loopVars map[types.Object]bool)
-		walk = func(n ast.Node, loopVars map[types.Object]bool) {
-			switch n := n.(type) {
-			case nil:
-				return
-			case *ast.RangeStmt:
-				inner := withLoopVars(pass, loopVars, n.Key, n.Value)
-				walkChildren(n, func(c ast.Node) { walk(c, inner) })
-				return
-			case *ast.ForStmt:
-				inner := loopVars
-				if init, ok := n.Init.(*ast.AssignStmt); ok {
-					inner = withLoopVars(pass, loopVars, init.Lhs...)
-				}
-				walkChildren(n, func(c ast.Node) { walk(c, inner) })
-				return
-			case *ast.GoStmt:
-				checkGoStmt(pass, n, loopVars)
-			}
-			walkChildren(n, func(c ast.Node) { walk(c, loopVars) })
-		}
-		walk(f, nil)
-	}
-}
-
-// withLoopVars extends the active loop-variable set with the objects the
-// given expressions define.
-func withLoopVars(pass *Pass, base map[types.Object]bool, exprs ...ast.Expr) map[types.Object]bool {
-	out := make(map[types.Object]bool, len(base)+len(exprs))
-	for k := range base {
-		out[k] = true
-	}
-	for _, e := range exprs {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		if obj := pass.Pkg.Info.Defs[id]; obj != nil {
-			out[obj] = true
-		}
-	}
-	return out
-}
-
-// walkChildren visits the direct children of n.
-func walkChildren(n ast.Node, visit func(ast.Node)) {
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if c != nil {
-			visit(c)
-		}
-		return false
-	})
-}
-
-func checkGoStmt(pass *Pass, g *ast.GoStmt, loopVars map[types.Object]bool) {
-	// Loop-variable capture: only closures capture; a call like
-	// `go worker(i)` passes the value and is safe.
-	if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok && len(loopVars) > 0 {
-		declared := make(map[types.Object]bool)
-		ast.Inspect(lit, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := pass.Pkg.Info.Defs[id]; obj != nil {
-					declared[obj] = true
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok && !hasCompletionLinkage(pass, g) {
+				pass.Reportf(g.Pos(),
+					"goroutine has no visible completion linkage (WaitGroup, channel send/receive, or context)")
 			}
 			return true
 		})
-		reported := make(map[types.Object]bool)
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := pass.Pkg.Info.Uses[id]
-			if obj == nil || !loopVars[obj] || declared[obj] || reported[obj] {
-				return true
-			}
-			reported[obj] = true
-			pass.Reportf(id.Pos(),
-				"goroutine closure captures loop variable %s; pass it as an argument instead", id.Name)
-			return true
-		})
-	}
-
-	if !hasCompletionLinkage(pass, g) {
-		pass.Reportf(g.Pos(),
-			"goroutine has no visible completion linkage (WaitGroup, channel send/receive, or context)")
 	}
 }
 
@@ -173,7 +83,7 @@ func hasCompletionLinkage(pass *Pass, g *ast.GoStmt) bool {
 }
 
 func isContextExpr(pass *Pass, e ast.Expr) bool {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}

@@ -27,24 +27,8 @@ type guardNeed struct {
 }
 
 func runGuardedBy(pass *ProgramPass) {
-	m := buildConcguard(pass)
-	if len(m.guards) == 0 {
-		return
-	}
-	m.buildCallers()
-	excl := m.exclusiveCovered()
-	covCache := make(map[guardNeed]map[string]bool)
-	covFor := func(g lockKey, need lockMode) map[string]bool {
-		k := guardNeed{g, need}
-		if c, ok := covCache[k]; ok {
-			return c
-		}
-		c := m.guardCovered(g, need, excl)
-		covCache[k] = c
-		return c
-	}
-
-	for _, f := range m.sortedFuncs() {
+	m := pass.prog
+	for _, f := range m.sorted {
 		for _, a := range f.accesses {
 			fact, ok := m.guards[a.field]
 			if !ok || a.atomicArg {
@@ -54,14 +38,8 @@ func runGuardedBy(pass *ProgramPass) {
 			if (a.write || a.addrOf) && fact.guardRW {
 				need = modeW
 			}
-			if a.mayHeld.holds(fact.guard, need) || excl[f.key] {
-				continue
-			}
-			cov := covFor(fact.guard, need)
-			if cov[f.key] {
-				continue
-			}
-			if !m.nonDepPos(a.pos) {
+			if a.mayHeld.holds(fact.guard, need) || m.exclusive[f.key] ||
+				m.covered(fact.guard, need)[f.key] || !m.nonDepPos(a.pos) {
 				continue
 			}
 			verb := "read"
@@ -72,7 +50,7 @@ func runGuardedBy(pass *ProgramPass) {
 				verb = "written"
 			}
 			related := []Related{m.rel(fact.pos, fmt.Sprintf("%s declared //ptm:guardedby %s here", fact.name, shortLock(fact.guard)))}
-			if ref, ok := m.uncoveredSite(f.key, fact.guard, need, cov, excl); ok {
+			if ref, ok := m.uncoveredSite(f.key, fact.guard, need); ok {
 				related = append(related, m.rel(ref.site.pos,
 					fmt.Sprintf("%s reached from %s without %s held", funcLabel(f.key), funcLabel(ref.caller), shortLock(fact.guard))))
 			}

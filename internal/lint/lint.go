@@ -7,11 +7,13 @@
 //     argument of Section V collapses;
 //   - bitmap sizes must be powers of two in [64, 1<<30] (rule pow2size),
 //     or the replication-based expansion of Section III-A is undefined;
-//   - fields guarded by a struct mutex must not be touched off-lock
-//     (rule lockedfields);
 //   - errors must not be silently dropped (rule errdrop);
 //   - goroutines must have a visible completion linkage (rule
-//     goroutinehygiene).
+//     goroutinehygiene);
+//   - whole-program contracts: private state never reaches a public sink
+//     (privflow), lock order, guarded fields, atomics and RCU publication
+//     (the concguard rules), and hot-path performance (the perfguard
+//     rules), all read from one program model built once per Run.
 //
 // The framework is deliberately dependency-free: packages are loaded with
 // `go list -deps -export -json` (the toolchain supplies export data for
@@ -109,6 +111,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 type ProgramPass struct {
 	Fset     *token.FileSet
 	Pkgs     []*Package
+	prog     *program
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 }
@@ -187,14 +190,6 @@ const StaleDirective = "stale-directive"
 // contract it was meant to declare.
 const UnknownDirective = "unknown-directive"
 
-// knownPtmFacts lists every //ptm:<kind> annotation some analyzer
-// consumes. The audit checks directive comments against this set.
-var knownPtmFacts = []string{
-	factSource, factSink, factSanitizer, // privflow
-	factLockOrder, factGuardedBy, factRCU, factExclusive, factBlocking, // concguard
-	factNoalloc, factInline, factNoBCE, // perfguard
-}
-
 // Run applies every analyzer to every package and returns the surviving
 // diagnostics sorted by file, line, and rule. Per-package analyzers skip
 // dependency packages (loaded only for their cross-package facts);
@@ -227,11 +222,17 @@ func run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, audit bool
 			a.Run(pass)
 		}
 	}
+	prog := buildProgram(fset, pkgs)
 	for _, a := range analyzers {
+		for _, e := range prog.annotErrs {
+			if e.rule == a.Name {
+				diags = append(diags, Diagnostic{Pos: fset.Position(e.pos), Rule: a.Name, Message: e.msg})
+			}
+		}
 		if a.RunProgram == nil {
 			continue
 		}
-		pass := &ProgramPass{Fset: fset, Pkgs: pkgs, analyzer: a, diags: &diags}
+		pass := &ProgramPass{Fset: fset, Pkgs: pkgs, prog: prog, analyzer: a, diags: &diags}
 		a.RunProgram(pass)
 	}
 
@@ -258,7 +259,7 @@ func run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, audit bool
 	}
 	if audit {
 		kept = append(kept, auditDirectives(pkgs, analyzers, used)...)
-		kept = append(kept, auditFacts(fset, pkgs)...)
+		kept = append(kept, auditFacts(fset, prog)...)
 	}
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i], kept[j]
@@ -321,44 +322,16 @@ func auditDirectives(pkgs []*Package, analyzers []*Analyzer, used map[string]map
 }
 
 // auditFacts reports //ptm: annotation comments whose kind no analyzer
-// understands. A comment is a fact candidate when its text directly
-// follows the // with "ptm:" (the same syntax ptmFact accepts); its kind
-// is the text up to the first space. Unknown kinds within edit distance
-// 2 of a known fact get a "did you mean" suggestion.
-func auditFacts(fset *token.FileSet, pkgs []*Package) []Diagnostic {
-	known := make(map[string]bool, len(knownPtmFacts))
-	for _, k := range knownPtmFacts {
-		known[k] = true
-	}
+// understands, as the annotation scan found them. Unknown kinds within
+// edit distance 2 of a known fact get a "did you mean" suggestion.
+func auditFacts(fset *token.FileSet, prog *program) []Diagnostic {
 	var out []Diagnostic
-	for _, pkg := range pkgs {
-		if pkg.Dep {
-			continue
+	for _, n := range prog.unknown {
+		msg := fmt.Sprintf("unknown //ptm: directive %q", n.kind)
+		if best := closestFact(n.kind); best != "" {
+			msg += fmt.Sprintf(" (did you mean %q?)", best)
 		}
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					if !strings.HasPrefix(text, "ptm:") {
-						continue
-					}
-					kind, _, _ := strings.Cut(text, " ")
-					kind, _, _ = strings.Cut(kind, "\t")
-					if known[kind] {
-						continue
-					}
-					msg := fmt.Sprintf("unknown //ptm: directive %q", kind)
-					if best := closestFact(kind); best != "" {
-						msg += fmt.Sprintf(" (did you mean %q?)", best)
-					}
-					out = append(out, Diagnostic{
-						Pos:     fset.Position(c.Pos()),
-						Rule:    UnknownDirective,
-						Message: msg,
-					})
-				}
-			}
-		}
+		out = append(out, Diagnostic{Pos: fset.Position(n.pos), Rule: UnknownDirective, Message: msg})
 	}
 	return out
 }
@@ -367,7 +340,7 @@ func auditFacts(fset *token.FileSet, pkgs []*Package) []Diagnostic {
 // of kind (ASCII-case-insensitively), or "" when nothing is close.
 func closestFact(kind string) string {
 	best, bestDist := "", 3
-	for _, k := range knownPtmFacts {
+	for _, k := range factKinds {
 		if d := editDistance(strings.ToLower(kind), strings.ToLower(k)); d < bestDist {
 			best, bestDist = k, d
 		}
@@ -415,7 +388,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Cryptorand(nil),
 		Pow2Size(),
-		LockedFields(),
 		ErrDrop(),
 		GoroutineHygiene(),
 		Privflow(),

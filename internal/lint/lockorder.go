@@ -42,13 +42,12 @@ type cgEdge struct {
 }
 
 func runLockOrder(pass *ProgramPass) {
-	m := buildConcguard(pass)
-	m.buildCallers()
+	m := pass.prog
 
 	// transAcq[f][lock] is the witness chain by which f may (transitively)
 	// acquire lock. First witness wins; functions are visited in source
 	// order for determinism.
-	funcs := m.sortedFuncs()
+	funcs := m.sorted
 	trans := make(map[string]map[lockKey]acqChain, len(funcs))
 	for _, f := range funcs {
 		t := make(map[lockKey]acqChain)
@@ -209,7 +208,7 @@ func runLockOrder(pass *ProgramPass) {
 // reportCycle reports one lock-order cycle unless every edge of it was
 // already reported as a declared-order violation or no edge is anchored
 // in a linted package.
-func (m *cgModel) reportCycle(pass *ProgramPass, cycle []lockKey, edges map[[2]lockKey]*cgEdge, declared map[[2]lockKey]declaredEdge, violated map[[2]lockKey]bool, reported map[string]bool) {
+func (m *program) reportCycle(pass *ProgramPass, cycle []lockKey, edges map[[2]lockKey]*cgEdge, declared map[[2]lockKey]declaredEdge, violated map[[2]lockKey]bool, reported map[string]bool) {
 	names := make([]string, len(cycle))
 	for i, n := range cycle {
 		names[i] = string(n)
@@ -262,7 +261,7 @@ func (m *cgModel) reportCycle(pass *ProgramPass, cycle []lockKey, edges map[[2]l
 }
 
 // rel converts a token.Pos hop into a Related entry.
-func (m *cgModel) rel(pos token.Pos, note string) Related {
+func (m *program) rel(pos token.Pos, note string) Related {
 	return Related{Pos: m.fset.Position(pos), Note: note}
 }
 

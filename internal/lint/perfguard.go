@@ -60,17 +60,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-)
-
-// perfguard annotation kinds.
-const (
-	factNoalloc = "ptm:noalloc"
-	factInline  = "ptm:inline"
-	factNoBCE   = "ptm:nobce"
 )
 
 // Noalloc returns the heap-escape contract analyzer.
@@ -284,7 +278,7 @@ func pgLineKey(p token.Position) string {
 	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }
 
-// --- function index, annotations, cold regions ------------------------
+// --- cold regions -----------------------------------------------------
 
 // pgRange is a half-open-by-position span of source (inclusive on both
 // ends at (line, column) granularity).
@@ -310,90 +304,6 @@ func pgCmp(a, b token.Position) int {
 		return 1
 	}
 	return 0
-}
-
-// pgFunc is one declared function with its perfguard-relevant geometry.
-type pgFunc struct {
-	key  string
-	pkg  *Package
-	decl *ast.FuncDecl
-	span pgRange
-	cold []pgRange
-	// facts holds the perfguard annotations present on the doc comment.
-	facts map[string]bool
-}
-
-// hot reports whether a diagnostic at p lands in fn's body outside every
-// cold (error-terminated) region.
-func (fn *pgFunc) hot(p token.Position) bool {
-	if !fn.span.contains(p) {
-		return false
-	}
-	for _, r := range fn.cold {
-		if r.contains(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// pgIndex maps positions and keys back to declared functions across the
-// whole loaded program (dependency packages included, so the noalloc
-// fixpoint can descend into them).
-type pgIndex struct {
-	fset   *token.FileSet
-	funcs  map[string]*pgFunc
-	byFile map[string][]*pgFunc
-}
-
-func pgBuildIndex(pass *ProgramPass) *pgIndex {
-	idx := &pgIndex{
-		fset:   pass.Fset,
-		funcs:  make(map[string]*pgFunc),
-		byFile: make(map[string][]*pgFunc),
-	}
-	for _, pkg := range pass.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				d, ok := decl.(*ast.FuncDecl)
-				if !ok || d.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[d.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				f := &pgFunc{
-					key:   funcKey(fn),
-					pkg:   pkg,
-					decl:  d,
-					span:  pgRange{pass.Fset.Position(d.Pos()), pass.Fset.Position(d.End())},
-					cold:  pgColdRegions(pkg, d, pass.Fset),
-					facts: map[string]bool{},
-				}
-				for _, kind := range []string{factNoalloc, factInline, factNoBCE} {
-					if _, ok := ptmFact(kind, d.Doc); ok {
-						f.facts[kind] = true
-					}
-				}
-				idx.funcs[f.key] = f
-				idx.byFile[f.span.start.Filename] = append(idx.byFile[f.span.start.Filename], f)
-			}
-		}
-	}
-	return idx
-}
-
-// at returns the function whose body contains p, if any. Function
-// literals attribute to their enclosing declaration, which is exactly
-// the noalloc contract's view of them.
-func (idx *pgIndex) at(p token.Position) *pgFunc {
-	for _, f := range idx.byFile[p.Filename] {
-		if f.span.contains(p) {
-			return f
-		}
-	}
-	return nil
 }
 
 // pgColdRegions collects the error-termination spans of a function: every
@@ -433,14 +343,14 @@ func pgTerminatesInError(info *types.Info, s ast.Stmt) bool {
 			return false
 		}
 		last := st.Results[len(st.Results)-1]
-		if id, ok := unparen(last).(*ast.Ident); ok && id.Name == "nil" {
+		if id, ok := ast.Unparen(last).(*ast.Ident); ok && id.Name == "nil" {
 			return false
 		}
 		t := info.TypeOf(last)
 		return t != nil && types.Implements(t, pgErrorIface)
 	case *ast.ExprStmt:
 		if call, ok := st.X.(*ast.CallExpr); ok {
-			if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
 				if _, isFunc := info.Uses[id].(*types.Func); !isFunc {
 					return true // the builtin, not a shadowing declaration
 				}
@@ -506,12 +416,12 @@ type pgCause struct {
 }
 
 func runNoalloc(pass *ProgramPass) {
-	idx := pgBuildIndex(pass)
+	m := pass.prog
 
 	// Roots: //ptm:noalloc functions in target (non-dep) packages.
-	var roots []*pgFunc
-	for _, f := range idx.funcs {
-		if f.facts[factNoalloc] && !f.pkg.Dep {
+	var roots []*progFunc
+	for _, f := range m.decls {
+		if f.has(factNoalloc) && !f.pkg.Dep && m.body(f.key) == f {
 			roots = append(roots, f)
 		}
 	}
@@ -520,28 +430,21 @@ func runNoalloc(pass *ProgramPass) {
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].key < roots[j].key })
 
-	// Call summaries from the concguard walker; literal bodies (key$litN)
-	// merge into their root declaration.
-	m := buildConcguard(pass)
-	callsOf := func(key string) []cgCallSite {
-		var out []cgCallSite
-		if f := m.funcs[key]; f != nil {
-			out = append(out, f.calls...)
-		}
-		prefix := key + "$"
-		for k, f := range m.funcs {
-			if strings.HasPrefix(k, prefix) {
-				out = append(out, f.calls...)
-			}
+	// Call sites from the walker's summaries; literal bodies merge into
+	// their declaration.
+	callsOf := func(f *progFunc) []cgCallSite {
+		out := slices.Clone(f.calls)
+		for _, l := range f.lits {
+			out = append(out, l.calls...)
 		}
 		return out
 	}
 
 	// Reachable closure over module functions, following static calls
 	// from hot regions only.
-	scope := make(map[string]*pgFunc)
-	var work []*pgFunc
-	push := func(f *pgFunc) {
+	scope := make(map[string]*progFunc)
+	var work []*progFunc
+	push := func(f *progFunc) {
 		if _, ok := scope[f.key]; !ok {
 			scope[f.key] = f
 			work = append(work, f)
@@ -553,11 +456,11 @@ func runNoalloc(pass *ProgramPass) {
 	for len(work) > 0 {
 		f := work[0]
 		work = work[1:]
-		for _, c := range callsOf(f.key) {
+		for _, c := range callsOf(f) {
 			if !f.hot(pass.Fset.Position(c.pos)) || pgTrusted(c.callee) {
 				continue
 			}
-			if callee := idx.funcs[c.callee]; callee != nil {
+			if callee := m.body(c.callee); callee != nil {
 				push(callee)
 			}
 		}
@@ -598,7 +501,7 @@ func runNoalloc(pass *ProgramPass) {
 		ast.Inspect(f.decl.Body, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.CallExpr:
-				if id, ok := unparen(st.Fun).(*ast.Ident); ok && id.Name == "append" {
+				if id, ok := ast.Unparen(st.Fun).(*ast.Ident); ok && id.Name == "append" {
 					if _, isFunc := f.pkg.Info.Uses[id].(*types.Func); !isFunc {
 						if p := pass.Fset.Position(st.Pos()); f.hot(p) {
 							assign(f.key, &pgCause{kind: "append", pos: p})
@@ -612,12 +515,12 @@ func runNoalloc(pass *ProgramPass) {
 			}
 			return true
 		})
-		for _, c := range callsOf(f.key) {
+		for _, c := range callsOf(f) {
 			p := pass.Fset.Position(c.pos)
 			if !f.hot(p) || pgTrusted(c.callee) {
 				continue
 			}
-			if idx.funcs[c.callee] == nil {
+			if m.body(c.callee) == nil {
 				assign(f.key, &pgCause{kind: "external", pos: p, callee: c.callee})
 			}
 		}
@@ -637,7 +540,7 @@ func runNoalloc(pass *ProgramPass) {
 				continue
 			}
 			f := scope[k]
-			for _, c := range callsOf(k) {
+			for _, c := range callsOf(f) {
 				p := pass.Fset.Position(c.pos)
 				if !f.hot(p) || pgTrusted(c.callee) {
 					continue
@@ -712,7 +615,7 @@ func pgCauseChain(causes map[string]*pgCause, c *pgCause) []Related {
 // node starting at the diagnostic's (line, column); when nothing matches
 // (positions the compiler synthesized), the function declaration anchors
 // the finding instead.
-func pgTokenPos(pass *ProgramPass, f *pgFunc, p token.Position) token.Pos {
+func pgTokenPos(pass *ProgramPass, f *progFunc, p token.Position) token.Pos {
 	var best token.Pos
 	ast.Inspect(f.decl, func(n ast.Node) bool {
 		if n == nil {
@@ -746,8 +649,7 @@ func pgTokenPos(pass *ProgramPass, f *pgFunc, p token.Position) token.Pos {
 // --- inline -----------------------------------------------------------
 
 func runInline(pass *ProgramPass) {
-	idx := pgBuildIndex(pass)
-	pgPerPackage(pass, idx, factInline, func(f *pgFunc, d *pgDiag) {
+	pgPerPackage(pass, factInline, func(f *progFunc, d *pgDiag) {
 		declPos := pass.Fset.Position(f.decl.Name.Pos())
 		verdict, ok := d.inlines[pgLineKey(declPos)]
 		name := shortKey(f.key)
@@ -765,8 +667,7 @@ func runInline(pass *ProgramPass) {
 // --- bce --------------------------------------------------------------
 
 func runBCE(pass *ProgramPass) {
-	idx := pgBuildIndex(pass)
-	pgPerPackage(pass, idx, factNoBCE, func(f *pgFunc, d *pgDiag) {
+	pgPerPackage(pass, factNoBCE, func(f *progFunc, d *pgDiag) {
 		declHop := Related{
 			Pos:  pass.Fset.Position(f.decl.Name.Pos()),
 			Note: fmt.Sprintf("%s is declared //%s here", shortKey(f.key), factNoBCE),
@@ -784,10 +685,10 @@ func runBCE(pass *ProgramPass) {
 // pgPerPackage compiles each non-dep package containing fact-annotated
 // functions and applies check to every annotated function, reporting
 // compile failures once per package.
-func pgPerPackage(pass *ProgramPass, idx *pgIndex, fact string, check func(*pgFunc, *pgDiag)) {
-	byPkg := make(map[*Package][]*pgFunc)
-	for _, f := range idx.funcs {
-		if f.facts[fact] && !f.pkg.Dep {
+func pgPerPackage(pass *ProgramPass, fact string, check func(*progFunc, *pgDiag)) {
+	byPkg := make(map[*Package][]*progFunc)
+	for _, f := range pass.prog.decls {
+		if f.has(fact) && !f.pkg.Dep && pass.prog.body(f.key) == f {
 			byPkg[f.pkg] = append(byPkg[f.pkg], f)
 		}
 	}

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
-	"go/types"
 	"strings"
 )
 
@@ -70,17 +69,8 @@ func runPow2Size(pass *Pass) {
 // (bitmap.New from other packages) and unqualified calls (New inside the
 // bitmap package itself) are recognized.
 func bitmapCtor(pass *Pass, call *ast.CallExpr) string {
-	var id *ast.Ident
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
-		return ""
-	}
-	obj, ok := pass.ObjectOf(id).(*types.Func)
-	if !ok || obj.Pkg() == nil {
+	obj := calleeFunc(pass, call)
+	if obj == nil || obj.Pkg() == nil {
 		return ""
 	}
 	if !strings.HasSuffix(obj.Pkg().Path(), "internal/bitmap") {

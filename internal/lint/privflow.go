@@ -146,6 +146,7 @@ type sinkCall struct {
 
 type privflow struct {
 	pass *ProgramPass
+	m    *program
 	fset *token.FileSet
 
 	sinks      map[string]string
@@ -167,6 +168,7 @@ type privflow struct {
 func newPrivflow(pass *ProgramPass) *privflow {
 	pf := &privflow{
 		pass:       pass,
+		m:          pass.prog,
 		fset:       pass.Fset,
 		sinks:      make(map[string]string),
 		sanitizers: make(map[string]bool),
@@ -198,15 +200,13 @@ func newPrivflow(pass *ProgramPass) *privflow {
 
 func (pf *privflow) run() {
 	// Phase 1: facts — annotations, function registry.
-	for _, pkg := range pf.pass.Pkgs {
-		pf.collectFacts(pkg)
-	}
+	pf.collectFacts()
 	// Seed annotated/built-in field sources.
 	for id, label := range pf.srcFields {
 		pf.seed(nodeID(id), label)
 	}
 	// Phase 2: edges.
-	for _, pkg := range pf.pass.Pkgs {
+	for _, pkg := range pf.m.pkgs {
 		pf.buildPackage(pkg)
 	}
 	// Phase 3: reachability + sink checks.
@@ -316,128 +316,49 @@ func (pf *privflow) describe(id nodeID) string {
 	return string(id)
 }
 
-// --- phase 1: fact collection ----------------------------------------
+// --- phase 1: facts from the program model ----------------------------
 
-const (
-	factSource    = "ptm:source"
-	factSink      = "ptm:sink"
-	factSanitizer = "ptm:sanitizer"
-)
-
-// ptmFact scans comment groups for a //ptm:<kind> directive and returns
-// its free-form label text.
-func ptmFact(kind string, groups ...*ast.CommentGroup) (string, bool) {
-	for _, g := range groups {
-		if g == nil {
-			continue
+func (pf *privflow) collectFacts() {
+	for _, f := range pf.m.decls {
+		fi := pf.registerFunc(f.key, f.obj.Type().(*types.Signature))
+		if f.decl.Body != nil {
+			pf.defined[f.key] = fi
 		}
-		for _, c := range g.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			if !strings.HasPrefix(text, kind) {
-				continue
+		pf.funcByNode[nodeID("func:"+f.key)] = fi
+		if label, ok := f.facts[factSink]; ok {
+			if label == "" {
+				label = "annotated sink"
 			}
-			rest := text[len(kind):]
-			if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-				continue
-			}
-			return strings.TrimSpace(rest), true
+			pf.sinks[f.key] = label
 		}
-	}
-	return "", false
-}
-
-func (pf *privflow) collectFacts(pkg *Package) {
-	info := pkg.Info
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				fn, _ := info.Defs[d.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				key := funcKey(fn)
-				fi := pf.registerFunc(key, fn.Type().(*types.Signature))
-				if d.Body != nil {
-					pf.defined[key] = fi
-				}
-				pf.funcByNode[nodeID("func:"+key)] = fi
-				if label, ok := ptmFact(factSink, d.Doc); ok {
-					if label == "" {
-						label = "annotated sink"
-					}
-					pf.sinks[key] = label
-				}
-				if _, ok := ptmFact(factSanitizer, d.Doc); ok {
-					pf.sanitizers[key] = true
-				}
-				if label, ok := ptmFact(factSource, d.Doc); ok {
-					if label == "" {
-						label = key + " result"
-					}
-					for _, r := range fi.results {
-						pf.desc[r] = "result of " + key
-						pf.seed(r, label)
-						pf.seedPos[r] = pf.fset.Position(d.Pos())
-					}
-				}
-			case *ast.GenDecl:
-				pf.collectGenDeclFacts(pkg, d)
+		if f.has(factSanitizer) {
+			pf.sanitizers[f.key] = true
+		}
+		if label, ok := f.facts[factSource]; ok {
+			if label == "" {
+				label = f.key + " result"
+			}
+			for _, r := range fi.results {
+				pf.desc[r] = "result of " + f.key
+				pf.seed(r, label)
+				pf.seedPos[r] = pf.fset.Position(f.pos)
 			}
 		}
 	}
-}
-
-func (pf *privflow) collectGenDeclFacts(pkg *Package, d *ast.GenDecl) {
-	for _, spec := range d.Specs {
-		switch s := spec.(type) {
-		case *ast.TypeSpec:
-			docs := []*ast.CommentGroup{s.Doc, s.Comment}
-			if len(d.Specs) == 1 {
-				docs = append(docs, d.Doc)
-			}
-			typeName := pkg.Path + "." + s.Name.Name
-			if label, ok := ptmFact(factSource, docs...); ok {
-				if label == "" {
-					label = typeName
-				}
-				pf.srcTypes[typeName] = label
-			}
-			if st, ok := s.Type.(*ast.StructType); ok {
-				for _, field := range st.Fields.List {
-					label, ok := ptmFact(factSource, field.Doc, field.Comment)
-					if !ok {
-						continue
-					}
-					for _, name := range field.Names {
-						if label == "" {
-							label = typeName + "." + name.Name
-						}
-						id := nodeID("field:" + typeName + "." + name.Name)
-						pf.srcFields[string(id)] = label
-						pf.desc[id] = typeName + "." + name.Name
-						pf.seedPos[id] = pf.fset.Position(name.Pos())
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			docs := []*ast.CommentGroup{s.Doc, s.Comment}
-			if len(d.Specs) == 1 {
-				docs = append(docs, d.Doc)
-			}
-			label, ok := ptmFact(factSource, docs...)
-			if !ok {
-				continue
-			}
-			for _, name := range s.Names {
-				if label == "" {
-					label = pkg.Path + "." + name.Name
-				}
-				id := nodeID("var:" + pkg.Path + "." + name.Name)
-				pf.desc[id] = "package variable " + pkg.Path + "." + name.Name
-				pf.seed(id, label)
-				pf.seedPos[id] = pf.fset.Position(name.Pos())
-			}
+	for _, s := range pf.m.sources {
+		id := nodeID(s.node)
+		kind, name, _ := strings.Cut(s.node, ":")
+		switch kind {
+		case "type":
+			pf.srcTypes[name] = s.label
+		case "field":
+			pf.srcFields[s.node] = s.label
+			pf.desc[id] = name
+			pf.seedPos[id] = pf.fset.Position(s.pos)
+		case "var":
+			pf.desc[id] = "package variable " + name
+			pf.seed(id, s.label)
+			pf.seedPos[id] = pf.fset.Position(s.pos)
 		}
 	}
 }
@@ -963,7 +884,7 @@ func (sc *pfScope) tupleNodes(e ast.Expr, n int) [][]nodeID {
 	sets := make([][]nodeID, n)
 	switch x := ast.Unparen(e).(type) {
 	case *ast.CallExpr:
-		if callee, _ := sc.staticCallee(x); callee != nil {
+		if callee, _ := staticCallee(sc.pkg.Info, x); callee != nil {
 			key := funcKey(callee)
 			if fi := sc.pf.defined[key]; fi != nil && !pfSpecial(sc.pf, key) && len(fi.results) == n {
 				sc.callNodes(x) // emit binding edges
@@ -1008,22 +929,6 @@ func pfSpecial(pf *privflow, key string) bool {
 	return sink || pf.sanitizers[key]
 }
 
-func (sc *pfScope) staticCallee(call *ast.CallExpr) (*types.Func, ast.Expr) {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := sc.pkg.Info.Uses[f].(*types.Func)
-		return fn, nil
-	case *ast.SelectorExpr:
-		if sel, ok := sc.pkg.Info.Selections[f]; ok && sel.Kind() == types.MethodVal {
-			fn, _ := sel.Obj().(*types.Func)
-			return fn, f.X
-		}
-		fn, _ := sc.pkg.Info.Uses[f.Sel].(*types.Func)
-		return fn, nil
-	}
-	return nil, nil
-}
-
 func (sc *pfScope) callNodes(call *ast.CallExpr) ([]nodeID, bool) {
 	info := sc.pkg.Info
 	// Conversion T(x): taint passes through; the wrap in exprNodes adds
@@ -1042,7 +947,7 @@ func (sc *pfScope) callNodes(call *ast.CallExpr) ([]nodeID, bool) {
 		}
 	}
 
-	callee, recvExpr := sc.staticCallee(call)
+	callee, recvExpr := staticCallee(info, call)
 	if callee != nil {
 		key := funcKey(callee)
 		if sc.pf.sanitizers[key] {

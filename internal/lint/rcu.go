@@ -33,23 +33,8 @@ func RCU() *Analyzer {
 }
 
 func runRCU(pass *ProgramPass) {
-	m := buildConcguard(pass)
-	if len(m.rcuFields) == 0 {
-		return
-	}
-	m.buildCallers()
-	excl := m.exclusiveCovered()
-	covCache := make(map[lockKey]map[string]bool)
-	covFor := func(g lockKey) map[string]bool {
-		if c, ok := covCache[g]; ok {
-			return c
-		}
-		c := m.guardCovered(g, modeW, excl)
-		covCache[g] = c
-		return c
-	}
-
-	for _, f := range m.sortedFuncs() {
+	m := pass.prog
+	for _, f := range m.sorted {
 		var blocks []int
 		for _, b := range f.blockPts {
 			blocks = append(blocks, int(b))
@@ -71,7 +56,7 @@ func runRCU(pass *ProgramPass) {
 
 		for _, op := range f.rcuOps {
 			fact := m.rcuFields[op.field]
-			writerHeld := op.mustHeld.holds(fact.guard, modeW) || excl[f.key] || covFor(fact.guard)[f.key]
+			writerHeld := op.mustHeld.holds(fact.guard, modeW) || m.exclusive[f.key] || m.covered(fact.guard, modeW)[f.key]
 
 			switch op.op {
 			case "Store", "Swap", "CompareAndSwap":

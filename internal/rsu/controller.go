@@ -67,8 +67,8 @@ type Controller struct {
 	clock    TickClock
 
 	mu       sync.Mutex
-	uploaded int
-	dropped  int
+	uploaded int //ptm:guardedby mu
+	dropped  int //ptm:guardedby mu
 }
 
 // Controller configuration errors.

@@ -18,7 +18,6 @@ package store
 
 import (
 	"container/list"
-	"expvar"
 	"sync"
 	"sync/atomic"
 )
@@ -27,39 +26,6 @@ import (
 // set -resident-budget or PTM_BLOCKCACHE_BYTES: 256 MiB, enough to keep
 // a dashboard's working set of cold records resident.
 const DefaultCacheBytes = 256 << 20
-
-// Process-wide counter totals, aggregated across every BlockCache ever
-// constructed and published under expvar ("ptm.blockcache.*") — the
-// same pattern as core.EstCache's counters. Per-cache numbers live on
-// the cache (CacheStats).
-var (
-	bcExpvarOnce sync.Once
-
-	bcHitsTotal      atomic.Uint64
-	bcMissesTotal    atomic.Uint64
-	bcEvictionsTotal atomic.Uint64
-	bcPinnedBytes    atomic.Int64
-)
-
-// publishBlockCacheVars registers the expvar views exactly once, on
-// first cache construction, so merely importing store never claims the
-// names.
-func publishBlockCacheVars() {
-	bcExpvarOnce.Do(func() {
-		expvar.Publish("ptm.blockcache.hits", expvar.Func(func() any {
-			return bcHitsTotal.Load()
-		}))
-		expvar.Publish("ptm.blockcache.misses", expvar.Func(func() any {
-			return bcMissesTotal.Load()
-		}))
-		expvar.Publish("ptm.blockcache.evictions", expvar.Func(func() any {
-			return bcEvictionsTotal.Load()
-		}))
-		expvar.Publish("ptm.blockcache.pinned_bytes", expvar.Func(func() any {
-			return bcPinnedBytes.Load()
-		}))
-	})
-}
 
 // CacheStats is a snapshot of one cache's counters.
 type CacheStats struct {
@@ -132,7 +98,6 @@ func NewBlockCache(capacity int64) *BlockCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheBytes
 	}
-	publishBlockCacheVars()
 	return &BlockCache{
 		capacity: capacity,
 		spans:    make(map[spanKey]*span),
@@ -149,7 +114,6 @@ func (c *BlockCache) Get(key spanKey, load func() (words []uint64, nbytes int64,
 		sp.pins++
 		if sp.pins == 1 && sp.elem != nil {
 			c.pinned += sp.bytes
-			bcPinnedBytes.Add(sp.bytes)
 		}
 		if sp.elem != nil {
 			c.lru.MoveToFront(sp.elem)
@@ -161,7 +125,6 @@ func (c *BlockCache) Get(key spanKey, load func() (words []uint64, nbytes int64,
 			return nil, nil, sp.err
 		}
 		c.hits.Add(1)
-		bcHitsTotal.Add(1)
 		return sp.words, c.unpinFunc(sp), nil
 	}
 	sp := &span{key: key, ready: make(chan struct{}), pins: 1}
@@ -169,7 +132,6 @@ func (c *BlockCache) Get(key spanKey, load func() (words []uint64, nbytes int64,
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	bcMissesTotal.Add(1)
 	words, nbytes, evict, err := load()
 
 	c.mu.Lock()
@@ -187,7 +149,6 @@ func (c *BlockCache) Get(key spanKey, load func() (words []uint64, nbytes int64,
 		// pins >= 1 (ours), so the span enters accounted-and-pinned.
 		c.bytes += nbytes
 		c.pinned += nbytes
-		bcPinnedBytes.Add(nbytes)
 		sp.elem = c.lru.PushFront(sp)
 		c.evictLocked()
 	}
@@ -203,7 +164,6 @@ func (c *BlockCache) unpinFunc(sp *span) func() {
 		sp.pins--
 		if sp.pins == 0 && sp.elem != nil {
 			c.pinned -= sp.bytes
-			bcPinnedBytes.Add(-sp.bytes)
 			c.evictLocked()
 		}
 		c.mu.Unlock()
@@ -220,7 +180,6 @@ func (c *BlockCache) evictLocked() {
 		if sp.pins == 0 {
 			c.dropLocked(sp)
 			c.evictions.Add(1)
-			bcEvictionsTotal.Add(1)
 			if sp.evict != nil {
 				if err := sp.evict(); err != nil {
 					c.adviseErrs.Add(1)
@@ -260,7 +219,6 @@ func (c *BlockCache) InvalidateSegment(seg uint64) {
 		}
 		if sp.pins > 0 {
 			c.pinned -= sp.bytes
-			bcPinnedBytes.Add(-sp.bytes)
 		}
 		c.dropLocked(sp)
 	}

@@ -59,10 +59,12 @@ type Server struct {
 	logger *log.Logger
 
 	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	ln     net.Listener          //ptm:guardedby mu
+	conns  map[net.Conn]struct{} //ptm:guardedby mu
+	closed bool                  //ptm:guardedby mu
+	// wg is not guarded: Close waits on it after releasing mu, since the
+	// draining handlers take mu to leave conns.
+	wg sync.WaitGroup
 }
 
 // ErrServerClosed is returned by Serve after Close.

@@ -47,8 +47,8 @@ type Vehicle struct {
 	macs     MACSource // set at construction, never reassigned
 
 	mu       sync.Mutex
-	reported map[visitKey]bool
-	rejected uint64
+	reported map[visitKey]bool //ptm:guardedby mu
+	rejected uint64            //ptm:guardedby mu
 }
 
 type visitKey struct {

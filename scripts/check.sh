@@ -15,28 +15,31 @@
 #   5. go test -race       (unit + integration tests under the race
 #                          detector, -shuffle=on to surface order
 #                          dependence between tests)
-#   6. race stress smoke   (the WAL group commit and batch commit, RSU,
+#   6. examples            (each program under examples/ once, its stdout
+#                          against scripts/testdata/examples/<name>.txt;
+#                          PTM_UPDATE_GOLDEN=1 rewrites the goldens)
+#   7. race stress smoke   (the WAL group commit and batch commit, RSU,
 #                          DSRC fan-in, stripe, estimate-cache,
 #                          checkpoint-vs-ingest, tiered-store and
 #                          fence-vs-ingest-and-freeze
 #                          concurrency tests again under -race -count=2 —
 #                          the dynamic complement of the static concguard
 #                          contracts)
-#   7. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
-#   8. traced pipeline     (each bench/ptmload workload once at full scale
+#   8. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
+#   9. traced pipeline     (each bench/ptmload workload once at full scale
 #                          with -trace 1: answers, exact counts and the
 #                          traced blocking path against the untraced one;
 #                          output in $ARTIFACT_DIR/ptmload/<workload>.txt)
-#   9. exact-count gate    (the counts those runs print that repeat run to
+#  10. exact-count gate    (the counts those runs print that repeat run to
 #                          run, against scripts/testdata/counts.golden;
 #                          PTM_UPDATE_GOLDEN=1 rewrites the golden values;
 #                          then ceilings on counts that vary but stay
 #                          bounded: one fsync per upload batch)
-#  10. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
-#  11. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
+#  11. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
+#  12. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
 #                          peak-RSS bound + estimates identical to the
 #                          all-resident daemon)
-#  12. cluster smoke       (3-node cluster, R=2: kill -9 the partition
+#  13. cluster smoke       (3-node cluster, R=2: kill -9 the partition
 #                          leader mid-ingest, fail over, revive, join,
 #                          drain — zero acked-record loss and estimates
 #                          byte-identical to a single-node reference)
@@ -82,6 +85,22 @@ fi
 
 step "go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
+
+step "examples (stdout of each program against scripts/testdata/examples)"
+# Every example is deterministic (seeded generators and radio loss), so
+# its output is a golden: a change that moves an estimate or breaks a
+# program fails here. PTM_UPDATE_GOLDEN=1 rewrites the goldens.
+EXAMPLES_DIR="$ARTIFACT_DIR/examples"
+mkdir -p "$EXAMPLES_DIR"
+for example in citynet commutergrid odmatrix privacysweep quickstart siouxfalls; do
+	go run "./examples/$example" > "$EXAMPLES_DIR/$example.txt"
+	if [ "${PTM_UPDATE_GOLDEN:-}" = 1 ]; then
+		cp "$EXAMPLES_DIR/$example.txt" "scripts/testdata/examples/$example.txt"
+	elif ! diff -u "scripts/testdata/examples/$example.txt" "$EXAMPLES_DIR/$example.txt"; then
+		printf 'examples: %s output moved; if the change means to move it, rerun with PTM_UPDATE_GOLDEN=1 and commit the golden\n' "$example" >&2
+		exit 1
+	fi
+done
 
 step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + estimate cache + checkpoint racing ingest + tiered store + fence racing ingest and freeze)"
 go test -race -count=2 -run '^(TestGroupCommitConcurrentAppends|TestConcurrentBatchesAtMostOneSyncEach)$' ./internal/wal/
