@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"ptm/internal/record"
+	"ptm/internal/vhash"
 	"ptm/internal/wal"
 )
 
@@ -27,9 +28,10 @@ import (
 // that upload would be rejected as a duplicate even though nothing is
 // on disk — a silent hole in the durability contract. With WAL-first, a
 // failed append leaves no trace and the RSU's retry starts clean.
-// Losing the duplicate-insert race after a successful append leaves one
-// redundant log entry; recovery tolerates duplicates, so that costs
-// bytes, never correctness.
+// Two ingests of one (location, period) never overlap: the second waits
+// for the first to finish and then finds the record stored, so a
+// duplicate, whether a retried upload or a replica shipping a record
+// back, is rejected before it reaches the log.
 //
 // # Batches
 //
@@ -73,6 +75,17 @@ type Durable struct {
 
 	mu        sync.Mutex
 	sinceCkpt int //ptm:guardedby mu (successful ingests since the last checkpoint)
+
+	// inflight holds, per record being ingested, a channel closed once
+	// that ingest has finished.
+	inflightMu sync.Mutex
+	inflight   map[recordKey]chan struct{} //ptm:guardedby inflightMu
+}
+
+// recordKey names a record by what makes it a duplicate.
+type recordKey struct {
+	loc    vhash.LocationID
+	period record.PeriodID
 }
 
 // OpenDurable opens (or creates) the WAL directory, creates a resident
@@ -105,7 +118,8 @@ func OpenDurableServer(dir string, srv *Server, opts wal.Options, checkpointEver
 	if err != nil {
 		return nil, err
 	}
-	d := &Durable{Server: srv, log: log, checkpointEvery: checkpointEvery, syncAlways: opts.Sync == wal.SyncAlways}
+	d := &Durable{Server: srv, log: log, checkpointEvery: checkpointEvery, syncAlways: opts.Sync == wal.SyncAlways,
+		inflight: make(map[recordKey]chan struct{})}
 	if err := log.Recover(srv.LoadFrom, d.applyEntry); err != nil {
 		//ptmlint:allow errdrop -- the recovery error is what the caller sees; close is best-effort cleanup
 		_ = log.Close()
@@ -184,12 +198,12 @@ func (d *Durable) ingest(rec *record.Record, more bool) (committed bool, err err
 	if err := rec.Validate(); err != nil {
 		return false, err
 	}
-	// Cheap duplicate pre-check: replayed uploads are common (an RSU
-	// retries every un-acked record), and rejecting them before the
-	// append keeps them out of the log entirely. Contains touches no
-	// cold-tier data — the index alone answers. The racy window
-	// between this check and the insert below only costs a redundant
-	// log entry, which replay tolerates.
+	defer d.enter(recordKey{rec.Location, rec.Period})()
+	// Duplicate check: replayed uploads are common (an RSU retries
+	// every un-acked record), and rejecting them before the append
+	// keeps them out of the log entirely. Contains touches no cold-tier
+	// data — the index alone answers. No other ingest of this record is
+	// between here and its insert (enter), so the answer holds.
 	if d.Server.st.Contains(rec.Location, rec.Period) {
 		return false, fmt.Errorf("%w: loc=%d period=%d", ErrDuplicate, rec.Location, rec.Period)
 	}
@@ -200,6 +214,28 @@ func (d *Durable) ingest(rec *record.Record, more bool) (committed bool, err err
 	// The auto checkpoint in Ingest takes applying exclusively, so it
 	// must run after logAndApply has released its shared hold.
 	return d.logAndApply(rec, blob, more)
+}
+
+// enter waits until no other ingest of key is in flight, marks key as
+// in flight, and returns the func that ends the mark.
+func (d *Durable) enter(key recordKey) (leave func()) {
+	for {
+		d.inflightMu.Lock()
+		busy, ok := d.inflight[key]
+		if !ok {
+			done := make(chan struct{})
+			d.inflight[key] = done
+			d.inflightMu.Unlock()
+			return func() {
+				d.inflightMu.Lock()
+				delete(d.inflight, key)
+				d.inflightMu.Unlock()
+				close(done)
+			}
+		}
+		d.inflightMu.Unlock()
+		<-busy
+	}
 }
 
 // logAndApply appends the record's blob to the log — without waiting

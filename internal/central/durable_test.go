@@ -269,6 +269,50 @@ func TestDurableDuplicateHandling(t *testing.T) {
 	}
 }
 
+// TestDurableConcurrentDuplicateLogsOnce ingests one record from many
+// goroutines at once, as a retried upload racing its original or a
+// replica shipping a record back to its leader does: exactly one ingest
+// stores it, every other answers ErrDuplicate, and the log holds one
+// entry.
+func TestDurableConcurrentDuplicateLogsOnce(t *testing.T) {
+	d := openDurable(t, t.TempDir(), 0)
+	const workers = 8
+	start := make(chan struct{})
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		rec := mustRecord(t, 5, 1, 128)
+		rec.Bitmap.Set(17)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs <- d.Ingest(rec)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	stored := 0
+	for err := range errs {
+		switch {
+		case err == nil:
+			stored++
+		case !errors.Is(err, ErrDuplicate):
+			t.Fatal(err)
+		}
+	}
+	if stored != 1 {
+		t.Errorf("%d ingests stored the record, want 1", stored)
+	}
+	if got := d.LogStats().Appends; got != 1 {
+		t.Errorf("%d log appends for one record, want 1", got)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDurableConcurrentIngest exercises the WAL group commit under the
 // race detector with many uploading goroutines, then proves recovery.
 func TestDurableConcurrentIngest(t *testing.T) {

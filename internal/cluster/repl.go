@@ -64,8 +64,11 @@ func (n *Node) shipLoop() {
 // ShipNow runs one replication round against every shippable peer and
 // returns the first per-peer error (the round still visits every peer).
 // Exported so tests and the smoke harness can drive replication
-// deterministically instead of sleeping through ShipInterval.
+// deterministically instead of sleeping through ShipInterval. A call
+// made while a round is running waits for it and then runs its own.
 func (n *Node) ShipNow() error {
+	n.shipMu.Lock()
+	defer n.shipMu.Unlock()
 	n.mu.Lock()
 	r := n.ring
 	n.mu.Unlock()
