@@ -10,12 +10,12 @@
 // /locations, /query/...).
 //
 // With -wal DIR the store is backed by a write-ahead log: every record
-// is on disk (per -sync) before its upload is acknowledged, the store
-// recovers from the newest checkpoint plus log replay at startup, and a
-// graceful shutdown flushes and checkpoints so the next boot replays
-// nothing. -checkpoint-every bounds replay length between compactions.
-// -wal and -load/-save are mutually exclusive — the WAL's own
-// checkpoints are the snapshots.
+// is fsynced before its upload is acknowledged, the store recovers from
+// the newest checkpoint plus log replay at startup, and a graceful
+// shutdown checkpoints so the next boot replays nothing.
+// -checkpoint-every bounds replay length between compactions. -wal and
+// -load/-save are mutually exclusive — the WAL's own checkpoints are the
+// snapshots.
 //
 // The record store itself is selected with -store:
 //
@@ -72,7 +72,6 @@ type config struct {
 	load      string
 	save      string
 	walDir    string
-	sync      string
 	ckptEvery int
 	storeKind string // mem|tiered|mmap; "" means mem
 	coldDir   string
@@ -96,7 +95,6 @@ func parseFlags(args []string) config {
 	fs.StringVar(&cfg.load, "load", "", "segment file (a -save file or WAL checkpoint) to restore at startup")
 	fs.StringVar(&cfg.save, "save", "", "segment file to write the whole store to on shutdown")
 	fs.StringVar(&cfg.walDir, "wal", "", "write-ahead-log directory (empty: in-memory store)")
-	fs.StringVar(&cfg.sync, "sync", "always", "WAL sync policy: always, interval, never")
 	fs.IntVar(&cfg.ckptEvery, "checkpoint-every", 1024, "checkpoint the WAL every N ingested records (0: only at shutdown)")
 	fs.StringVar(&cfg.storeKind, "store", "mem", "record store: mem, tiered, or mmap")
 	fs.StringVar(&cfg.coldDir, "cold", "", "segment directory for -store=tiered/mmap")
@@ -246,11 +244,7 @@ func serve(cfg config, logger *log.Logger, sigc <-chan os.Signal) error {
 		if readOnly {
 			return errors.New("-wal is meaningless for the read-only -store=mmap")
 		}
-		policy, err := wal.ParseSyncPolicy(cfg.sync)
-		if err != nil {
-			return err
-		}
-		durable, err = central.OpenDurableServer(cfg.walDir, head, wal.Options{Sync: policy}, cfg.ckptEvery)
+		durable, err = central.OpenDurableServer(cfg.walDir, head, wal.Options{}, cfg.ckptEvery)
 		if err != nil {
 			return err
 		}
@@ -369,21 +363,17 @@ func serve(cfg config, logger *log.Logger, sigc <-chan os.Signal) error {
 		}
 	}
 	if durable != nil {
-		// Graceful shutdown: flush whatever the sync policy left
-		// buffered, then checkpoint so the next boot loads one snapshot
-		// instead of replaying the whole log. A crash before either
-		// step still recovers — that is the WAL's job — this only makes
-		// the clean path fast.
-		if err := durable.Sync(); err != nil {
-			return fmt.Errorf("flushing wal: %w", err)
-		}
+		// Graceful shutdown: checkpoint so the next boot loads one
+		// snapshot instead of replaying the whole log. A crash before it
+		// still recovers — that is the WAL's job — this only makes the
+		// clean path fast.
 		if err := durable.Checkpoint(); err != nil {
 			return fmt.Errorf("checkpointing: %w", err)
 		}
 		if err := durable.Close(); err != nil {
 			return fmt.Errorf("closing wal: %w", err)
 		}
-		logger.Printf("wal flushed and checkpointed in %s", cfg.walDir)
+		logger.Printf("wal checkpointed in %s", cfg.walDir)
 	}
 	if cfg.save != "" {
 		if err := wal.WriteFileAtomic(cfg.save, head.SaveTo); err != nil {

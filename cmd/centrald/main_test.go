@@ -126,7 +126,7 @@ func TestDaemonHTTPAdmin(t *testing.T) {
 func TestDaemonWALGracefulShutdown(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 
-	addr, shutdown, done := startDaemon(t, config{s: 3, walDir: walDir, sync: "always", ckptEvery: 7})
+	addr, shutdown, done := startDaemon(t, config{s: 3, walDir: walDir, ckptEvery: 7})
 	client, err := transport.Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestDaemonWALGracefulShutdown(t *testing.T) {
 	}
 
 	// Restart on the same directory: exact census.
-	addr2, shutdown2, done2 := startDaemon(t, config{s: 3, walDir: walDir, sync: "always", ckptEvery: 7})
+	addr2, shutdown2, done2 := startDaemon(t, config{s: 3, walDir: walDir, ckptEvery: 7})
 	client2, err := transport.Dial(addr2, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -205,13 +205,9 @@ func TestDaemonWALGracefulShutdown(t *testing.T) {
 
 func TestDaemonWALExcludesSnapshotFlags(t *testing.T) {
 	logger := log.New(io.Discard, "", 0)
-	err := serve(config{s: 3, walDir: t.TempDir(), load: "x.ptm", sync: "always"}, logger, make(chan os.Signal))
+	err := serve(config{s: 3, walDir: t.TempDir(), load: "x.ptm"}, logger, make(chan os.Signal))
 	if err == nil || !strings.Contains(err.Error(), "exclusive") {
 		t.Errorf("wal+load err = %v", err)
-	}
-	err = serve(config{s: 3, walDir: t.TempDir(), sync: "sometimes"}, logger, make(chan os.Signal))
-	if err == nil || !strings.Contains(err.Error(), "sync policy") {
-		t.Errorf("bad sync err = %v", err)
 	}
 }
 
@@ -364,7 +360,7 @@ func TestDaemonTieredWAL(t *testing.T) {
 	coldDir := filepath.Join(t.TempDir(), "cold")
 	walDir := filepath.Join(t.TempDir(), "wal")
 	cfg := config{s: 3, storeKind: "tiered", coldDir: coldDir, budget: "4K",
-		walDir: walDir, sync: "always", ckptEvery: 3}
+		walDir: walDir, ckptEvery: 3}
 
 	addr, shutdown, done := startDaemon(t, cfg)
 	client, err := transport.Dial(addr, time.Second)

@@ -49,22 +49,10 @@ type (
 	TransportServer = transport.Server
 	// Client is a TCP client for record upload and queries.
 	Client = transport.Client
-	// WALOptions tunes the durability plane's segmented log (sync
-	// policy, segment size, flush interval).
+	// WALOptions tunes the durability plane's segmented log (segment
+	// size). Every append is fsynced (group-committed) before the Ack:
+	// an acknowledged record survives power loss.
 	WALOptions = wal.Options
-	// SyncPolicy selects when appends reach stable storage.
-	SyncPolicy = wal.SyncPolicy
-)
-
-// Write-ahead-log sync policies, re-exported for deployments.
-const (
-	// SyncAlways fsyncs (group-committed) before the Ack: an
-	// acknowledged record survives power loss.
-	SyncAlways = wal.SyncAlways
-	// SyncInterval fsyncs on a timer: bounded loss, bounded latency.
-	SyncInterval = wal.SyncInterval
-	// SyncNever leaves flushing to the OS.
-	SyncNever = wal.SyncNever
 )
 
 // ErrServerClosed is returned by TransportServer.Serve after Close; use
@@ -144,16 +132,28 @@ func ServerTLSConfig(cert tls.Certificate) *tls.Config {
 type (
 	// RSUController runs an RSU on a wall-clock schedule.
 	RSUController = rsu.Controller
-	// RSUSchedule configures period length, beacon cadence and upload
-	// retry policy.
+	// RSUSchedule configures period length, beacon cadence and the first
+	// period's number.
 	RSUSchedule = rsu.Schedule
+	// RSUSpool is an RSU's on-disk store-and-forward buffer: records
+	// wait in it until the central server takes them.
+	RSUSpool = rsu.Spool
 )
 
-// NewRSUController assembles a schedule-driven RSU runtime. upload
-// typically wraps Client.Upload; expected returns the Eq. (2) historical
-// volume expectation per period; clock nil selects the real clock.
-func NewRSUController(r *RSU, sched RSUSchedule, upload func(*Record) error, expected func(PeriodID) float64, clock rsu.TickClock) (*RSUController, error) {
-	return rsu.NewController(r, sched, upload, expected, clock)
+// OpenRSUSpool opens (or creates) an RSU spool directory; records left
+// by a previous run are delivered by the next drain.
+func OpenRSUSpool(dir string) (*RSUSpool, error) {
+	return rsu.OpenSpool(dir)
+}
+
+// NewRSUController assembles a schedule-driven RSU runtime. Each ended
+// period's record goes into spool and is delivered through send,
+// typically Client.UploadBatch; a record the backhaul refuses stays
+// spooled and is retried, never dropped. expected returns the Eq. (2)
+// historical volume expectation per period; clock nil selects the real
+// clock.
+func NewRSUController(r *RSU, sched RSUSchedule, spool *RSUSpool, send func([]*Record) (int, error), expected func(PeriodID) float64, clock rsu.TickClock) (*RSUController, error) {
+	return rsu.NewController(r, sched, spool, send, expected, clock)
 }
 
 // Sioux Falls evaluation data (Section VI-A).

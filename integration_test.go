@@ -227,17 +227,22 @@ func TestScheduledRSUIntegration(t *testing.T) {
 		mu      sync.Mutex
 		uploads []*Record
 	)
-	upload := func(rec *Record) error {
+	send := func(recs []*Record) (int, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		uploads = append(uploads, rec)
-		return nil
+		uploads = append(uploads, recs...)
+		return len(recs), nil
 	}
+	spool, err := OpenRSUSpool(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spool.Close()
 	ctl, err := NewRSUController(unit, RSUSchedule{
 		PeriodLength:   250 * time.Millisecond,
 		BeaconInterval: 40 * time.Millisecond,
 		FirstPeriod:    1,
-	}, upload, func(PeriodID) float64 { return fleetSize }, nil)
+	}, spool, send, func(PeriodID) float64 { return fleetSize }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

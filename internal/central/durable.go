@@ -12,13 +12,12 @@ import (
 )
 
 // Durable wraps a Server with a write-ahead log so that every ingested
-// record is on disk before the upload is acknowledged: under
-// wal.SyncAlways, the transport Ack becomes a durability promise, not
-// just a parse receipt. Queries and retention pass through to the
-// embedded Server unchanged — the replayed store is the same in-memory
-// structure, so estimator outputs over recovered records are
-// bit-identical to a never-crashed run (proven by the differential
-// tests in durable_test.go).
+// record is fsynced before the upload is acknowledged: the transport Ack
+// is a durability promise, not just a parse receipt. Queries and
+// retention pass through to the embedded Server unchanged — the
+// replayed store is the same in-memory structure, so estimator outputs
+// over recovered records are bit-identical to a never-crashed run
+// (proven by the differential tests in durable_test.go).
 //
 // # Ingest ordering
 //
@@ -42,8 +41,8 @@ import (
 // fsync, and the batch ack still goes out only after that sync. The
 // price is a window: from a marked record's store insert until its
 // batch's closing sync, a query can see a record a crash could still
-// lose. SyncInterval has the same window today, and a lost record was
-// never acked, so its RSU retries and re-sends the same bytes.
+// lose. Such a record was never acked, so its RSU retries and re-sends
+// the same bytes.
 //
 // # Checkpoint ordering
 //
@@ -53,8 +52,10 @@ import (
 // Each Ingest therefore holds applying shared from before its append
 // until its record is in the store, and Checkpoint takes applying
 // exclusively once the log has sealed: when it gets the lock, every
-// sealed entry is applied. Ingest keeps running while the snapshot is
-// written; it waits only for the in-flight appends to land.
+// sealed entry is applied (AwaitApplied). Ingest keeps running while
+// the snapshot is written; it waits only for the in-flight appends to
+// land. A replication round that resyncs a follower from the store
+// waits the same way after it seals.
 //
 //ptm:lockorder applying<mu
 type Durable struct {
@@ -65,12 +66,8 @@ type Durable struct {
 	// successful ingests (0 disables automatic checkpoints).
 	checkpointEvery int
 
-	// syncAlways records that the log's policy is wal.SyncAlways: only
-	// then does a batch's last record wait for a sync (Commit).
-	syncAlways bool
-
 	// applying is held shared across each ingest's append and apply, and
-	// exclusively by Checkpoint between seal and snapshot.
+	// taken exclusively, briefly, by AwaitApplied.
 	applying sync.RWMutex
 
 	mu        sync.Mutex
@@ -118,7 +115,7 @@ func OpenDurableServer(dir string, srv *Server, opts wal.Options, checkpointEver
 	if err != nil {
 		return nil, err
 	}
-	d := &Durable{Server: srv, log: log, checkpointEvery: checkpointEvery, syncAlways: opts.Sync == wal.SyncAlways,
+	d := &Durable{Server: srv, log: log, checkpointEvery: checkpointEvery,
 		inflight: make(map[recordKey]chan struct{})}
 	if err := log.Recover(srv.LoadFrom, d.applyEntry); err != nil {
 		//ptmlint:allow errdrop -- the recovery error is what the caller sees; close is best-effort cleanup
@@ -142,21 +139,20 @@ func (d *Durable) applyEntry(payload []byte) error {
 	return nil
 }
 
-// Ingest logs the record, then stores it. It returns only after the
-// WAL append completed under the log's sync policy, so a nil return
-// means the record survives a crash (SyncAlways) or will within the
-// flush interval (SyncInterval).
+// Ingest logs the record, then stores it. It returns only after an
+// fsync covering the WAL append completed, so a nil return means the
+// record survives a crash.
 //
 // A record marked by record.MarkMore (a batch decoder's "more of this
 // batch follows") is the exception: it is logged without waiting for a
 // sync and stored, and the batch's unmarked last record commits it.
-// Under SyncAlways an unmarked record returns only after a sync that
-// covers every entry logged so far, on every return path — duplicate,
-// invalid and failed appends included — so a batch of N records costs
-// N appends and one fsync, and a nil (or duplicate) answer for the last
-// record vouches for the whole batch. A failed commit outranks the
-// record's own answer: the batch is not durable, and a duplicate must
-// not read as delivered.
+// An unmarked record returns only after a sync that covers every entry
+// logged so far, on every return path — duplicate, invalid and failed
+// appends included — so a batch of N records costs N appends and one
+// fsync, and a nil (or duplicate) answer for the last record vouches
+// for the whole batch. A failed commit outranks the record's own
+// answer: the batch is not durable, and a duplicate must not read as
+// delivered.
 func (d *Durable) Ingest(rec *record.Record) error {
 	if rec == nil {
 		return record.ErrNilBitmap
@@ -192,8 +188,8 @@ func (d *Durable) Ingest(rec *record.Record) error {
 }
 
 // ingest validates, logs and stores one record. committed reports that
-// the record's own append waited on the sync policy, which then covers
-// every entry logged before it.
+// the record's own append waited for a sync, which then covers every
+// entry logged before it.
 func (d *Durable) ingest(rec *record.Record, more bool) (committed bool, err error) {
 	if err := rec.Validate(); err != nil {
 		return false, err
@@ -255,16 +251,12 @@ func (d *Durable) logAndApply(rec *record.Record, blob []byte, more bool) (commi
 	return !more, d.Server.Ingest(rec)
 }
 
-// Commit closes a batch whose last record did not log itself: under
-// SyncAlways it returns once a sync covers every entry logged so far,
-// at no cost when none is pending; under the other policies it returns
-// nil. Ingest calls it for an unmarked record that was not appended; a
-// caller that rejects a batch's last record before Ingest calls it
-// itself.
+// Commit closes a batch whose last record did not log itself: it
+// returns once a sync covers every entry logged so far, at no cost when
+// none is pending. Ingest calls it for an unmarked record that was not
+// appended; a caller that rejects a batch's last record before Ingest
+// calls it itself.
 func (d *Durable) Commit() error {
-	if !d.syncAlways {
-		return nil
-	}
 	if err := d.log.Sync(); err != nil {
 		return fmt.Errorf("central: committing batch: %w", err)
 	}
@@ -275,19 +267,24 @@ func (d *Durable) Commit() error {
 // the log segments it covers. Safe to call concurrently with ingest.
 func (d *Durable) Checkpoint() error {
 	return d.log.Checkpoint(func(w io.Writer) error {
-		// The log has sealed. Wait out every ingest still between its
-		// append and its apply, so the snapshot holds every entry of the
+		// The log has sealed: the snapshot must hold every entry of the
 		// sealed segments this checkpoint drops.
-		d.applying.Lock()
-		d.applying.Unlock()
+		d.AwaitApplied()
 		return d.Server.SaveTo(w)
 	})
 }
 
-// Sync flushes the log to stable storage regardless of policy — called
-// on graceful shutdown so SyncInterval/SyncNever deployments lose
-// nothing when the process exits cleanly.
-func (d *Durable) Sync() error { return d.log.Sync() }
+// AwaitApplied returns once every record whose log append finished
+// before the call is in the store. A caller that seals the log and then
+// reads the store (Checkpoint, a replication round's full resync) calls
+// it between the two, so the store holds every sealed entry. Ingest
+// keeps running afterwards; it waits only while in-flight appends land.
+func (d *Durable) AwaitApplied() {
+	// Getting the lock is the wait: every in-flight ingest has released
+	// its shared hold by then.
+	d.applying.Lock()
+	d.applying.Unlock()
+}
 
 // LogStats exposes the underlying WAL counters.
 func (d *Durable) LogStats() wal.Stats { return d.log.Stats() }

@@ -114,7 +114,7 @@ func estimates(t *testing.T, s *Server) []float64 {
 
 func openDurable(t *testing.T, dir string, every int) *Durable {
 	t.Helper()
-	d, err := OpenDurable(dir, 3, wal.Options{Sync: wal.SyncAlways, SegmentSize: 1 << 16}, every)
+	d, err := OpenDurable(dir, 3, wal.Options{SegmentSize: 1 << 16}, every)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestDurableCheckpointRacingIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := OpenDurableServer(dir, srv, wal.Options{Sync: wal.SyncAlways}, 0)
+	d, err := OpenDurableServer(dir, srv, wal.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,8 +526,8 @@ func TestDurableEmptyStoreCheckpoint(t *testing.T) {
 	}
 }
 
-// TestDurableBatchCommitsOnLastRecord pins Ingest's batch contract
-// under SyncAlways: records marked "more follow" are logged without a
+// TestDurableBatchCommitsOnLastRecord pins Ingest's batch contract:
+// records marked "more follow" are logged without a
 // sync, and the batch's unmarked last record costs exactly one — on
 // every way it can end: appended, rejected as a duplicate, or rejected
 // as invalid before it reaches the log.

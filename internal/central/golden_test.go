@@ -44,7 +44,7 @@ func openGolden(t *testing.T, root string) *Durable {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := OpenDurableServer(filepath.Join(root, "wal"), srv, wal.Options{Sync: wal.SyncAlways}, 0)
+	d, err := OpenDurableServer(filepath.Join(root, "wal"), srv, wal.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

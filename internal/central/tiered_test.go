@@ -197,7 +197,7 @@ func TestDurableOverTiered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := OpenDurableServer(walDir, srv, wal.Options{Sync: wal.SyncAlways}, 0)
+		d, err := OpenDurableServer(walDir, srv, wal.Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

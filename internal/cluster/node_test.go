@@ -14,11 +14,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ptm/internal/central"
 	"ptm/internal/record"
+	"ptm/internal/store"
 	"ptm/internal/transport"
 	"ptm/internal/vhash"
 	"ptm/internal/wal"
@@ -40,10 +42,17 @@ func startNode(t *testing.T, id string) *testNode {
 	t.Helper()
 	dir := t.TempDir()
 	d, err := central.OpenDurable(dir, testS,
-		wal.Options{Sync: wal.SyncAlways, SegmentSize: 1 << 14}, 0)
+		wal.Options{SegmentSize: 1 << 14}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveNode(t, id, dir, d)
+}
+
+// serveNode wraps a durable store opened in dir in a Node (manual
+// shipping only) and serves it on loopback.
+func serveNode(t *testing.T, id, dir string, d *central.Durable) *testNode {
+	t.Helper()
 	n, err := NewNode(d, Config{
 		ID:          id,
 		RingPath:    filepath.Join(dir, "ring.json"),
@@ -341,7 +350,7 @@ func TestClusterFailoverAndReviveNoAckedLoss(t *testing.T) {
 	// Revive: restart the victim over the same WAL (kill -9 semantics:
 	// reopen and recover), then push a ring returning it to Up.
 	d2, err := central.OpenDurable(victim.dir, testS,
-		wal.Options{Sync: wal.SyncAlways, SegmentSize: 1 << 14}, 0)
+		wal.Options{SegmentSize: 1 << 14}, 0)
 	if err != nil {
 		t.Fatalf("reopening victim WAL: %v", err)
 	}
@@ -750,5 +759,105 @@ func TestConcurrentShipRoundsShipOnce(t *testing.T) {
 	}
 	if _, active := a.node.Log().Segments(); peer.Shipped+1 != active {
 		t.Errorf("watermark %d, want the last sealed segment %d", peer.Shipped, active-1)
+	}
+}
+
+// ingestGate is a store that parks the ingest of one location until
+// released, holding that ingest between its WAL append and its apply.
+// loc is set before any record of it is ingested.
+type ingestGate struct {
+	store.Store
+	loc     vhash.LocationID
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *ingestGate) Ingest(rec *record.Record) (int, error) {
+	if rec.Location == g.loc {
+		g.once.Do(func() { close(g.entered) })
+		<-g.release
+	}
+	return g.Store.Ingest(rec)
+}
+
+// TestFullResyncShipsInFlightIngest: a record appended to the leader's
+// log before a first-contact round seals it, but not yet in the store
+// when the round's full resync reads it, must still reach the follower.
+// The round moves the watermark past the record's segment, so a resync
+// that does not wait for the ingest to land misses the record for good:
+// later incremental rounds start after it.
+func TestFullResyncShipsInFlightIngest(t *testing.T) {
+	mem, err := store.NewMem(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &ingestGate{Store: mem, entered: make(chan struct{}), release: make(chan struct{})}
+	srv, err := central.NewServerWithStore(testS, gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	d, err := central.OpenDurableServer(dir, srv, wal.Options{SegmentSize: 1 << 14}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := serveNode(t, "a", dir, d), startNode(t, "b")
+	r := ringOf(1, 2, a, b)
+	pushRing(t, r, a, b)
+	nodes := map[string]*testNode{"a": a, "b": b}
+
+	var led []int
+	for loc := 1; loc <= 32 && len(led) < 4; loc++ {
+		if leaderOf(t, r, nodes, loc) == a {
+			led = append(led, loc)
+		}
+	}
+	if len(led) < 2 {
+		t.Fatalf("a leads %d of the locations, want 2", len(led))
+	}
+	want := 0
+	for _, loc := range led[1:] {
+		for p := 1; p <= 3; p++ {
+			if err := a.node.Ingest(testRecord(t, loc, p, 1024)); err != nil {
+				t.Fatal(err)
+			}
+			want++
+		}
+	}
+	gate.loc = vhash.LocationID(led[0])
+	parked := testRecord(t, led[0], 1, 1024)
+	ingested := make(chan error, 1)
+	go func() { ingested <- a.node.Ingest(parked) }()
+	<-gate.entered // the record is in a's log, not yet in its store
+	want++
+
+	shipped := make(chan error, 1)
+	go func() { shipped <- a.node.ShipNow() }()
+	select {
+	case err := <-shipped:
+		// The round finished without the parked record.
+		close(gate.release)
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(200 * time.Millisecond):
+		// The round waits for the parked ingest, as it must.
+		close(gate.release)
+		if err := <-shipped; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+	if err := a.node.ShipNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.node.Stats().Records; got != want {
+		t.Fatalf("follower holds %d of %d records after the full resync and one more round", got, want)
+	}
+	if _, err := b.node.Volume(vhash.LocationID(led[0]), 1); err != nil {
+		t.Fatalf("follower lacks the record that was in flight during the resync: %v", err)
 	}
 }

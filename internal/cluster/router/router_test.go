@@ -31,7 +31,7 @@ func startNode(t testing.TB, id string) *testNode {
 	t.Helper()
 	dir := t.TempDir()
 	d, err := central.OpenDurable(dir, testS,
-		wal.Options{Sync: wal.SyncAlways, SegmentSize: 1 << 14}, 0)
+		wal.Options{SegmentSize: 1 << 14}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

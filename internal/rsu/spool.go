@@ -15,8 +15,8 @@ import (
 // unreachable, ended-period records are appended to an on-disk segmented
 // log instead of being dropped, and delivered later. The log is the same
 // WAL format the central server uses for durability, so a spooled record
-// survives an rsud restart or power loss (the spool always opens its log
-// with wal.SyncAlways — an Enqueue that returned is on disk).
+// survives an rsud restart or power loss (an Enqueue that returned is
+// fsynced).
 //
 // Delivery is at-least-once: a crash between a successful upload and the
 // segment drop re-sends the batch on the next drain. The central server
@@ -40,7 +40,7 @@ type Spool struct {
 // OpenSpool opens (or creates) the spool directory and counts any
 // records left over from a previous run.
 func OpenSpool(dir string) (*Spool, error) {
-	l, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
+	l, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("rsu: opening spool: %w", err)
 	}

@@ -191,7 +191,7 @@ func TestSpoolDrainChunksBacklog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, err := central.OpenDurable(t.TempDir(), 3, wal.Options{Sync: wal.SyncAlways}, 0)
+	d, err := central.OpenDurable(t.TempDir(), 3, wal.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

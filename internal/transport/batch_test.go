@@ -217,11 +217,11 @@ func TestUploadBatchEmptyRejectedClientSide(t *testing.T) {
 	}
 }
 
-// durableStack serves a SyncAlways central.Durable, optionally wrapped,
+// durableStack serves a central.Durable, optionally wrapped,
 // over loopback TCP.
 func durableStack(t *testing.T, wrap func(*central.Durable) Store) (*central.Durable, *Client) {
 	t.Helper()
-	d, err := central.OpenDurable(t.TempDir(), 3, wal.Options{Sync: wal.SyncAlways}, 0)
+	d, err := central.OpenDurable(t.TempDir(), 3, wal.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

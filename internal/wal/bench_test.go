@@ -6,12 +6,12 @@ import (
 )
 
 // The append path is what sits between an RSU's upload and its Ack, so
-// its cost per sync policy is the ingest plane's durability overhead.
+// its cost is the ingest plane's durability overhead.
 // Run with `go test -run=NONE -bench=Append ./internal/wal/`; the
 // end-to-end figure is bench/ptmload's wal.append_sync_us.
 
-func benchAppend(b *testing.B, policy SyncPolicy, payload int) {
-	l, err := Open(b.TempDir(), Options{Sync: policy})
+func benchAppend(b *testing.B, payload int) {
+	l, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,20 +30,18 @@ func benchAppend(b *testing.B, policy SyncPolicy, payload int) {
 }
 
 func BenchmarkAppendSerial(b *testing.B) {
-	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
-		for _, size := range []int{256, 4096} {
-			b.Run(fmt.Sprintf("sync=%v/payload=%d", policy, size), func(b *testing.B) {
-				benchAppend(b, policy, size)
-			})
-		}
+	for _, size := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("payload=%d", size), func(b *testing.B) {
+			benchAppend(b, size)
+		})
 	}
 }
 
 // BenchmarkAppendGroupCommit measures concurrent appenders sharing
 // fsyncs: the whole point of group commit is that ns/op here collapses
-// versus serial SyncAlways as parallelism rises (-cpu=1,4,8).
+// versus serial appends as parallelism rises (-cpu=1,4,8).
 func BenchmarkAppendGroupCommit(b *testing.B) {
-	l, err := Open(b.TempDir(), Options{Sync: SyncAlways})
+	l, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // EVERY possible cut point in the tail segment, recovery must yield a
 // prefix-consistent subset of the appended entries — never a reordered,
 // corrupted, or hole-y subset — and every entry whose bytes are wholly
-// before the cut must survive (that is what the fsync in SyncAlways
+// before the cut must survive (that is what the fsync in Append
 // buys: an acked entry's bytes are behind every later cut point).
 
 // buildLog appends n entries and returns the dir and the per-entry end
@@ -23,7 +23,7 @@ import (
 func buildLog(t *testing.T, n int, segSize int64) (dir string, tailEnds []int64) {
 	t.Helper()
 	dir = t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever, SegmentSize: segSize})
+	l, err := Open(dir, Options{SegmentSize: segSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCrashRecoveryEveryCutPoint(t *testing.T) {
 			}
 			for cut := int64(0); cut <= st.Size(); cut++ {
 				crashed := cloneTruncated(t, dir, cut)
-				l, err := Open(crashed, Options{Sync: SyncNever, SegmentSize: tc.segSize})
+				l, err := Open(crashed, Options{SegmentSize: tc.segSize})
 				if err != nil {
 					t.Fatalf("cut %d: open: %v", cut, err)
 				}
@@ -170,7 +170,7 @@ func TestCrashRecoveryEveryCutPoint(t *testing.T) {
 // replayed into duplicates beyond what apply tolerates).
 func TestCrashDuringCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 200})
+	l, err := Open(dir, Options{SegmentSize: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestCrashDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 200})
+	l2, err := Open(dir, Options{SegmentSize: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

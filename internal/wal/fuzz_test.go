@@ -42,7 +42,7 @@ func FuzzReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "000000000000000001"+segSuffix), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := Open(dir, Options{Sync: SyncNever})
+		l, err := Open(dir, Options{})
 		if err == nil {
 			if rerr := l.Replay(func([]byte) error { return nil }); rerr != nil {
 				t.Fatalf("replay of repaired segment failed: %v", rerr)
@@ -59,7 +59,7 @@ func FuzzReplay(f *testing.F) {
 		// the input, cut the file at an arbitrary point, and require
 		// replay to return exactly a prefix of the chunks.
 		dir2 := t.TempDir()
-		l2, err := Open(dir2, Options{Sync: SyncNever})
+		l2, err := Open(dir2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func FuzzReplay(f *testing.F) {
 		if err := os.Truncate(path, cutAt); err != nil {
 			t.Fatal(err)
 		}
-		l3, err := Open(dir2, Options{Sync: SyncNever})
+		l3, err := Open(dir2, Options{})
 		if err != nil {
 			t.Fatalf("open after cut at %d: %v", cutAt, err)
 		}

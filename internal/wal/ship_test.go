@@ -35,7 +35,7 @@ func TestSealReplayDropUnderConcurrentAppend(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force many rotations, so Seal and the appenders'
 	// rotateLocked race constantly.
-	l, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 1 << 10})
+	l, err := Open(dir, Options{SegmentSize: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSealReplayDropUnderConcurrentAppend(t *testing.T) {
 // not churn empty segments — the shipper polls Seal on a timer and an
 // idle cluster must not grow its logs.
 func TestSealEmptyTailStable(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncNever})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSealEmptyTailStable(t *testing.T) {
 // returns nil but visits nothing. The shipper detects the hole by
 // re-checking Segments() afterwards and falls back to a full resync.
 func TestReplaySegmentsCheckpointRace(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncNever, SegmentSize: 1 << 10})
+	l, err := Open(t.TempDir(), Options{SegmentSize: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestTornTailFollowerRestart(t *testing.T) {
 	// (b) replay yields every fully-appended entry, (c) re-applying the
 	// leader's resend of the lost suffix converges without duplicates.
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestTornTailFollowerRestart(t *testing.T) {
 	}
 
 	// Restart: the torn entry (w1-49) is truncated away.
-	l2, err := Open(dir, Options{Sync: SyncNever})
+	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,18 +29,17 @@
 // # Durability contract
 //
 // Append returns only after the entry is written to the active segment
-// and — under SyncAlways — fsynced. Concurrent appenders share one
-// fsync (group commit): each waits until a sync covering its entry has
-// completed, but only one goroutine at a time issues Fsync, so a burst
-// of N appends costs far fewer than N disk flushes. One caller can
-// group its own entries the same way: AppendNoSync writes an entry
-// without waiting, and the next Append (or Sync) waits for one fsync
-// that covers it too, so a batch of N entries costs one flush.
-// SyncInterval fsyncs on a timer (bounded data loss, bounded latency);
-// SyncNever leaves flushing to the OS. A failed fsync poisons the log
-// permanently: after a sync error every Append and Sync fails, because
-// the kernel may have dropped the dirty pages and silently retrying
-// would turn "maybe lost" into "acknowledged and lost".
+// and fsynced, so a nil return is a durability promise. Concurrent
+// appenders share one fsync (group commit): each waits until a sync
+// covering its entry has completed, but only one goroutine at a time
+// issues Fsync, so a burst of N appends costs far fewer than N disk
+// flushes. One caller can group its own entries the same way:
+// AppendNoSync writes an entry without waiting, and the next Append (or
+// Sync) waits for one fsync that covers it too, so a batch of N entries
+// costs one flush. A failed fsync poisons the log permanently: after a
+// sync error every Append and Sync fails, because the kernel may have
+// dropped the dirty pages and silently retrying would turn "maybe lost"
+// into "acknowledged and lost".
 //
 // # Recovery
 //
@@ -68,71 +67,29 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
-// SyncPolicy selects when Append data is flushed to stable storage.
+// SyncPolicy names the log's fsync behaviour. SyncAlways is the only
+// one; the type stays while bench/ptmload still names it.
 type SyncPolicy int
 
-// Sync policies, in decreasing order of durability.
-const (
-	// SyncAlways fsyncs before Append returns (group-committed): an
-	// acknowledged entry survives power loss.
-	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a timer: at most Interval's worth of
-	// acknowledged entries can be lost to power failure.
-	SyncInterval
-	// SyncNever leaves flushing to the operating system: a process
-	// crash loses nothing, a power failure may lose the cached tail.
-	SyncNever
-)
+// SyncAlways fsyncs before Append returns (group-committed): an
+// acknowledged entry survives power loss.
+const SyncAlways SyncPolicy = 0
 
-// String implements fmt.Stringer.
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncNever:
-		return "never"
-	default:
-		return fmt.Sprintf("SyncPolicy(%d)", int(p))
-	}
-}
-
-// ParseSyncPolicy parses "always", "interval", or "never".
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown sync policy %q (want always, interval, or never)", s)
-	}
-}
-
-// Options tunes a log. The zero value is usable: SyncAlways, the
-// default segment size and interval.
+// Options tunes a log. The zero value is usable.
 type Options struct {
-	// Sync is the fsync policy (default SyncAlways).
+	// Sync is kept while bench/ptmload still sets it. Leave it zero:
+	// Open rejects any value but SyncAlways.
 	Sync SyncPolicy
 	// SegmentSize rotates the active segment once it exceeds this many
 	// bytes (default 64 MiB). Smaller segments make checkpoint
 	// compaction reclaim space sooner.
 	SegmentSize int64
-	// Interval is the flush cadence under SyncInterval (default 100ms).
-	Interval time.Duration
 }
 
-// Defaults for Options zero fields.
-const (
-	DefaultSegmentSize = 64 << 20
-	DefaultInterval    = 100 * time.Millisecond
-)
+// DefaultSegmentSize is the SegmentSize of a zero Options.
+const DefaultSegmentSize = 64 << 20
 
 // Framing constants.
 const (
@@ -165,8 +122,7 @@ type Stats struct {
 	// Appends is the number of entries appended.
 	Appends int64
 	// Syncs is the number of Fsync calls issued; under concurrent
-	// SyncAlways appends this is typically far below Appends (group
-	// commit).
+	// appends this is typically far below Appends (group commit).
 	Syncs int64
 	// Rotations counts segment rollovers.
 	Rotations int64
@@ -221,9 +177,6 @@ type Log struct {
 	// held across Seal and DropThrough (which take syncMu and mu), never
 	// acquired while either is held.
 	ckptMu sync.Mutex
-
-	tickQuit chan struct{} // SyncInterval flusher lifecycle
-	tickDone chan struct{}
 }
 
 // Open creates or opens the log directory, repairing a torn tail so the
@@ -232,14 +185,14 @@ type Log struct {
 //
 //ptm:exclusive constructor: the Log is not shared until Open returns
 func Open(dir string, opts Options) (*Log, error) {
+	if opts.Sync != SyncAlways {
+		return nil, fmt.Errorf("wal: sync policy %d: SyncAlways is the only policy", int(opts.Sync))
+	}
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
 	if opts.SegmentSize < segHeader+entryHdr {
 		return nil, fmt.Errorf("wal: segment size %d too small", opts.SegmentSize)
-	}
-	if opts.Interval <= 0 {
-		opts.Interval = DefaultInterval
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
@@ -295,32 +248,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.f, l.segIndex, l.segSize = f, tail, size
 	}
 	l.syncedSeq = l.writeSeq // everything recovered is already on disk
-
-	if opts.Sync == SyncInterval {
-		l.tickQuit = make(chan struct{})
-		l.tickDone = make(chan struct{})
-		//ptmlint:allow goroutinehygiene -- the flusher exits when Close closes tickQuit and is awaited via tickDone
-		go l.flushLoop()
-	}
 	return l, nil
-}
-
-// flushLoop is the SyncInterval background flusher.
-func (l *Log) flushLoop() {
-	defer close(l.tickDone)
-	t := time.NewTicker(l.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.tickQuit:
-			return
-		case <-t.C:
-			// A failed interval flush poisons the log; subsequent
-			// Appends surface the sticky error, so drop it here.
-			//ptmlint:allow errdrop -- the error is sticky in syncErr and surfaces on the next Append/Sync
-			_ = l.Sync()
-		}
-	}
 }
 
 // Dir returns the log directory.
@@ -339,9 +267,9 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Append writes one entry to the log. Under SyncAlways it returns only
-// after an fsync covering the entry has completed, so a nil return is a
-// durability promise. The payload is copied into framing before the
+// Append writes one entry to the log. It returns only after an fsync
+// covering the entry has completed, so a nil return is a durability
+// promise. The payload is copied into framing before the
 // call returns; the caller may reuse it.
 //
 //ptm:sink wal append
@@ -350,19 +278,14 @@ func (l *Log) Append(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if l.opts.Sync == SyncAlways {
-		return l.syncTo(seq)
-	}
-	return nil
+	return l.syncTo(seq)
 }
 
 // AppendNoSync writes one entry like Append but returns without waiting
-// for a sync, whatever the policy. The entry becomes durable with the
-// next sync that covers it: a later Append's under SyncAlways, an
-// explicit Sync, or the SyncInterval flusher. A batch written as N-1
-// AppendNoSync calls and one closing Append therefore costs one fsync
-// under SyncAlways, and the closing Append's nil is the promise for the
-// whole batch. A write error poisons the log, so the closing Append
+// for a sync. The entry becomes durable with the next sync that covers
+// it: a later Append's or an explicit Sync. A batch written as N-1
+// AppendNoSync calls and one closing Append therefore costs one fsync,
+// and the closing Append's nil is the promise for the whole batch. A write error poisons the log, so the closing Append
 // reports it too.
 //
 //ptm:sink wal append
@@ -437,9 +360,9 @@ func (l *Log) writeEntryLocked(hdr *[entryHdr]byte, payload []byte) (int64, erro
 	return l.writeSeq, nil
 }
 
-// Sync flushes every entry appended so far to stable storage,
-// regardless of policy. Use it before reporting "all spooled data is
-// safe" under SyncInterval/SyncNever.
+// Sync flushes every entry appended so far to stable storage. It is
+// how a batch of AppendNoSync entries that has no closing Append
+// commits.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	if l.closed {
@@ -533,17 +456,15 @@ func (l *Log) poison(err error) error {
 }
 
 // rotateLocked seals the active segment and opens the next one. Caller
-// holds l.mu. The outgoing segment is fsynced (unless SyncNever) so the
-// group-commit invariant — syncing the active file covers all unsynced
+// holds l.mu. The outgoing segment is fsynced so the group-commit
+// invariant — syncing the active file covers all unsynced
 // entries — holds across the switch.
 func (l *Log) rotateLocked() error {
 	f, idx := l.f, l.segIndex
-	if l.opts.Sync != SyncNever {
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("wal: syncing sealed segment %d: %w", idx, err)
-		}
-		l.stats.syncs++
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("wal: syncing sealed segment %d: %w", idx, err)
 	}
+	l.stats.syncs++
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("wal: closing sealed segment %d: %w", idx, err)
 	}
@@ -567,13 +488,11 @@ func (l *Log) openSegment(idx uint64) error {
 		closeQuiet(f)
 		return fmt.Errorf("wal: writing segment %d header: %w", idx, err)
 	}
-	if l.opts.Sync != SyncNever {
-		// The new file's existence must survive a crash before entries
-		// in it are considered durable.
-		if err := syncDir(l.dir); err != nil {
-			closeQuiet(f)
-			return err
-		}
+	// The new file's existence must survive a crash before entries in
+	// it are considered durable.
+	if err := syncDir(l.dir); err != nil {
+		closeQuiet(f)
+		return err
 	}
 	l.f, l.segIndex, l.segSize = f, idx, segHeader
 	return nil
@@ -633,24 +552,14 @@ func (l *Log) DropThrough(seg uint64) error {
 	if seg >= l.firstSeg {
 		l.firstSeg = seg + 1
 	}
-	if l.opts.Sync != SyncNever {
-		return syncDir(l.dir)
-	}
-	return nil
+	return syncDir(l.dir)
 }
 
-// Close flushes (under SyncAlways/SyncInterval) and closes the log.
+// Close flushes and closes the log.
 func (l *Log) Close() error {
-	if l.tickQuit != nil {
-		close(l.tickQuit)
-		<-l.tickDone
-		l.tickQuit = nil
-	}
 	var syncErr error
-	if l.opts.Sync != SyncNever {
-		if err := l.Sync(); err != nil && !errors.Is(err, ErrClosed) {
-			syncErr = err
-		}
+	if err := l.Sync(); err != nil && !errors.Is(err, ErrClosed) {
+		syncErr = err
 	}
 	l.mu.Lock()
 	if l.closed {

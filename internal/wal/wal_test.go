@@ -7,9 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // entry builds a distinguishable payload.
@@ -32,7 +32,7 @@ func collect(t *testing.T, l *Log) [][]byte {
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 
 	// Reopen: same contents, appends continue.
-	l2, err := Open(dir, Options{Sync: SyncNever})
+	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestEmptyAndOversizeEntries(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncNever})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestEmptyAndOversizeEntries(t *testing.T) {
 func TestRotationAndSegmentFiles(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation every couple of entries.
-	l, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 128})
+	l, err := Open(dir, Options{SegmentSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRotationAndSegmentFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen across many segments.
-	l2, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 128})
+	l2, err := Open(dir, Options{SegmentSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRotationAndSegmentFiles(t *testing.T) {
 }
 
 func TestSealAndDropThrough(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncNever, SegmentSize: 1 << 20})
+	l, err := Open(t.TempDir(), Options{SegmentSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSealAndDropThrough(t *testing.T) {
 }
 
 func TestDropActiveSegmentRefused(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncNever})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestDropActiveSegmentRefused(t *testing.T) {
 
 func TestCheckpointCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncAlways, SegmentSize: 256})
+	l, err := Open(dir, Options{SegmentSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	}
 
 	// Recovery = checkpoint + newer segments.
-	l2, err := Open(dir, Options{Sync: SyncAlways, SegmentSize: 256})
+	l2, err := Open(dir, Options{SegmentSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCheckpointCompaction(t *testing.T) {
 
 func TestRecoverColdStart(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRecoverColdStart(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{Sync: SyncNever})
+	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestRecoverColdStart(t *testing.T) {
 
 func TestCheckpointFailureLeavesLogIntact(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestCheckpointFailureLeavesLogIntact(t *testing.T) {
 }
 
 func TestGroupCommitConcurrentAppends(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 // Append's sync covers every entry before it, and a Sync with nothing
 // pending costs none.
 func TestAppendNoSyncBatchCostsOneSync(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestAppendNoSyncBatchCostsOneSync(t *testing.T) {
 // fsync per batch (two writers' batches may share one), and every entry
 // survives.
 func TestConcurrentBatchesAtMostOneSyncEach(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestConcurrentBatchesAtMostOneSyncEach(t *testing.T) {
 // append poisons the log, so the batch's closing Append reports it
 // instead of vouching for entries that never reached the file.
 func TestAppendNoSyncWriteErrorPoisons(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,28 +484,8 @@ func TestAppendNoSyncWriteErrorPoisons(t *testing.T) {
 	}
 }
 
-func TestSyncIntervalFlushes(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncInterval, Interval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(entry(1)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for l.Stats().Syncs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("interval flusher never synced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestClosedLogRefusesWork(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncNever})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +505,7 @@ func TestClosedLogRefusesWork(t *testing.T) {
 
 func TestOpenRejectsSegmentGap(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 128})
+	l, err := Open(dir, Options{SegmentSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,14 +524,14 @@ func TestOpenRejectsSegmentGap(t *testing.T) {
 	if err := os.Remove(l.segPath(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 128}); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dir, Options{SegmentSize: 128}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with missing middle segment = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestOpenRejectsMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 128})
+	l, err := Open(dir, Options{SegmentSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,28 +554,34 @@ func TestOpenRejectsMidLogCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 128}); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dir, Options{SegmentSize: 128}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with corrupt sealed segment = %v, want ErrCorrupt", err)
 	}
 }
 
-func TestParseSyncPolicy(t *testing.T) {
+// TestOpenRejectsBadOptions: Open refuses options it cannot honour,
+// among them any sync policy but SyncAlways — an acked entry is always
+// fsynced.
+func TestOpenRejectsBadOptions(t *testing.T) {
 	for _, tc := range []struct {
-		in   string
-		want SyncPolicy
-		ok   bool
+		name string
+		opts Options
+		want string
 	}{
-		{"always", SyncAlways, true},
-		{"interval", SyncInterval, true},
-		{"never", SyncNever, true},
-		{"sometimes", 0, false},
+		{"segment smaller than one entry", Options{SegmentSize: segHeader}, "too small"},
+		{"sync policy other than SyncAlways", Options{Sync: SyncAlways + 1}, "sync policy"},
 	} {
-		got, err := ParseSyncPolicy(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseSyncPolicy(%q) = %v, %v", tc.in, got, err)
+		dir := t.TempDir()
+		l, err := Open(dir, tc.opts)
+		if err == nil {
+			t.Errorf("%s: Open accepted %+v", tc.name, tc.opts)
+			if cerr := l.Close(); cerr != nil {
+				t.Error(cerr)
+			}
+			continue
 		}
-		if tc.ok && got.String() != tc.in {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.in)
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Open error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }

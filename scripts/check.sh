@@ -18,10 +18,12 @@
 #   6. examples            (each program under examples/ once, its stdout
 #                          against scripts/testdata/examples/<name>.txt;
 #                          PTM_UPDATE_GOLDEN=1 rewrites the goldens)
-#   7. race stress smoke   (the WAL group commit and batch commit, RSU,
-#                          DSRC fan-in, stripe, estimate-cache,
-#                          checkpoint-vs-ingest, tiered-store and
-#                          fence-vs-ingest-and-freeze
+#   7. race stress smoke   (the WAL group commit and batch commit, RSU
+#                          striped ingest and controller spool, DSRC
+#                          fan-in, stripe, estimate-cache,
+#                          checkpoint-vs-ingest, duplicate ingest,
+#                          concurrent ship rounds, resync-vs-ingest,
+#                          tiered-store and fence-vs-ingest-and-freeze
 #                          concurrency tests again under -race -count=2 —
 #                          the dynamic complement of the static concguard
 #                          contracts)
@@ -102,12 +104,13 @@ for example in citynet commutergrid odmatrix privacysweep quickstart siouxfalls;
 	fi
 done
 
-step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + estimate cache + checkpoint racing ingest + tiered store + fence racing ingest and freeze)"
+step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + RSU controller spool + estimate cache + checkpoint racing ingest + duplicate ingest + concurrent ship rounds + full resync racing ingest + tiered store + fence racing ingest and freeze)"
 go test -race -count=2 -run '^(TestGroupCommitConcurrentAppends|TestConcurrentBatchesAtMostOneSyncEach)$' ./internal/wal/
-go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation|TestDifferentialAtomicVsSequential)$' ./internal/rsu/
+go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation|TestDifferentialAtomicVsSequential|TestControllerSpoolsThroughOutage)$' ./internal/rsu/
 go test -race -count=2 -run '^TestConcurrentSendFanIn$' ./internal/dsrc/
 go test -race -count=2 -run '^TestPickAndSum$' ./internal/stripe/
-go test -race -count=2 -run '^(TestEstCacheConcurrentQueryIngest|TestDurableCheckpointRacingIngest)$' ./internal/central/
+go test -race -count=2 -run '^(TestEstCacheConcurrentQueryIngest|TestDurableCheckpointRacingIngest|TestDurableConcurrentDuplicateLogsOnce)$' ./internal/central/
+go test -race -count=2 -run '^(TestConcurrentShipRoundsShipOnce|TestFullResyncShipsInFlightIngest)$' ./internal/cluster/
 go test -race -count=2 -run '^(TestTieredConcurrentSoak|TestTieredFreezeRacingRetention|TestFenceNamesRecordSet)$' ./internal/store/
 
 step "fuzz smoke ($FUZZTIME per target)"

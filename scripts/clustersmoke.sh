@@ -57,7 +57,7 @@ pid_of() { eval "printf '%s' \"\$PID_$1\""; }
 # start_node id — start (or restart) a cluster member on its own WAL.
 start_node() {
 	id="$1"
-	"$TMP/centrald" -listen "$(addr_of "$id")" -wal "$TMP/wal-$id" -sync always \
+	"$TMP/centrald" -listen "$(addr_of "$id")" -wal "$TMP/wal-$id" \
 		-cluster-node "$id" -ship-interval 100ms 2>>"$TMP/$id.log" &
 	eval "PID_$id=$!"
 	wait_up "$(addr_of "$id")" "$id"
@@ -114,7 +114,7 @@ diff_estimates() {
 }
 
 say "starting single-node reference on $ADDR_ref"
-"$TMP/centrald" -listen "$ADDR_ref" -wal "$TMP/wal-ref" -sync always 2>>"$TMP/ref.log" &
+"$TMP/centrald" -listen "$ADDR_ref" -wal "$TMP/wal-ref" 2>>"$TMP/ref.log" &
 PID_ref=$!
 wait_up "$ADDR_ref" "ref"
 

@@ -38,7 +38,7 @@ LOC=11
 PERIODS=6
 
 start_centrald() {
-	"$TMP/centrald" -listen "$ADDR" -wal "$WAL" -sync always -checkpoint-every 3 2>>"$TMP/centrald.log" &
+	"$TMP/centrald" -listen "$ADDR" -wal "$WAL" -checkpoint-every 3 2>>"$TMP/centrald.log" &
 	CPID=$!
 	i=0
 	while ! "$TMP/ptmquery" -central "$ADDR" locations >/dev/null 2>&1; do

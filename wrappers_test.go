@@ -135,15 +135,21 @@ func TestRSUControllerAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spool, err := OpenRSUSpool(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spool.Close()
 	ctl, err := NewRSUController(unit,
 		RSUSchedule{PeriodLength: time.Hour, BeaconInterval: time.Second},
-		func(*Record) error { return nil },
+		spool,
+		func(recs []*Record) (int, error) { return len(recs), nil },
 		func(PeriodID) float64 { return 100 },
 		nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctl.Uploaded() != 0 || ctl.Dropped() != 0 {
+	if ctl.Uploaded() != 0 || ctl.LastDrainErr() != nil || spool.Pending() != 0 {
 		t.Error("fresh controller has non-zero counters")
 	}
 }
