@@ -2,12 +2,12 @@
 // repository's benchmark, bench/ptmload, the way a performance claim is
 // judged: paired runs, alternating which build goes first.
 //
-//	go run ./cmd/benchpair <rev> [workload] [pairs]
+//	go run ./cmd/benchpair <rev> [workload] [pairs] [seed]
 //
 // It extracts <rev> with git archive into a temporary directory, builds
 // ./bench/ptmload there and in the working tree, and runs pairs (default
-// 10) of each workload (default: every workload of BENCHMARK.json), each
-// run at BENCHMARK.json's run_seconds with its scratch files in the
+// 10) of each workload (default: every workload of BENCHMARK.json) on
+// ptmload's input seed (default 1), each run at BENCHMARK.json's run_seconds with its scratch files in the
 // temporary directory, which is removed on every exit. The runs' WAL and
 // segment writes therefore land on the system temporary directory's
 // filesystem (os.TempDir); where that is a tmpfs, fsync costs nothing and
@@ -67,14 +67,21 @@ type benchmark struct {
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
-	if len(args) < 1 || len(args) > 3 {
-		return errors.New("usage: benchpair <rev> [workload] [pairs]")
+	if len(args) < 1 || len(args) > 4 {
+		return errors.New("usage: benchpair <rev> [workload] [pairs] [seed]")
 	}
 	pairs := defaultPairs
-	if len(args) == 3 {
+	if len(args) >= 3 {
 		if pairs, err = strconv.Atoi(args[2]); err != nil || pairs < 1 {
 			return fmt.Errorf("pairs must be a positive integer, got %q", args[2])
 		}
+	}
+	seed := "1"
+	if len(args) == 4 {
+		if _, err := strconv.ParseUint(args[3], 10, 64); err != nil {
+			return fmt.Errorf("seed must be an unsigned integer, got %q", args[3])
+		}
+		seed = args[3]
 	}
 	root, err := command(ctx, "", "git", "rev-parse", "--show-toplevel")
 	if err != nil {
@@ -139,8 +146,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if dirty != "" {
 		out.Printf(" plus uncommitted changes")
 	}
-	out.Printf("\ncpu %s, nproc %d, %s, GOAMD64=%s; %d pairs of %gs runs per workload\n",
-		cpuModel(), runtime.NumCPU(), goVersion, goamd64, pairs, bm.RunSeconds)
+	out.Printf("\ncpu %s, nproc %d, %s, GOAMD64=%s; %d pairs of %gs runs per workload, seed %s\n",
+		cpuModel(), runtime.NumCPU(), goVersion, goamd64, pairs, bm.RunSeconds, seed)
 	if err := out.Err(); err != nil {
 		return err
 	}
@@ -151,7 +158,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		values := [2]map[string][]float64{{}, {}}
 		var order []string // row metrics in the order the first run printed them
 		for _, r := range schedule(pairs) {
-			output, err := command(ctx, "", bins[r.side], "-workload", w, "-seconds", seconds, "-dir", filepath.Join(tmp, "runs"))
+			output, err := command(ctx, "", bins[r.side], "-workload", w, "-seed", seed, "-seconds", seconds, "-dir", filepath.Join(tmp, "runs"))
 			if err != nil {
 				return fmt.Errorf("%s, pair %d, %s build: %w", w, r.pair+1, sideNames[r.side], err)
 			}

@@ -149,7 +149,7 @@ func TestParseRun(t *testing.T) {
 }
 
 func TestRunRejectsBadArguments(t *testing.T) {
-	for _, args := range [][]string{nil, {"HEAD", "query-mix", "0"}, {"HEAD", "query-mix", "ten"}, {"a", "b", "1", "c"}} {
+	for _, args := range [][]string{nil, {"HEAD", "query-mix", "0"}, {"HEAD", "query-mix", "ten"}, {"a", "b", "1", "c"}, {"a", "b", "1", "-2"}, {"a", "b", "1", "2", "e"}} {
 		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil {
 			t.Errorf("run(%q) accepted", args)
 		}

@@ -2,6 +2,7 @@ package central
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -48,6 +49,26 @@ func truncateBy(path string, n int64) error {
 		size = 0
 	}
 	return os.Truncate(path, size)
+}
+
+// walEntriesEnd walks a WAL segment's framing (a 16-byte header, then
+// entries of a u32 length, a u32 CRC and the payload) and returns the
+// offset where its entries end: the file's end, or the start of the
+// fill behind them, whose length field reads above wal.MaxEntrySize.
+func walEntriesEnd(path string) (int64, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	off := int64(16)
+	for off+8 <= int64(len(data)) {
+		n := int64(binary.LittleEndian.Uint32(data[off:]))
+		if n > wal.MaxEntrySize || off+8+n > int64(len(data)) {
+			break
+		}
+		off += 8 + n
+	}
+	return off, nil
 }
 
 // pairRecords builds a realistic two-location workload as a flat record
@@ -375,13 +396,19 @@ func TestDurableTornTailPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Abandon d (crash) and bite 100 bytes off the log tail.
+	// Abandon d (crash) and cut 100 bytes into the last entry. The open
+	// log's tail is fill past its entries, so the cut is measured from
+	// the end of the entries, not of the file.
 	segs, err := walSegments(dir)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v, %v", segs, err)
 	}
 	tail := segs[len(segs)-1]
-	if err := truncateBy(tail, 100); err != nil {
+	end, err := walEntriesEnd(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(tail, end-100); err != nil {
 		t.Fatal(err)
 	}
 	recovered := openDurable(t, dir, 0)

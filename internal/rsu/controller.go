@@ -13,10 +13,12 @@ import (
 // Controller runs an RSU on a wall-clock schedule: it starts a new
 // measurement period every PeriodLength, broadcasts a beacon every
 // BeaconInterval ("once per second" in the paper), and at period end
-// spools the record and delivers the spool to the central server. A
-// record the backhaul cannot take stays in the spool, on disk, and the
-// controller tries again on later beacon ticks, so no record is dropped
-// however long the outage lasts.
+// spools the record and wakes a delivery goroutine that sends the spool
+// to the central server. A record the backhaul cannot take stays in the
+// spool, on disk, and the controller tries again on later beacon ticks,
+// so no record is dropped however long the outage lasts; and since
+// delivery runs apart from the beacon loop, a backhaul that hangs holds
+// up neither beacons nor period rotation.
 //
 // Time is injected through the TickClock interface so deployments use the
 // real clock and tests drive the schedule deterministically.
@@ -71,6 +73,7 @@ type Controller struct {
 var (
 	ErrBadSchedule = errors.New("rsu: beacon interval must be positive and shorter than the period")
 	ErrNilUpload   = errors.New("rsu: nil spool, send or expected-volume function")
+	ErrNilRSU      = errors.New("rsu: nil RSU")
 )
 
 // NewController validates the schedule and assembles a controller.
@@ -79,7 +82,7 @@ var (
 // may be nil for the real clock.
 func NewController(r *RSU, sched Schedule, spool *Spool, send func([]*record.Record) (int, error), expected ExpectedVolumeFunc, clock TickClock) (*Controller, error) {
 	if r == nil {
-		return nil, ErrNilDep
+		return nil, ErrNilRSU
 	}
 	if spool == nil || send == nil || expected == nil {
 		return nil, ErrNilUpload
@@ -94,14 +97,39 @@ func NewController(r *RSU, sched Schedule, spool *Spool, send func([]*record.Rec
 }
 
 // Run executes the period loop until ctx is canceled. Each ended period
-// is spooled and then delivered in one Drain; while records remain
-// spooled, every beacon tick drains again. The period active at
-// cancellation is closed, spooled and drained once more before
-// returning, so no measured traffic is lost on shutdown: what the
-// backhaul did not take is in the spool for the next run. Returns
-// ctx.Err() after a clean shutdown, or the error of a record that could
-// not be spooled.
+// is spooled, and delivery is left to one goroutine that Run starts and
+// joins: the loop wakes it at period end and, while records remain
+// spooled, on every beacon tick, and a wake that arrives during a Drain
+// is kept for one more. The period active at cancellation is closed and
+// spooled, and Run returns only after one more Drain has ended, so no
+// measured traffic is lost on shutdown: what the backhaul did not take
+// is in the spool for the next run. Returns ctx.Err() after a clean
+// shutdown, or the error of a record that could not be spooled.
 func (c *Controller) Run(ctx context.Context) error {
+	wake := make(chan struct{}, 1)
+	delivered := make(chan struct{})
+	go func() {
+		defer close(delivered)
+		for range wake {
+			c.drain()
+		}
+	}()
+	err := c.measure(ctx, wake)
+	close(wake)
+	<-delivered
+	return err
+}
+
+// measure is Run's period loop. It never waits on the backhaul: it only
+// signals wake, whose one-slot buffer folds the signals that arrive
+// while a Drain is under way into the next one.
+func (c *Controller) measure(ctx context.Context, wake chan<- struct{}) error {
+	signal := func() {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	}
 	period := c.sched.FirstPeriod
 	for {
 		if err := c.rsu.StartPeriod(period, c.expected(period)); err != nil {
@@ -120,7 +148,7 @@ func (c *Controller) Run(ctx context.Context) error {
 					return fmt.Errorf("rsu: beaconing period %d: %w", period, err)
 				}
 				if c.spool.Pending() > 0 {
-					c.drain()
+					signal()
 				}
 			}
 		}
@@ -131,7 +159,7 @@ func (c *Controller) Run(ctx context.Context) error {
 		if err := c.spool.Enqueue(rec); err != nil {
 			return fmt.Errorf("rsu: spooling period %d: %w", period, err)
 		}
-		c.drain()
+		signal()
 		if canceled {
 			return ctx.Err()
 		}

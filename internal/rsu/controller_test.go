@@ -88,7 +88,9 @@ type controllerFixture struct {
 
 	mu       sync.Mutex
 	uploads  []*record.Record
-	failures int // batches to fail before one succeeds
+	sends    int           // send calls, delivered or not
+	failures int           // batches to fail before one succeeds
+	hang     chan struct{} // when set, send waits until it is closed
 }
 
 func newControllerFixture(t *testing.T, sched Schedule) *controllerFixture {
@@ -105,6 +107,13 @@ func newControllerFixture(t *testing.T, sched Schedule) *controllerFixture {
 		}
 	})
 	send := func(recs []*record.Record) (int, error) {
+		f.mu.Lock()
+		f.sends++
+		hang := f.hang
+		f.mu.Unlock()
+		if hang != nil {
+			<-hang
+		}
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		if f.failures > 0 {
@@ -127,6 +136,21 @@ func (f *controllerFixture) uploadCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.uploads)
+}
+
+func (f *controllerFixture) sendCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.sends
+}
+
+// attempted waits until delivery has reached send n times. Delivery runs
+// on its own goroutine and folds a wake that arrives before it takes the
+// previous one, so a test that counts attempts waits for each before
+// firing the tick that wakes the next.
+func (f *controllerFixture) attempted(t *testing.T, n int) {
+	t.Helper()
+	waitFor(t, func() bool { return f.sendCount() >= n })
 }
 
 // run starts the controller and returns its cancel and its result.
@@ -157,8 +181,8 @@ func TestNewControllerValidation(t *testing.T) {
 	ex := func(record.PeriodID) float64 { return 1 }
 	good := Schedule{PeriodLength: time.Hour, BeaconInterval: time.Second}
 
-	if _, err := NewController(nil, good, spool, send, ex, nil); !errors.Is(err, ErrNilDep) {
-		t.Errorf("nil rsu err = %v", err)
+	if _, err := NewController(nil, good, spool, send, ex, nil); !errors.Is(err, ErrNilRSU) || err.Error() != "rsu: nil RSU" {
+		t.Errorf("nil rsu err = %v, want %q", err, "rsu: nil RSU")
 	}
 	if _, err := NewController(w.rsu, good, nil, send, ex, nil); !errors.Is(err, ErrNilUpload) {
 		t.Errorf("nil spool err = %v", err)
@@ -237,14 +261,15 @@ func TestControllerUploadRetry(t *testing.T) {
 	}()
 
 	f.tick(t, 5) // period 1 ends; its drain fails
-	f.clock.BlockUntil(t, 1)
+	waitFor(t, func() bool { return f.ctl.LastDrainErr() != nil })
 	if f.uploadCount() != 0 || f.spool.Pending() != 1 || f.ctl.LastDrainErr() == nil {
 		t.Fatalf("after a failed drain: uploads=%d pending=%d last error %v",
 			f.uploadCount(), f.spool.Pending(), f.ctl.LastDrainErr())
 	}
-	f.tick(t, 2) // one more failure, then delivery
-	waitFor(t, func() bool { return f.uploadCount() == 1 })
-	f.clock.BlockUntil(t, 1)
+	f.tick(t, 1) // one more failure
+	f.attempted(t, 2)
+	f.tick(t, 1) // then delivery
+	waitFor(t, func() bool { return f.ctl.Uploaded() == 1 })
 	if f.ctl.Uploaded() != 1 || f.spool.Pending() != 0 || f.ctl.LastDrainErr() != nil {
 		t.Errorf("uploaded=%d pending=%d last error %v", f.ctl.Uploaded(), f.spool.Pending(), f.ctl.LastDrainErr())
 	}
@@ -269,8 +294,12 @@ func TestControllerSpoolsThroughOutage(t *testing.T) {
 		f.failures = outage
 		cancel, done := f.run()
 
-		f.tick(t, 30+outage-1)
-		f.clock.BlockUntil(t, 1)
+		f.tick(t, 30)
+		for i := 1; i < outage; i++ {
+			f.attempted(t, i)
+			f.tick(t, 1)
+		}
+		f.attempted(t, outage)
 		if f.uploadCount() != 0 || f.spool.Pending() != 1 {
 			t.Fatalf("during the outage: uploads=%d pending=%d, want 0 and 1", f.uploadCount(), f.spool.Pending())
 		}
@@ -327,6 +356,77 @@ func TestControllerSpoolsThroughOutage(t *testing.T) {
 			t.Fatalf("reopened spool delivered %d records", len(got))
 		}
 	})
+}
+
+// TestControllerHungBackhaul: a send that never returns holds up neither
+// beacons nor period rotation, and the spool delivers every record in
+// order once the send is released.
+func TestControllerHungBackhaul(t *testing.T) {
+	sched := Schedule{
+		PeriodLength:   5 * time.Second,
+		BeaconInterval: time.Second,
+		FirstPeriod:    1,
+	}
+	f := newControllerFixture(t, sched)
+	var (
+		beaconMu sync.Mutex
+		beacons  []record.PeriodID
+	)
+	stop, err := f.w.ch.Subscribe(func(b dsrc.Beacon) {
+		beaconMu.Lock()
+		beacons = append(beacons, b.Period)
+		beaconMu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	release := make(chan struct{})
+	f.hang = release
+	cancel, done := f.run()
+
+	f.tick(t, 5) // period 1 ends; its delivery hangs in send
+	f.attempted(t, 1)
+	f.tick(t, 15)            // three more periods, on schedule
+	f.clock.BlockUntil(t, 1) // the loop has handled the last tick
+	if got := f.w.rsu.Stats().Period; got != 5 {
+		t.Fatalf("active period %d while send hangs, want 5", got)
+	}
+	if f.uploadCount() != 0 || f.spool.Pending() != 4 {
+		t.Fatalf("while send hangs: uploads=%d pending=%d, want 0 and 4", f.uploadCount(), f.spool.Pending())
+	}
+	beaconMu.Lock()
+	got := append([]record.PeriodID(nil), beacons...)
+	beaconMu.Unlock()
+	if len(got) != 20 {
+		t.Fatalf("%d beacons in 20 ticks, want 20", len(got))
+	}
+	for i, p := range got {
+		if want := record.PeriodID(i/5 + 1); p != want {
+			t.Fatalf("beacon %d names period %d, want %d", i, p, want)
+		}
+	}
+
+	// The hung drain sealed period 1 only; the ticks since left a wake
+	// for periods 2 to 4. A closed release lets every later send through.
+	close(release)
+	waitFor(t, func() bool { return f.ctl.Uploaded() == 4 })
+
+	cancel()
+	f.tick(t, 1)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v", err)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.uploads) != 5 {
+		t.Fatalf("delivered %d records, want 5", len(f.uploads))
+	}
+	for i, rec := range f.uploads {
+		if rec.Period != record.PeriodID(i+1) {
+			t.Fatalf("upload %d is period %d, want %d", i, rec.Period, i+1)
+		}
+	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {

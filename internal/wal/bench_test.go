@@ -37,6 +37,22 @@ func BenchmarkAppendSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendBatch measures one uploaded batch: 8 × 4 KiB entries,
+// seven written without a sync and the eighth closing the batch with
+// one fsync. It is the WAL's share of an upload-durable ack.
+func BenchmarkAppendBatch(b *testing.B) {
+	l, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	b.SetBytes(8 * 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		appendBatch(b, l, i)
+	}
+}
+
 // BenchmarkAppendGroupCommit measures concurrent appenders sharing
 // fsyncs: the whole point of group commit is that ns/op here collapses
 // versus serial appends as parallelism rises (-cpu=1,4,8).
