@@ -49,17 +49,26 @@ func OpenSpool(dir string) (*Spool, error) {
 
 // Enqueue spools one record. A nil return means the record is on disk
 // and will be delivered by a future Drain, even across restarts.
+//
+// The record is counted before it is appended: a Drain on another
+// goroutine can deliver it as soon as it is written, and must find it
+// counted when it subtracts what it delivered.
 func (s *Spool) Enqueue(rec *record.Record) error {
 	blob, err := rec.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	if err := s.log.Append(blob); err != nil {
-		return fmt.Errorf("rsu: spooling record: %w", err)
-	}
 	s.mu.Lock()
 	s.pending++
 	s.mu.Unlock()
+	if err := s.log.Append(blob); err != nil {
+		s.mu.Lock()
+		if s.pending > 0 {
+			s.pending--
+		}
+		s.mu.Unlock()
+		return fmt.Errorf("rsu: spooling record: %w", err)
+	}
 	return nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -323,6 +325,57 @@ func TestSpoolEnqueueDuringDrainNotLost(t *testing.T) {
 	}
 }
 
+// TestSpoolPendingUnderConcurrentDrain: Enqueue and Drain on different
+// goroutines, as the controller's beacon loop and delivery goroutine
+// call them, keep Pending exact. A drain that delivers a record whose
+// Enqueue has not yet counted it must not leave it counted afterwards:
+// once both stop and a last Drain ends, nothing is pending and every
+// record was delivered once.
+func TestSpoolPendingUnderConcurrentDrain(t *testing.T) {
+	s, err := OpenSpool(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 200
+	delivered := 0 // only the draining goroutine, then this one, touch it
+	send := func(recs []*record.Record) (int, error) {
+		delivered += len(recs)
+		return len(recs), nil
+	}
+	stop := make(chan struct{})
+	drained := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				drained <- nil
+				return
+			default:
+			}
+			if _, err := s.Drain(send); err != nil {
+				drained <- err
+				return
+			}
+		}
+	}()
+	for p := 1; p <= n; p++ {
+		if err := s.Enqueue(spoolRecord(t, 4, record.PeriodID(p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Drain(send); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != n || s.Pending() != 0 {
+		t.Fatalf("delivered %d of %d, Pending = %d; want all delivered and none pending", delivered, n, s.Pending())
+	}
+}
+
 func TestBackoffDelaySchedule(t *testing.T) {
 	b := Backoff{Base: 100 * time.Millisecond, Max: 800 * time.Millisecond}.withDefaults()
 	b.Jitter = func(time.Duration) time.Duration { return 0 } // deterministic
@@ -408,4 +461,44 @@ func TestDrainWithRetryExhaustsBudget(t *testing.T) {
 	if s.Pending() != 1 {
 		t.Fatalf("Pending = %d, record must survive for the next run", s.Pending())
 	}
+}
+
+// BenchmarkSpoolEnqueue measures the controller's spool traffic: each
+// period's record is spooled and then drained, and the drain seals it
+// into a segment of its own. Only the Enqueue is timed (it runs in the
+// beacon loop); disk_B/op is the size of the segment it wrote.
+func BenchmarkSpoolEnqueue(b *testing.B) {
+	dir := b.TempDir()
+	s, err := OpenSpool(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	rec, err := record.New(1, 1, 1<<15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	send := func(recs []*record.Record) (int, error) { return len(recs), nil }
+	var diskBytes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Enqueue(rec); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+		if err != nil || len(segs) != 1 {
+			b.Fatalf("spool holds segments %v (%v), want the one just written", segs, err)
+		}
+		st, err := os.Stat(segs[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		diskBytes += st.Size()
+		if _, err := s.Drain(send); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(diskBytes)/float64(b.N), "disk_B/op")
 }

@@ -585,3 +585,35 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncAfterSealClosedSegment: a sync leader captures the active
+// segment and fsyncs it outside the lock, so a Seal can rotate and close
+// that segment in between (the spool's traffic: Enqueue in the beacon
+// loop, Drain on the delivery goroutine). Rotation fsynced the segment,
+// so the leader's sync must succeed without an fsync of its own, and the
+// log must stay usable.
+func TestSyncAfterSealClosedSegment(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.AppendNoSync(entry(0)); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	f := l.f // what syncTo captures before it lets go of the lock
+	l.mu.Unlock()
+	if _, err := l.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if synced, err := l.syncSegment(f); synced || err != nil {
+		t.Fatalf("sync of the sealed segment = %v, %v; want no fsync and no error", synced, err)
+	}
+	if err := l.Append(entry(1)); err != nil {
+		t.Fatalf("append after the sync: %v", err)
+	}
+	if got := len(collect(t, l)); got != 2 {
+		t.Fatalf("replayed %d entries, want 2", got)
+	}
+}
