@@ -141,16 +141,16 @@ func (s *Server) Locations() []vhash.LocationID { return s.st.Locations() }
 // Periods returns the sorted periods stored for a location.
 func (s *Server) Periods(loc vhash.LocationID) []record.PeriodID { return s.st.Periods(loc) }
 
-// RecordBlobs returns the marshaled form of every record stored at loc,
-// sorted by period. Cold-tier records are pinned only for the duration
-// of the marshal — the returned blobs are heap copies, safe to hold and
-// send. The cluster subsystem uses this for record-fetch frames and for
-// full-state resync when a follower's WAL watermark predates checkpoint
-// compaction.
-func (s *Server) RecordBlobs(loc vhash.LocationID) ([][]byte, error) {
-	periods := s.st.Periods(loc)
+// RecordBlobs returns the marshaled form of loc's records at periods,
+// in the order named, read through one Collect. A missing period fails
+// the call with ErrNotFound. Cold-tier records are pinned only for the
+// duration of the marshal — the returned blobs are heap copies, safe to
+// hold and send. The cluster subsystem uses this to answer a router's
+// record fetch and, with every stored period, for a full-state resync
+// when a follower's WAL watermark predates checkpoint compaction.
+func (s *Server) RecordBlobs(loc vhash.LocationID, periods []record.PeriodID) ([][]byte, error) {
 	if len(periods) == 0 {
-		return nil, fmt.Errorf("%w: loc=%d", ErrNotFound, loc)
+		return nil, ErrNoPeriods
 	}
 	recs, _, unpin, err := s.st.Collect(loc, periods)
 	if err != nil {

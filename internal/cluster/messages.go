@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"ptm/internal/record"
 	"ptm/internal/vhash"
 )
 
@@ -119,25 +120,39 @@ func DecodeResponse(p []byte) ([]byte, error) {
 	return splitPayload(p)
 }
 
-// EncodeFetch frames a MsgFetchRecords request for one location.
-// Exported for the router and ptmcluster.
-func EncodeFetch(loc vhash.LocationID) []byte {
-	return encodeFetch(loc)
+// EncodeFetch frames a MsgFetchRecords request for the records of loc
+// at the named periods. Exported for the router.
+func EncodeFetch(loc vhash.LocationID, periods []record.PeriodID) []byte {
+	return encodeFetch(loc, periods)
 }
 
-// encodeFetch frames a record-fetch request for one location.
-func encodeFetch(loc vhash.LocationID) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(loc))
-	return b[:]
-}
-
-// decodeFetch parses a record-fetch request.
-func decodeFetch(p []byte) (vhash.LocationID, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("cluster: fetch request %d bytes, want 8", len(p))
+// encodeFetch frames a record-fetch request: the location as u64 LE,
+// then each period as u32 LE, in the order the answer must follow.
+func encodeFetch(loc vhash.LocationID, periods []record.PeriodID) []byte {
+	b := make([]byte, 8, 8+4*len(periods))
+	binary.LittleEndian.PutUint64(b, uint64(loc))
+	for _, p := range periods {
+		b = binary.LittleEndian.AppendUint32(b, uint32(p))
 	}
-	return vhash.LocationID(binary.LittleEndian.Uint64(p)), nil
+	return b
+}
+
+// decodeFetch parses a record-fetch request. A request must name at
+// least one period: the bare 8-byte form, which asked for every period
+// stored at the location, is refused.
+func decodeFetch(p []byte) (vhash.LocationID, []record.PeriodID, error) {
+	if len(p) == 8 {
+		return 0, nil, fmt.Errorf("cluster: fetch request names no periods (whole-location fetches are not served)")
+	}
+	if len(p) < 12 || (len(p)-8)%4 != 0 {
+		return 0, nil, fmt.Errorf("cluster: fetch request %d bytes, want 8 + 4 per period", len(p))
+	}
+	loc := vhash.LocationID(binary.LittleEndian.Uint64(p))
+	periods := make([]record.PeriodID, 0, (len(p)-8)/4)
+	for b := p[8:]; len(b) > 0; b = b[4:] {
+		periods = append(periods, record.PeriodID(binary.LittleEndian.Uint32(b)))
+	}
+	return loc, periods, nil
 }
 
 // PeerStatus is one peer's replication state as seen by the shipper.

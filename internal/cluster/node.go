@@ -358,15 +358,16 @@ func (n *Node) handleReplBatch(payload []byte) []byte {
 	return encodeReplAck(replAck{OK: true, Applied: appliedN, Dups: dups})
 }
 
-// handleFetch serves every record of one location (the router's
-// cross-partition point-to-point path, and ptmcluster's convergence
-// checks).
+// handleFetch serves the records of one location at the requested
+// periods, in request order: the operands of the router's
+// cross-partition point-to-point join. A missing period fails the
+// whole fetch.
 func (n *Node) handleFetch(payload []byte) []byte {
-	loc, err := decodeFetch(payload)
+	loc, periods, err := decodeFetch(payload)
 	if err != nil {
 		return errPayload(err)
 	}
-	blobs, err := n.RecordBlobs(loc)
+	blobs, err := n.RecordBlobs(loc, periods)
 	if err != nil {
 		return errPayload(err)
 	}

@@ -614,7 +614,7 @@ func TestReplBatchDuplicateAndAppliedTracking(t *testing.T) {
 	}
 
 	// Record fetch round-trips the stored record.
-	_, resp, _ = a.node.HandleFrame(transport.MsgFetchRecords, encodeFetch(1))
+	_, resp, _ = a.node.HandleFrame(transport.MsgFetchRecords, encodeFetch(1, []record.PeriodID{rec.Period}))
 	body, err := splitPayload(resp)
 	if err != nil {
 		t.Fatal(err)

@@ -191,7 +191,11 @@ func (n *Node) fullResync(c *transport.Client, r *Ring, filter *shipFilter, seal
 		if !filter.ship(loc) {
 			continue
 		}
-		blobs, err := n.RecordBlobs(loc)
+		periods := n.Periods(loc)
+		if len(periods) == 0 {
+			continue // raced retention; nothing to ship
+		}
+		blobs, err := n.RecordBlobs(loc, periods)
 		if err != nil {
 			if errors.Is(err, central.ErrNotFound) {
 				continue // raced retention; nothing to ship

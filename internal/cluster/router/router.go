@@ -13,9 +13,9 @@
 // converge to identical store contents, so the answers are
 // bit-identical. Point-to-point estimates are partition-local when one
 // node leads both locations; otherwise the router fetches both
-// locations' records and runs the paper's Eq. 21 estimator client-side
-// — the same core.EstimatePointToPoint the server runs, over the same
-// record sets, producing the same bits.
+// locations' records for the queried periods and runs the paper's
+// Eq. 21 estimator client-side — the same core.EstimatePointToPoint the
+// server runs, over the same record sets, producing the same bits.
 package router
 
 import (
@@ -450,8 +450,9 @@ func (r *Router) QueryPointPersistent(loc vhash.LocationID, periods []record.Per
 // QueryPointToPointPersistent estimates point-to-point persistent
 // traffic (Eq. 21). When one node leads both locations the join runs
 // server-side; otherwise the router fetches both partitions' records
-// and runs the estimator locally — same inputs, same code path, same
-// bits as the single-node server (proven by TestRouterP2PBitIdentity).
+// for the queried periods and runs the estimator locally — same inputs,
+// same code path, same bits as the single-node server (proven by
+// TestRouterP2PBitIdentity).
 func (r *Router) QueryPointToPointPersistent(locA, locB vhash.LocationID, periods []record.PeriodID) (float64, error) {
 	ring := r.ringSnapshot()
 	leadA, errA := ring.Leader(locA)
@@ -484,16 +485,17 @@ func (r *Router) QueryPointToPointPersistent(locA, locB vhash.LocationID, period
 	return res.Estimate, nil
 }
 
-// fetchSet pulls loc's records from a replica and builds the record
-// set for exactly the requested periods, mirroring the server's Collect
-// semantics: every requested period must be present.
+// fetchSet pulls loc's records at exactly the requested periods from a
+// replica and builds their record set. The replica answers in request
+// order and fails a missing period, mirroring the server's Collect; an
+// answer that holds anything else is refused.
 func (r *Router) fetchSet(loc vhash.LocationID, periods []record.PeriodID) (*record.Set, error) {
 	if len(periods) == 0 {
 		return nil, fmt.Errorf("router: no periods requested for location %d", loc)
 	}
 	var recs []*record.Record
 	err := r.queryReplicas(loc, func(c *transport.Client) error {
-		resp, err := c.Call(transport.MsgFetchRecords, cluster.EncodeFetch(loc), transport.MsgRecords)
+		resp, err := c.Call(transport.MsgFetchRecords, cluster.EncodeFetch(loc, periods), transport.MsgRecords)
 		if err != nil {
 			return err
 		}
@@ -507,19 +509,16 @@ func (r *Router) fetchSet(loc vhash.LocationID, periods []record.PeriodID) (*rec
 	if err != nil {
 		return nil, err
 	}
-	byPeriod := make(map[record.PeriodID]*record.Record, len(recs))
-	for _, rec := range recs {
-		byPeriod[rec.Period] = rec
+	if len(recs) != len(periods) {
+		return nil, fmt.Errorf("router: location %d fetch answered %d records for %d periods", loc, len(recs), len(periods))
 	}
-	picked := make([]*record.Record, 0, len(periods))
-	for _, p := range periods {
-		rec, ok := byPeriod[p]
-		if !ok {
-			return nil, fmt.Errorf("router: location %d period %d not stored", loc, p)
+	for i, rec := range recs {
+		if rec.Location != loc || rec.Period != periods[i] {
+			return nil, fmt.Errorf("router: location %d fetch answered loc=%d period=%d for period %d",
+				loc, rec.Location, rec.Period, periods[i])
 		}
-		picked = append(picked, rec)
 	}
-	return record.NewSet(picked)
+	return record.NewSet(recs)
 }
 
 // ListLocations unions the locations of every Up member.

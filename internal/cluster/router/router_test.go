@@ -210,22 +210,34 @@ func TestRouterUploadAndQueryDifferential(t *testing.T) {
 	}
 }
 
+// TestRouterP2PBitIdentity: every point-to-point answer, colocated or
+// joined by the router from fetched records, has the bits of a single
+// node holding the same records. Each location stores ten times the
+// window's periods, the windows do not end at the newest period, and
+// one location's records are larger than the rest, so a fetch that
+// answered other periods or sizes than the ones asked for would show.
 func TestRouterP2PBitIdentity(t *testing.T) {
 	nodes, rt, ref := clusterOf(t, 3)
-	const m = 64
 	locs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	periods := []record.PeriodID{1, 2, 3, 4}
+	const stored = 40
+	windows := [][]record.PeriodID{{1, 2, 3, 4}, {18, 19, 20, 21}, {3, 11, 29, 37}}
+	sizeOf := func(loc int) int {
+		if loc == 5 {
+			return 256
+		}
+		return 64
+	}
 	var batch []*record.Record
 	for _, loc := range locs {
-		for _, p := range periods {
-			if err := ref.Ingest(testRecord(t, loc, int(p), m)); err != nil {
+		for p := 1; p <= stored; p++ {
+			if err := ref.Ingest(testRecord(t, loc, p, sizeOf(loc))); err != nil {
 				t.Fatal(err)
 			}
-			batch = append(batch, testRecord(t, loc, int(p), m))
+			batch = append(batch, testRecord(t, loc, p, sizeOf(loc)))
 		}
 	}
-	if _, err := rt.UploadBatch(batch); err != nil {
-		t.Fatal(err)
+	if n, err := rt.UploadBatch(batch); err != nil || n != len(batch) {
+		t.Fatalf("UploadBatch = %d/%d, %v", n, len(batch), err)
 	}
 	shipAll(t, 3, nodes...)
 
@@ -247,28 +259,30 @@ func TestRouterP2PBitIdentity(t *testing.T) {
 			} else {
 				crossLeader++
 			}
-			want, err := ref.PointToPointPersistent(la, lb, periods)
-			if err != nil {
-				t.Fatal(err)
+			for _, periods := range windows {
+				want, err := ref.PointToPointPersistent(la, lb, periods)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rt.QueryPointToPointPersistent(la, lb, periods)
+				if err != nil {
+					t.Fatalf("p2p(%d,%d,%v): %v", la, lb, periods, err)
+				}
+				if got != want.Estimate {
+					t.Fatalf("p2p(%d,%d,%v) = %v, want %v (leaders %s/%s)",
+						la, lb, periods, got, want.Estimate, leadA.ID, leadB.ID)
+				}
 			}
-			got, err := rt.QueryPointToPointPersistent(la, lb, periods)
-			if err != nil {
-				t.Fatalf("p2p(%d,%d): %v", la, lb, err)
-			}
-			if got != want.Estimate {
-				t.Fatalf("p2p(%d,%d) = %v, want %v (leaders %s/%s)",
-					la, lb, got, want.Estimate, leadA.ID, leadB.ID)
+			// A missing period must fail, mirroring the server's
+			// Collect, on both paths.
+			if _, err := rt.QueryPointToPointPersistent(la, lb, []record.PeriodID{1, stored + 1}); err == nil {
+				t.Fatalf("p2p(%d,%d) over a missing period succeeded", la, lb)
 			}
 		}
 	}
 	// The test is only meaningful if both code paths ran.
 	if sameLeader == 0 || crossLeader == 0 {
 		t.Fatalf("degenerate leader split: same=%d cross=%d", sameLeader, crossLeader)
-	}
-
-	// A missing period must fail, mirroring the server's Collect.
-	if _, err := rt.QueryPointToPointPersistent(1, 2, []record.PeriodID{1, 99}); err == nil {
-		t.Fatal("p2p over a missing period succeeded")
 	}
 }
 

@@ -65,8 +65,9 @@ const (
 	// MsgReplAck acknowledges a replication batch once every record in
 	// it is as durable on the follower as its store promises.
 	MsgReplAck MsgType = 17
-	// MsgFetchRecords requests a location's full record set (router ->
-	// node), for cross-partition joins computed client-side.
+	// MsgFetchRecords requests one location's records at the named
+	// periods (router -> node), for cross-partition joins computed
+	// client-side.
 	MsgFetchRecords MsgType = 18
 	// MsgRecords carries a batch of marshaled records (node -> router).
 	MsgRecords MsgType = 19

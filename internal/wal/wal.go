@@ -48,7 +48,8 @@
 // costs one flush. A failed fsync poisons the log permanently: after a
 // sync error every Append and Sync fails, because the kernel may have
 // dropped the dirty pages and silently retrying would turn "maybe lost"
-// into "acknowledged and lost".
+// into "acknowledged and lost". A failed rotation poisons it too, since
+// it may have failed in the sealed segment's fsync.
 //
 // The fill is what keeps that fsync cheap. An fsync after a write that
 // extends the file must also allocate blocks and commit the file
@@ -338,7 +339,7 @@ func (l *Log) write(payload []byte) (int64, error) {
 	if l.segSize > segHeader && l.segSize+entryHdr+int64(len(payload)) > l.opts.SegmentSize {
 		if err := l.rotateLocked(); err != nil {
 			l.mu.Unlock()
-			return 0, err
+			return 0, l.poison(err)
 		}
 	}
 	if err := l.fillLocked(entryHdr + int64(len(payload))); err != nil {
@@ -557,7 +558,9 @@ func (l *Log) poison(err error) error {
 }
 
 // rotateLocked seals the active segment and opens the next one. Caller
-// holds l.mu. The outgoing segment's fill is trimmed and then the
+// holds l.mu, and poisons the log on error, outside the lock: a failed
+// fsync may have dropped the sealed segment's dirty pages, so a retried
+// rotation whose fsync succeeds could still ack lost entries. The outgoing segment's fill is trimmed and then the
 // segment is fsynced, so a sealed segment is exactly its header and
 // entries, and the group-commit invariant — syncing the active file
 // covers all unsynced entries — holds across the switch.
@@ -612,17 +615,20 @@ func (l *Log) Seal() (uint64, error) {
 		return 0, err
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return 0, ErrClosed
 	}
+	sealed := l.segIndex
 	if l.segSize == segHeader {
 		// Active segment is empty: everything is already sealed.
-		return l.segIndex - 1, nil
+		l.mu.Unlock()
+		return sealed - 1, nil
 	}
-	sealed := l.segIndex
-	if err := l.rotateLocked(); err != nil {
-		return 0, err
+	err := l.rotateLocked()
+	l.mu.Unlock()
+	if err != nil {
+		return 0, l.poison(err)
 	}
 	return sealed, nil
 }

@@ -484,6 +484,67 @@ func TestAppendNoSyncWriteErrorPoisons(t *testing.T) {
 	}
 }
 
+// TestFailedRotationPoisons: a rotation that fails poisons the log,
+// whichever call rotated. The next segment's file is created first, so
+// the rotation's exclusive create fails after the outgoing segment was
+// synced and closed; every later Append, Seal and Sync must report that
+// first error instead of retrying the rotation.
+func TestFailedRotationPoisons(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rotate func(l *Log) error
+	}{
+		{"append", func(l *Log) error {
+			// Appends until one overflows the 128-byte segment.
+			for i := 1; i < 16; i++ {
+				if err := l.Append(entry(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"seal", func(l *Log) error {
+			_, err := l.Seal()
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := Open(t.TempDir(), Options{SegmentSize: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append(entry(0)); err != nil {
+				t.Fatal(err)
+			}
+			_, active := l.Segments()
+			if err := os.WriteFile(l.segPath(active+1), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			first := tc.rotate(l)
+			if first == nil {
+				t.Fatal("rotation onto an existing segment file succeeded")
+			}
+			if err := os.Remove(l.segPath(active + 1)); err != nil {
+				t.Fatal(err)
+			}
+			// With the obstacle gone a retried rotation would succeed;
+			// the log must not retry it.
+			if err := l.Append(entry(20)); !errors.Is(err, first) {
+				t.Fatalf("append after the failed rotation = %v, want %v", err, first)
+			}
+			if _, err := l.Seal(); !errors.Is(err, first) {
+				t.Fatalf("seal after the failed rotation = %v, want %v", err, first)
+			}
+			if err := l.Sync(); !errors.Is(err, first) {
+				t.Fatalf("sync after the failed rotation = %v, want %v", err, first)
+			}
+			if err := l.Close(); err == nil {
+				t.Fatal("closing a poisoned log reported no error")
+			}
+		})
+	}
+}
+
 func TestClosedLogRefusesWork(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{})
 	if err != nil {

@@ -126,6 +126,7 @@ go test -run=NONE -fuzz='^FuzzUploadBatch$' -fuzztime="$FUZZTIME" ./internal/tra
 go test -run=NONE -fuzz='^FuzzReplay$' -fuzztime="$FUZZTIME" ./internal/wal/
 go test -run=NONE -fuzz='^FuzzSnapshotLoad$' -fuzztime="$FUZZTIME" ./internal/central/
 go test -run=NONE -fuzz='^FuzzSegmentLoad$' -fuzztime="$FUZZTIME" ./internal/store/
+go test -run=NONE -fuzz='^FuzzDecodeFetch$' -fuzztime="$FUZZTIME" ./internal/cluster/
 
 step "traced pipeline smoke (each ptmload workload once, full scale, -trace 1)"
 # The traced run checks every answer, the exact counts and each request
