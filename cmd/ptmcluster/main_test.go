@@ -5,6 +5,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +22,16 @@ import (
 // milliseconds, so replication needs no manual rounds.
 func startNode(t *testing.T, id string) (*cluster.Node, string) {
 	t.Helper()
-	dir := t.TempDir()
+	n, addr, _ := serveNode(t, id, t.TempDir(), "127.0.0.1:0")
+	return n, addr
+}
+
+// serveNode is startNode over a given data dir and listen address, so a
+// stopped member can come back with its store and ring on its old
+// address. The returned stop closes the node, its server (and listener)
+// and its store; t.Cleanup calls it too, and a second call does nothing.
+func serveNode(t *testing.T, id, dir, listen string) (*cluster.Node, string, func()) {
+	t.Helper()
 	d, err := central.OpenDurable(dir, 3, wal.Options{SegmentSize: 1 << 14}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -33,23 +43,32 @@ func startNode(t *testing.T, id string) (*cluster.Node, string) {
 		DialTimeout:  2 * time.Second,
 	})
 	if err != nil {
+		_ = d.Close()
 		t.Fatal(err)
 	}
 	srv, err := transport.NewServer(n, nil)
 	if err != nil {
+		_ = n.Close()
+		_ = d.Close()
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
+		_ = n.Close()
+		_ = d.Close()
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
-	t.Cleanup(func() {
-		_ = n.Close()
-		_ = srv.Close()
-		_ = d.Close()
-	})
-	return n, ln.Addr().String()
+	var once sync.Once
+	stop := func() {
+		once.Do(func() {
+			_ = n.Close()
+			_ = srv.Close()
+			_ = d.Close()
+		})
+	}
+	t.Cleanup(stop)
+	return n, ln.Addr().String(), stop
 }
 
 // runOK runs one ptmcluster command line and returns its output.
@@ -121,6 +140,113 @@ func TestRunLifecycle(t *testing.T) {
 		t.Errorf("b's ring = %+v, want epoch 3", r)
 	}
 	wantLines(t, runOK(t, "locate", "-seed", addrB, "-loc", "2"), "b(up)", "a(up)")
+}
+
+// TestRunFailoverReviveDrainRemove drives three in-process nodes through
+// the outage and retirement verbs: a leader's server stops, failover
+// hands its partitions to a survivor, the node comes back on its old
+// address and is revived, and another member is drained — wait shows its
+// records re-shipped — and removed.
+func TestRunFailoverReviveDrainRemove(t *testing.T) {
+	dirs := map[string]string{"a": t.TempDir(), "b": t.TempDir(), "c": t.TempDir()}
+	nodes := make(map[string]*cluster.Node)
+	addrs := make(map[string]string)
+	stops := make(map[string]func())
+	for _, id := range []string{"a", "b", "c"} {
+		nodes[id], addrs[id], stops[id] = serveNode(t, id, dirs[id], "127.0.0.1:0")
+	}
+	wantLines(t, runOK(t, "init", "-replicas", "2",
+		"-node", "a="+addrs["a"], "-node", "b="+addrs["b"], "-node", "c="+addrs["c"]),
+		"ring epoch 1 pushed to 3/3 members")
+
+	// Every record goes to its partition's leader, as a router sends it.
+	ring := nodes["a"].Ring()
+	ingest := func(r *cluster.Ring, loc vhash.LocationID, p record.PeriodID) {
+		t.Helper()
+		leader, err := r.Leader(loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := record.New(loc, p, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Bitmap.Set(uint64(loc)*31 + uint64(p))
+		if err := nodes[leader.ID].Ingest(rec); err != nil {
+			t.Fatalf("ingest loc %d period %d at %s: %v", loc, p, leader.ID, err)
+		}
+	}
+	const locs, periods = 12, 3
+	for loc := vhash.LocationID(1); loc <= locs; loc++ {
+		for p := record.PeriodID(1); p <= periods; p++ {
+			ingest(ring, loc, p)
+		}
+	}
+	wantLines(t, runOK(t, "wait", "-seed", addrs["a"], "-interval", "10ms", "-timeout", "20s"),
+		"converged")
+
+	// The victim leads location 1; the drained member and the seed are
+	// the other two.
+	leader, err := ring.Leader(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := leader.ID
+	var others []string
+	for _, id := range []string{"a", "b", "c"} {
+		if id != victim {
+			others = append(others, id)
+		}
+	}
+	seed, drained := others[0], others[1]
+	var victimLocs []vhash.LocationID
+	for loc := vhash.LocationID(1); loc <= locs; loc++ {
+		if l, err := ring.Leader(loc); err == nil && l.ID == victim {
+			victimLocs = append(victimLocs, loc)
+		}
+	}
+
+	stops[victim]()
+	wantLines(t, runOK(t, "failover", "-seed", addrs[seed], "-down", victim),
+		"failover "+victim+": promoting ", "ring epoch 2 pushed to 2/3 members")
+	ring = nodes[seed].Ring()
+	for _, loc := range victimLocs {
+		l, err := ring.Leader(loc)
+		if err != nil {
+			t.Fatalf("location %d after failover: %v", loc, err)
+		}
+		if l.ID == victim || l.State != cluster.StateUp {
+			t.Fatalf("location %d led by %s (%s) after failover of %s", loc, l.ID, l.State, victim)
+		}
+		// The survivor takes the partition's uploads.
+		ingest(ring, loc, periods+1)
+	}
+
+	nodes[victim], _, stops[victim] = serveNode(t, victim, dirs[victim], addrs[victim])
+	wantLines(t, runOK(t, "revive", "-seed", addrs[seed], "-id", victim),
+		"revive "+victim+": ring epoch 3 pushed to 3/3 members")
+	wantLines(t, runOK(t, "wait", "-seed", addrs[seed], "-interval", "10ms", "-timeout", "20s"),
+		"converged")
+	if l, err := nodes[victim].Ring().Leader(1); err != nil || l.ID != victim {
+		t.Errorf("location 1 after revive: leader %v, %v; want %s", l.ID, err, victim)
+	}
+
+	wantLines(t, runOK(t, "drain", "-seed", addrs[seed], "-id", drained),
+		"drain "+drained+": ring epoch 4 pushed to 3/3 members")
+	wantLines(t, runOK(t, "wait", "-seed", addrs[seed], "-interval", "10ms", "-timeout", "20s"),
+		"converged")
+	want := locs*periods + len(victimLocs)
+	for _, id := range []string{seed, victim} {
+		if got := nodes[id].Stats().Records; got != want {
+			t.Errorf("%s holds %d records after draining %s, want %d", id, got, drained, want)
+		}
+	}
+	wantLines(t, runOK(t, "remove", "-seed", addrs[seed], "-id", drained),
+		"remove "+drained+": ring epoch 5 pushed to 2/2 members")
+	wantLines(t, runOK(t, "status", "-seed", addrs[seed]), "ring epoch 5: 3 members, R=2")
+	if m, ok := nodes[seed].Ring().Member(drained); !ok || m.State != cluster.StateLeft {
+		t.Errorf("%s after remove: %+v, want left", drained, m)
+	}
 }
 
 // TestRunUsageErrors: a command line run cannot act on is refused

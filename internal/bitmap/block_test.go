@@ -1,14 +1,10 @@
 package bitmap
 
-// Differential tests for the join dispatcher and its three loops
-// (fused.go, block.go). TestJoinMatrix pins one row per dispatch arm of
-// join:
-//
-//   - outputs smaller than one block → the collapsed pattern alone
-//   - ≤ maxFusedOperands block-sized operands (the pattern counting as
-//     one) → joinOnesRegs / joinIntoRegs
-//   - wider joins → joinTiled, also driven directly at tile widths of a
-//     single block up, so one join crosses many tile boundaries
+// Differential tests for the join plane (fused.go, block.go): join's two
+// cases — an output smaller than one block, which is the collapsed
+// pattern alone, and the one loop joinBlocks for everything else — over
+// narrow and wide operand lists, sub-block and multi-block operands, and
+// aliased and replicated outputs. TestJoinMatrix pins one row per shape.
 //
 // Every row goes through checkFusedAgainstNaive, which verifies AND and
 // OR, count-only and Into (natural, aliased and replicated dst), scratch
@@ -20,9 +16,9 @@ import (
 	"testing"
 )
 
-// randomWideOperands builds an operand list wide enough to overflow the
-// register kernels' operand budget: 2..40 bitmaps, sizes 2^6..2^13 bits,
-// so lists mix sub-block (64..256-bit) and multi-block operands.
+// randomWideOperands builds a narrow to wide operand list: 2..40
+// bitmaps, sizes 2^6..2^13 bits, so lists mix sub-block (64..256-bit)
+// and multi-block operands.
 func randomWideOperands(rng *rand.Rand) []*Bitmap {
 	t := 2 + rng.Intn(39)
 	ms := make([]*Bitmap, t)
@@ -48,28 +44,13 @@ func TestBlockKernelsWideDifferential(t *testing.T) {
 	}
 }
 
-// TestBlockKernelsTinyTiles drives joinTiled directly at tile widths from
-// a single block to the full stack tile, so one join crosses many tile
-// boundaries. Widths of zero and of a non-whole number of blocks must
-// clamp and round down to whole blocks.
-func TestBlockKernelsTinyTiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for _, tw := range []int{0, blockWords, 2 * blockWords, 3*blockWords + 5, 16 * blockWords, tileStackWords} {
-		for trial := 0; trial < 20; trial++ {
-			checkTiled(t, randomWideOperands(rng), tw)
-		}
-	}
-}
-
-// TestBlockKernelsManyLargeEqual pins the exact register-budget boundary:
-// maxFusedOperands-1, maxFusedOperands, maxFusedOperands+1 and more large
-// operands, each with and without small ones (the pattern takes a
-// register slot, so maxFusedOperands large operands plus small ones
-// overflow to joinTiled).
+// TestBlockKernelsManyLargeEqual joins 15, 16, 17 and 35 large operands
+// of one size, each with and without small ones folded into the pattern
+// that seeds every block.
 func TestBlockKernelsManyLargeEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	sc := new(JoinScratch)
-	for _, nLarge := range []int{maxFusedOperands - 1, maxFusedOperands, maxFusedOperands + 1, 2*maxFusedOperands + 3} {
+	for _, nLarge := range []int{15, 16, 17, 35} {
 		for _, nSmall := range []int{0, 1, 3} {
 			ms := make([]*Bitmap, 0, nLarge+nSmall)
 			for i := 0; i < nLarge; i++ {
@@ -95,12 +76,12 @@ func TestBlockKernelsManyLargeEqual(t *testing.T) {
 	}
 }
 
-// TestBlockKernelsAliasedWide: a join too wide for the register kernels
-// whose dst aliases an operand. joinTiled builds each tile off to the
-// side and stores it only after every operand word of the tile is read.
+// TestBlockKernelsAliasedWide: a 20-operand join whose dst aliases an
+// operand. joinBlocks reads every operand word of a block before it
+// stores the block.
 func TestBlockKernelsAliasedWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	ms := make([]*Bitmap, maxFusedOperands+4)
+	ms := make([]*Bitmap, 20)
 	for i := range ms {
 		b := MustNew(1 << 12)
 		for k := 0; k < b.Size(); k++ {
@@ -137,42 +118,6 @@ func TestBlockKernelsAliasedWide(t *testing.T) {
 				}
 			}
 			copy(dst.words, fresh.words)
-		}
-	}
-}
-
-// checkTiled runs joinTiled directly at tile width tw — count-only and
-// into a natural, an aliased and a replicated dst — for AND and OR
-// against the materialized pipeline.
-func checkTiled(t *testing.T, ms []*Bitmap, tw int) {
-	t.Helper()
-	m, err := MaxSize(ms)
-	if err != nil {
-		t.Fatalf("MaxSize: %v", err)
-	}
-	for _, and := range []bool{true, false} {
-		var pat [blockWords]uint64
-		gatherPat(ms, &pat, and)
-		want := naiveJoin(t, ms, m, and)
-		if got := joinTiled(nil, m/wordBits, ms, &pat, tw, and); got != want.Ones() {
-			t.Fatalf("tw=%d and=%v count-only: ones=%d want=%d", tw, and, got, want.Ones())
-		}
-		aliased, alias := aliasedOperands(ms, m)
-		for _, c := range []struct {
-			name string
-			dst  *Bitmap
-			ms   []*Bitmap
-			want *Bitmap
-		}{
-			{"natural", MustNew(m), ms, want},
-			{"aliased", alias, aliased, want},
-			{"replicated", MustNew(4 * m), ms, naiveJoin(t, ms, 4*m, and)},
-		} {
-			got := joinTiled(c.dst.words, len(c.dst.words), c.ms, &pat, tw, and)
-			if got != c.want.Ones() || !c.dst.Equal(c.want) {
-				t.Fatalf("tw=%d and=%v %s dst: ones=%d want=%d, equal=%v",
-					tw, and, c.name, got, c.want.Ones(), c.dst.Equal(c.want))
-			}
 		}
 	}
 }
@@ -221,48 +166,45 @@ func TestJoinMatrix(t *testing.T) {
 		}
 	}
 
+	// Row names are kept as stable test IDs across commits, so their
+	// regs/, tiled/ and joinTiled/ prefixes are labels for narrow (≤ 16
+	// block-sized operands) and wide shapes, not loops: every row runs
+	// joinBlocks, or the pattern alone.
 	large := 1 << 12 // 64 words: eight blocks
 	rows := []struct {
 		name  string
 		sizes []int
-		tw    int // > 0: also drive joinTiled directly at this tile width
 	}{
-		{"single operand", []int{large}, 0},
-		{"single sub-block operand", []int{256}, 0},
-		{"sub-block/2", []int{64, 256}, 0},
-		{"sub-block/5", []int{128, 64, 256, 256, 64}, 0},
-		{"regs/no pattern", []int{large, 512, 1 << 10, large}, 0},
-		{"regs/pattern slot", []int{large, 64, 1 << 10, 256}, 0},
-		{"tiled/16 large + small", append(repeat(maxFusedOperands, large), 64, 128), 0},
-		{"tiled/33 large", append(repeat(32, large), 1<<10), 0},
-		{"joinTiled/tw=1 block", append(repeat(20, large), 512, 128), blockWords},
-		{"joinTiled/tw=2 blocks", append(repeat(20, large), 1<<11, 64), 2 * blockWords},
-		{"joinTiled/partial last tile", repeat(20, large), 3 * blockWords},
-		{"joinTiled/stack tile", append(repeat(18, 1<<19), large, 256), tileStackWords},
-		{"tiled/Into aliased", repeat(maxFusedOperands+4, large), 0},
+		{"single operand", []int{large}},
+		{"single sub-block operand", []int{256}},
+		{"sub-block/2", []int{64, 256}},
+		{"sub-block/5", []int{128, 64, 256, 256, 64}},
+		{"regs/no pattern", []int{large, 512, 1 << 10, large}},
+		{"regs/pattern slot", []int{large, 64, 1 << 10, 256}},
+		{"tiled/16 large + small", append(repeat(16, large), 64, 128)},
+		{"tiled/33 large", append(repeat(32, large), 1<<10)},
+		{"joinTiled/tw=1 block", append(repeat(20, large), 512, 128)},
+		{"joinTiled/tw=2 blocks", append(repeat(20, large), 1<<11, 64)},
+		{"joinTiled/partial last tile", repeat(20, large)},
+		{"joinTiled/stack tile", append(repeat(18, 1<<19), large, 256)},
+		{"tiled/Into aliased", repeat(20, large)},
 	}
 	rng := rand.New(rand.NewSource(29))
 	sc := new(JoinScratch)
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			ms := joinOperands(rng, r.sizes...)
-			checkFusedAgainstNaive(t, ms, sc)
-			if r.tw > 0 {
-				checkTiled(t, ms, r.tw)
-			}
+			checkFusedAgainstNaive(t, joinOperands(rng, r.sizes...), sc)
 		})
 	}
 }
 
 // FuzzFusedJoinWide drives the differential harness with fuzzer-chosen
-// wide shapes, and joinTiled directly at a fuzzer-chosen tile width:
-// operands of at most 2^13 bits never fill the 32 KiB stack tile, so
-// only a narrower tile reaches the tile-boundary logic.
+// shapes of 1 to 40 operands, each 2^6 to 2^13 bits.
 func FuzzFusedJoinWide(f *testing.F) {
-	f.Add(uint8(17), uint16(0x0421), uint8(0), uint64(1))
-	f.Add(uint8(33), uint16(0xffff), uint8(3), uint64(42))
-	f.Add(uint8(40), uint16(0x8001), uint8(7), uint64(99))
-	f.Fuzz(func(t *testing.T, nOps uint8, sizeBits uint16, blockExp uint8, seed uint64) {
+	f.Add(uint8(17), uint16(0x0421), uint64(1))
+	f.Add(uint8(33), uint16(0xffff), uint64(42))
+	f.Add(uint8(40), uint16(0x8001), uint64(99))
+	f.Fuzz(func(t *testing.T, nOps uint8, sizeBits uint16, seed uint64) {
 		n := int(nOps)%40 + 1
 		rng := rand.New(rand.NewSource(int64(seed)))
 		ms := make([]*Bitmap, n)
@@ -275,7 +217,5 @@ func FuzzFusedJoinWide(f *testing.F) {
 			ms[i] = b
 		}
 		checkFusedAgainstNaive(t, ms, new(JoinScratch))
-		// One block to 128 blocks (64 B to 8 KiB) per tile.
-		checkTiled(t, ms, blockWords<<(int(blockExp)%8))
 	})
 }

@@ -18,12 +18,11 @@
 // reduction into the same pass: each output word is computed, counted,
 // and (for the Into variants) stored exactly once.
 //
-// Every entry point below validates and then calls join, which picks one
-// of three loops (block.go): the register kernels joinOnesRegs and
-// joinIntoRegs for up to maxFusedOperands block-sized operands, and
-// joinTiled for wider joins. All of them are differentially tested
-// against the materialized ExpandTo/And/Or/Ones pipeline (fused_test.go,
-// block_test.go, FuzzFusedJoin, FuzzFusedJoinWide).
+// Every entry point below validates and then calls join, which runs the
+// one join loop (block.go, joinBlocks) over any number of operands. It is
+// differentially tested against the materialized ExpandTo/And/Or/Ones
+// pipeline (fused_test.go, block_test.go, FuzzFusedJoin,
+// FuzzFusedJoinWide).
 
 package bitmap
 
@@ -86,7 +85,7 @@ func joinOnes(ms []*Bitmap, and bool) (ones, m int, err error) {
 // pass. dst must be at least as large as every operand (expansion of the
 // join commutes with the join of expansions, so a larger dst holds the
 // join replicated). dst may alias an operand of equal size — every
-// operand word of an output block or tile is read before it is stored —
+// operand word of an output block is read before the block is stored —
 // but must not alias a smaller operand (impossible anyway: sizes differ).
 //
 //ptm:sink bitmap write
@@ -118,50 +117,28 @@ func joinInto(dst *Bitmap, ms []*Bitmap, and bool) (ones int, err error) {
 	return join(dst.words, len(dst.words), ms, and), nil
 }
 
-// join is the one dispatcher of the join plane (DESIGN.md §13). It joins
-// the non-empty operand list virtually expanded to words words, stores
-// the result into dst unless dst is nil (count-only), and returns its
+// join is the one entry to the join plane (DESIGN.md §13). It joins the
+// non-empty operand list virtually expanded to words words, stores the
+// result into dst unless dst is nil (count-only), and returns its
 // popcount. dst, when non-nil, has exactly words words; words is a power
 // of two no smaller than any operand.
 //
 // Operands smaller than one block collapse into one pre-joined pattern
 // block first (gatherPat). An output smaller than one block has only
 // such operands, so the pattern's first words are the whole join.
-// Otherwise up to maxFusedOperands block-sized operands — counting the
-// pattern as one when it exists — fold in the register kernels, and
-// anything wider takes the tiled kernel.
-//
-// The pattern slice ops[n] = pat[:] is formed here, where pat is a
-// local: forming it through a pointer parameter would heap-allocate pat
-// (see gatherOps).
+// Otherwise joinBlocks folds every block-sized operand into the pattern,
+// one output block at a time.
 //
 //ptm:exclusive join plane operates on sealed records and a caller-owned dst
 //ptm:noalloc
 func join(dst []uint64, words int, ms []*Bitmap, and bool) int {
-	var ops [maxFusedOperands][]uint64
 	var pat [blockWords]uint64
-	n, ok := gatherOps(ms, &ops)
-	hasPat := gatherPat(ms, &pat, and)
+	gatherPat(ms, &pat, and)
 	if words < blockWords {
 		copy(dst, pat[:words])
 		return popcountWords(pat[:words])
 	}
-	if ok && hasPat {
-		if n == len(ops) {
-			ok = false
-		} else {
-			ops[n] = pat[:]
-			n++
-		}
-	}
-	switch {
-	case !ok:
-		return joinTiled(dst, words, ms, &pat, tileStackWords, and)
-	case dst == nil:
-		return joinOnesRegs(words, ops[:n], and)
-	default:
-		return joinIntoRegs(dst, ops[:n], and)
-	}
+	return joinBlocks(dst, words, ms, &pat, and)
 }
 
 // JoinScratch is a reusable arena for join outputs. A pipeline leases

@@ -72,10 +72,10 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	_, _, _ = sinkInt, sinkBool, sinkFloat
 }
 
-// TestBlockKernelPathsDoNotAllocate steers the fused entry points down
-// each of join's dispatch arms — sub-block pattern, register kernels,
-// pattern collapse, and the tiled kernel — and requires zero allocations
-// on all of them, mirroring the //ptm:noalloc contracts on the kernels.
+// TestBlockKernelPathsDoNotAllocate steers the fused entry points through
+// join's shapes — sub-block pattern alone, a narrow join, pattern
+// collapse, and a 33-operand join — and requires zero allocations on all
+// of them, mirroring the //ptm:noalloc contracts on the join loop.
 func TestBlockKernelPathsDoNotAllocate(t *testing.T) {
 	wide := func(n, bitsz int) []*Bitmap {
 		ms := make([]*Bitmap, n)
@@ -89,9 +89,9 @@ func TestBlockKernelPathsDoNotAllocate(t *testing.T) {
 		return ms
 	}
 	sub := wide(3, 256)                             // < blockWords output → pattern alone
-	regs := wide(5, 1<<12)                          // ≤ maxFusedOperands larges → register kernels
+	regs := wide(5, 1<<12)                          // narrow join → joinBlocks
 	mixed := append(wide(5, 1<<12), wide(3, 64)...) // sub-block operands → gatherPat collapse
-	tiled := wide(2*maxFusedOperands+1, 1<<12)      // operand overflow → joinTiled
+	tiled := wide(33, 1<<12)                        // wide join → joinBlocks
 	dst := MustNew(1 << 12)
 	var sinkInt int
 

@@ -176,6 +176,51 @@ func TestSpoolServerDurabilityFailureKeepsRecords(t *testing.T) {
 	}
 }
 
+// refusePeriodStore refuses one period the way a cluster node's leader
+// gate refuses a record whose partition it no longer leads.
+type refusePeriodStore struct {
+	*central.Server
+	period record.PeriodID
+}
+
+func (s refusePeriodStore) Ingest(rec *record.Record) error {
+	if rec.Period == s.period {
+		return errors.New("cluster: not leader of this partition")
+	}
+	return s.Server.Ingest(rec)
+}
+
+// TestSpoolDrainKeepsRefusedBehindDuplicate: a batch whose first record
+// the server already holds and whose second it refuses is not
+// delivered, so Drain returns the refusal and keeps every record.
+func TestSpoolDrainKeepsRefusedBehindDuplicate(t *testing.T) {
+	s, err := OpenSpool(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for p := 1; p <= 3; p++ {
+		if err := s.Enqueue(spoolRecord(t, 4, record.PeriodID(p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := central.NewServer(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Ingest(spoolRecord(t, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	c := spoolServer(t, refusePeriodStore{srv, 2})
+	n, err := s.Drain(c.UploadBatch)
+	if !transport.IsRemote(err) || transport.IsDuplicate(err) || n != 0 {
+		t.Fatalf("Drain = %d, %v; want 0 delivered and the refusal", n, err)
+	}
+	if got := s.Pending(); got != 3 {
+		t.Fatalf("Pending = %d after a refused record, want 3", got)
+	}
+}
+
 // TestSpoolDrainChunksBacklog: a backlog over one batch's bounds goes
 // out in several UploadBatch calls, each committed by one server fsync,
 // and the sealed segments are dropped only once every batch is in. A

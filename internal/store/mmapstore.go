@@ -1,8 +1,6 @@
 package store
 
 import (
-	"fmt"
-
 	"ptm/internal/record"
 	"ptm/internal/vhash"
 )
@@ -26,11 +24,6 @@ func OpenMmap(dir string, cacheBytes int64) (*Mmap, error) {
 	t, err := OpenTiered(dir, TieredOptions{Shards: 1, CacheBytes: cacheBytes})
 	if err != nil {
 		return nil, err
-	}
-	if st := t.Stats(); st.HotRecords != 0 {
-		//ptmlint:allow errdrop -- the shape error is what the caller sees
-		_ = t.Close()
-		return nil, fmt.Errorf("store: %s holds hot-tier state; not a pure segment directory", dir)
 	}
 	return &Mmap{t: t}, nil
 }

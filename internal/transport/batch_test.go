@@ -322,6 +322,53 @@ func TestUploadBatchFailedCommitAcceptsNone(t *testing.T) {
 	}
 }
 
+// refusePeriodStore refuses one period the way a cluster node's leader
+// gate refuses a record whose partition it no longer leads.
+type refusePeriodStore struct {
+	Store
+	period record.PeriodID
+}
+
+func (s refusePeriodStore) Ingest(rec *record.Record) error {
+	if rec.Period == s.period {
+		return errors.New("cluster: not leader of this partition")
+	}
+	return s.Store.Ingest(rec)
+}
+
+// TestUploadBatchRefusalOutranksDuplicate: a batch whose first record
+// is already stored and whose second is refused must name the refusal,
+// not the duplicate — a client reads a duplicate ack as "every record
+// is stored" and would drop the refused one.
+func TestUploadBatchRefusalOutranksDuplicate(t *testing.T) {
+	store, client := durableStack(t, func(d *central.Durable) Store {
+		return refusePeriodStore{d, 2}
+	})
+	recs := makeBatch(t, 3)
+	if err := client.Upload(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := client.UploadBatch(recs)
+	if !IsRemote(err) || IsDuplicate(err) {
+		t.Fatalf("UploadBatch err = %v, want a non-duplicate RemoteError", err)
+	}
+	if !strings.Contains(err.Error(), "record 1/3") || !strings.Contains(err.Error(), "not leader") {
+		t.Fatalf("err = %v, want record 1/3's refusal", err)
+	}
+	if accepted != 1 {
+		t.Errorf("accepted = %d, want 1", accepted)
+	}
+	if got := store.Periods(42); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Errorf("store holds periods %v, want [1 3]", got)
+	}
+
+	// Only duplicates: the ack names the first one.
+	_, err = client.UploadBatch([]*record.Record{recs[0], recs[2]})
+	if !IsDuplicate(err) || !strings.Contains(err.Error(), "record 0/2") {
+		t.Fatalf("all-duplicate batch err = %v, want record 0/2's duplicate", err)
+	}
+}
+
 // TestIsDuplicateMatchesServerMessage: IsDuplicate recognizes the
 // duplicate rejection exactly as a server sends it, single and batched,
 // and nothing else.

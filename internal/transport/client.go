@@ -376,11 +376,13 @@ func (c *Client) Upload(rec *record.Record) error {
 // UploadBatch sends a batch of records in one frame — one round trip for
 // the whole batch instead of one per record — and returns how many the
 // server accepted. The server applies every record even when some fail;
-// per-record failures (e.g. one duplicate) surface as a *RemoteError
-// naming the first, with accepted still counting the rest. When the
-// last record fails with anything but a duplicate, the error names it
-// and accepted is 0: the last record commits the batch, so none of it
-// is known to be durable.
+// per-record failures surface as a *RemoteError naming the first record
+// refused for anything but a duplicate, or the first duplicate when
+// every failure was one, with accepted still counting the rest. So
+// IsDuplicate on the error means no record of the batch was refused.
+// When the last record fails with anything but a duplicate, the error
+// names it and accepted is 0: the last record commits the batch, so none
+// of it is known to be durable.
 //
 //ptm:sink transport upload
 func (c *Client) UploadBatch(recs []*record.Record) (accepted int, err error) {

@@ -209,22 +209,32 @@ func (s *Server) dispatch(t MsgType, payload []byte) (MsgType, []byte) {
 		for _, rec := range recs[:len(recs)-1] {
 			rec.MarkMore()
 		}
+		// The ack names the first refused record, and a duplicate only
+		// when every failure was one: a client reads a duplicate as
+		// "already stored" and drops the whole batch.
 		var accepted uint32
-		var firstErr error
+		var firstErr, firstDup error
 		for i, rec := range recs {
 			if err := s.store.Ingest(rec); err != nil {
 				err = fmt.Errorf("record %d/%d: %w", i, len(recs), err)
-				if i == len(recs)-1 && !IsDuplicate(err) {
+				dup := IsDuplicate(err)
+				if i == len(recs)-1 && !dup {
 					// The closing record failed: no record of the batch
 					// is known to be durable.
 					return MsgUploadBatchAck, batchResult{errMsg: err.Error()}.encode()
 				}
-				if firstErr == nil {
+				switch {
+				case dup && firstDup == nil:
+					firstDup = err
+				case !dup && firstErr == nil:
 					firstErr = err
 				}
 				continue
 			}
 			accepted++
+		}
+		if firstErr == nil {
+			firstErr = firstDup
 		}
 		if firstErr != nil {
 			return MsgUploadBatchAck, batchResult{accepted: accepted, errMsg: firstErr.Error()}.encode()

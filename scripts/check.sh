@@ -18,7 +18,12 @@
 #   6. examples            (each program under examples/ once, its stdout
 #                          against scripts/testdata/examples/<name>.txt;
 #                          PTM_UPDATE_GOLDEN=1 rewrites the goldens)
-#   7. race stress smoke   (the WAL group commit and batch commit, RSU
+#   7. estimator bits      (ptmbench -exp all -runs 20, its stdout against
+#                          scripts/testdata/ptmbench_runs20.txt: every
+#                          paper table and figure the evaluation CLI
+#                          prints, bit for bit; PTM_UPDATE_GOLDEN=1
+#                          rewrites the golden)
+#   8. race stress smoke   (the WAL group commit and batch commit, RSU
 #                          striped ingest and controller spool, DSRC
 #                          fan-in, stripe, estimate-cache,
 #                          checkpoint-vs-ingest, duplicate ingest,
@@ -27,21 +32,21 @@
 #                          concurrency tests again under -race -count=2 —
 #                          the dynamic complement of the static concguard
 #                          contracts)
-#   8. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
-#   9. traced pipeline     (each bench/ptmload workload once at full scale
+#   9. fuzz smoke          (a few seconds per fuzz target, seeds + mutation)
+#  10. traced pipeline     (each bench/ptmload workload once at full scale
 #                          with -trace 1: answers, exact counts and the
 #                          traced blocking path against the untraced one;
 #                          output in $ARTIFACT_DIR/ptmload/<workload>.txt)
-#  10. exact-count gate    (the counts those runs print that repeat run to
+#  11. exact-count gate    (the counts those runs print that repeat run to
 #                          run, against scripts/testdata/counts.golden;
 #                          PTM_UPDATE_GOLDEN=1 rewrites the golden values;
 #                          then ceilings on counts that vary but stay
 #                          bounded: one fsync per upload batch)
-#  11. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
-#  12. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
+#  12. crash smoke         (kill -9 a WAL-backed centrald mid-stream)
+#  13. out-of-core smoke   (tiered centrald over a 10x-budget dataset:
 #                          peak-RSS bound + estimates identical to the
 #                          all-resident daemon)
-#  13. cluster smoke       (3-node cluster, R=2: kill -9 the partition
+#  14. cluster smoke       (3-node cluster, R=2: kill -9 the partition
 #                          leader mid-ingest, fail over, revive, join,
 #                          drain — zero acked-record loss and estimates
 #                          byte-identical to a single-node reference)
@@ -103,6 +108,20 @@ for example in citynet commutergrid odmatrix privacysweep quickstart siouxfalls;
 		exit 1
 	fi
 done
+
+step "estimator bits (ptmbench -exp all -runs 20 against scripts/testdata/ptmbench_runs20.txt)"
+# Every experiment is seeded, so the printed estimates are a golden: a
+# change to a join, an estimator or a simulation that moves one bit of
+# any table or figure fails here. results_ptmbench.txt is the same
+# output at -runs 400 (minutes, not seconds), regenerated by hand.
+go run ./cmd/ptmbench -exp all -runs 20 > "$ARTIFACT_DIR/ptmbench_runs20.txt"
+if [ "${PTM_UPDATE_GOLDEN:-}" = 1 ]; then
+	cp "$ARTIFACT_DIR/ptmbench_runs20.txt" scripts/testdata/ptmbench_runs20.txt
+elif ! cmp scripts/testdata/ptmbench_runs20.txt "$ARTIFACT_DIR/ptmbench_runs20.txt"; then
+	diff -u scripts/testdata/ptmbench_runs20.txt "$ARTIFACT_DIR/ptmbench_runs20.txt" | head -40 >&2 || true
+	printf 'estimator bits: ptmbench output moved; if the change means to move it, rerun with PTM_UPDATE_GOLDEN=1 and commit the golden\n' >&2
+	exit 1
+fi
 
 step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + RSU controller spool + estimate cache + checkpoint racing ingest + duplicate ingest + concurrent ship rounds + full resync racing ingest + tiered store + fence racing ingest and freeze)"
 go test -race -count=2 -run '^(TestGroupCommitConcurrentAppends|TestConcurrentBatchesAtMostOneSyncEach)$' ./internal/wal/
