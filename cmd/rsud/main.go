@@ -11,9 +11,9 @@
 //
 // With -spool DIR the RSU stores and forwards: a record whose upload
 // fails is appended to an on-disk log instead of aborting the run, and a
-// drainer retries delivery (redialing per attempt, capped exponential
-// backoff) at startup and after the last period. Spooled records survive
-// rsud restarts.
+// drainer retries delivery (redialing after a transport failure, capped
+// exponential backoff) at startup and after the last period. Spooled
+// records survive rsud restarts.
 package main
 
 import (
@@ -81,8 +81,23 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	up := &uploader{addr: *centralAddr}
-	defer up.close()
+	peers := transport.NewPeers(5 * time.Second)
+	defer func() {
+		//ptmlint:allow errdrop -- process exit path; nothing to do about a close error
+		_ = peers.Close()
+	}()
+	// send uploads one batch; the connection cache redials once after a
+	// transport failure, so a drain attempt never reuses a dead
+	// connection.
+	send := func(recs []*record.Record) (int, error) {
+		var n int
+		err := peers.Call(*centralAddr, func(c *transport.Client) error {
+			var err error
+			n, err = c.UploadBatch(recs)
+			return err
+		})
+		return n, err
+	}
 
 	var spool *rsu.Spool
 	backoff := rsu.Backoff{Attempts: *drainTries, Base: *drainBase}
@@ -93,14 +108,14 @@ func run(args []string, out io.Writer) error {
 		defer spool.Close()
 		// Deliver anything a previous run left behind before adding to it.
 		if spool.Pending() > 0 {
-			n, err := spool.DrainWithRetry(up.sendBatch, backoff)
+			n, err := spool.DrainWithRetry(send, backoff)
 			if err != nil {
 				logger.Printf("startup drain: %d delivered, %d still spooled: %v", n, spool.Pending(), err)
 			} else if n > 0 {
 				logger.Printf("startup drain: delivered %d spooled records", n)
 			}
 		}
-	} else if _, err := up.get(); err != nil {
+	} else if err := peers.Call(*centralAddr, func(*transport.Client) error { return nil }); err != nil {
 		// No spool: keep the old fail-fast contract, including refusing
 		// to start when the central server is unreachable.
 		return err
@@ -164,10 +179,12 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		disposition := "uploaded"
-		if err := up.upload(rec); err != nil {
+		// A duplicate is delivered: the server already holds the
+		// record, as after a retried upload whose first ack was lost.
+		if _, err := send([]*record.Record{rec}); err != nil && !transport.IsDuplicate(err) {
 			if spool == nil || transport.IsRemote(err) {
-				// Application-level rejections (duplicate, bad record)
-				// would fail identically on redelivery; only transport
+				// Other application-level rejections (bad record) would
+				// fail identically on redelivery; only transport
 				// failures are worth spooling.
 				return fmt.Errorf("uploading period %d: %w", p, err)
 			}
@@ -185,7 +202,7 @@ func run(args []string, out io.Writer) error {
 	}
 	drained := 0
 	if spool != nil && spool.Pending() > 0 {
-		if drained, err = spool.DrainWithRetry(up.sendBatch, backoff); err != nil {
+		if drained, err = spool.DrainWithRetry(send, backoff); err != nil {
 			return fmt.Errorf("draining spool: %w (%d records still spooled)", err, spool.Pending())
 		}
 		logger.Printf("drained %d spooled records", drained)
@@ -196,68 +213,4 @@ func run(args []string, out io.Writer) error {
 	p := cli.NewPrinter(out)
 	p.Printf("location %d: uploaded %d periods; true persistent volume %d\n", *loc, *periods, *fleet)
 	return p.Err()
-}
-
-// uploader lazily dials the central server and redials after a transport
-// failure, so every spool-drain attempt starts on a fresh connection
-// instead of a poisoned one.
-type uploader struct {
-	addr   string
-	client *transport.Client
-}
-
-// get returns a live client, dialing if needed.
-func (u *uploader) get() (*transport.Client, error) {
-	if u.client == nil {
-		c, err := transport.Dial(u.addr, 5*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		u.client = c
-	}
-	return u.client, nil
-}
-
-// fail discards the connection after a transport error; the next get
-// redials.
-func (u *uploader) fail() {
-	if u.client != nil {
-		//ptmlint:allow errdrop -- the connection is already broken; close is cleanup
-		_ = u.client.Close()
-		u.client = nil
-	}
-}
-
-func (u *uploader) upload(rec *record.Record) error {
-	c, err := u.get()
-	if err != nil {
-		return err
-	}
-	if err := c.Upload(rec); err != nil {
-		if !transport.IsRemote(err) {
-			u.fail()
-		}
-		return err
-	}
-	return nil
-}
-
-// sendBatch is the spool drainer's delivery function.
-func (u *uploader) sendBatch(recs []*record.Record) (int, error) {
-	c, err := u.get()
-	if err != nil {
-		return 0, err
-	}
-	n, err := c.UploadBatch(recs)
-	if err != nil && !transport.IsRemote(err) {
-		u.fail()
-	}
-	return n, err
-}
-
-func (u *uploader) close() {
-	if u.client != nil {
-		//ptmlint:allow errdrop -- process exit path; nothing to do about a close error
-		_ = u.client.Close()
-	}
 }

@@ -129,3 +129,34 @@ func TestRSUDaemonErrors(t *testing.T) {
 		t.Error("f=0 accepted")
 	}
 }
+
+// TestRSUDaemonDuplicateCountsAsDelivered: a period the server already
+// holds, as after a retried upload whose first ack was lost, is
+// delivered, not a failed run.
+func TestRSUDaemonDuplicateCountsAsDelivered(t *testing.T) {
+	store, err := central.NewServer(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := transport.NewServer(store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+
+	args := []string{"-central", ln.Addr().String(), "-loc", "5", "-periods", "2", "-fleet", "20", "-transients", "50"}
+	for i := 1; i <= 2; i++ {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	if got := store.Periods(5); len(got) != 2 {
+		t.Fatalf("periods at loc 5 = %v, want [1 2]", got)
+	}
+}

@@ -48,7 +48,8 @@ type Config struct {
 	// ShipInterval is the replication shipper's period. 0 disables the
 	// background shipper (tests drive ShipNow explicitly).
 	ShipInterval time.Duration
-	// DialTimeout bounds peer dials and calls. Defaults to 5s.
+	// DialTimeout bounds peer dials. Defaults to 5s. No call has a
+	// deadline: a peer that accepts and never answers stalls the round.
 	DialTimeout time.Duration
 	// Logger receives shipper and ring-change events; nil discards.
 	Logger *log.Logger
@@ -75,20 +76,27 @@ type peerState struct {
 // are a pure function of store contents, and replication converges the
 // contents, so any replica answers queries for the partitions it holds
 // bit-identically to a single-node store.
+//
+//ptm:lockorder ringMu<mu
 type Node struct {
 	*central.Durable
-	cfg Config
+	cfg   Config
+	peers *transport.Peers // the shipper's connections, by peer address
+
+	// ringMu serializes ring pushes across their epoch check, persist
+	// and swap, so mu (and with it every upload's leader gate) is never
+	// held across the persist's fsyncs.
+	ringMu sync.Mutex
 
 	// mu guards the ring view and the shipper bookkeeping. It is never
-	// held across network calls, WAL replay, or store operations wider
-	// than a field read — the shipper snapshots under mu, works
-	// unlocked, and re-locks to record results.
+	// held across network calls, file writes, WAL replay, or store
+	// operations wider than a field read — the shipper snapshots under
+	// mu, works unlocked, and re-locks to record results.
 	mu      sync.Mutex
-	ring    *Ring                        //ptm:guardedby mu (nil until a ring is installed)
-	peers   map[string]*transport.Client //ptm:guardedby mu (by member ID)
-	water   map[string]*peerState        //ptm:guardedby mu (by member ID; entries mutated only under mu)
-	applied map[string]uint64            //ptm:guardedby mu (sender ID -> their WAL segment applied through)
-	closed  bool                         //ptm:guardedby mu
+	ring    *Ring                 //ptm:guardedby mu (nil until a ring is installed)
+	water   map[string]*peerState //ptm:guardedby mu (by member ID; entries mutated only under mu)
+	applied map[string]uint64     //ptm:guardedby mu (sender ID -> their WAL segment applied through)
+	closed  bool                  //ptm:guardedby mu
 
 	// shipMu is held across a whole replication round, so the
 	// background shipper and an explicit ShipNow never ship to one
@@ -122,7 +130,7 @@ func NewNode(d *central.Durable, cfg Config) (*Node, error) {
 	n := &Node{
 		Durable: d,
 		cfg:     cfg,
-		peers:   make(map[string]*transport.Client),
+		peers:   transport.NewPeers(cfg.DialTimeout),
 		water:   make(map[string]*peerState),
 		applied: make(map[string]uint64),
 		quit:    make(chan struct{}),
@@ -217,17 +225,7 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	close(n.quit)
 	<-n.done
-	n.mu.Lock()
-	peers := n.peers
-	n.peers = make(map[string]*transport.Client)
-	n.mu.Unlock()
-	var first error
-	for id, c := range peers {
-		if err := c.Close(); err != nil && first == nil {
-			first = fmt.Errorf("cluster: closing peer %s: %w", id, err)
-		}
-	}
-	return first
+	return n.peers.Close()
 }
 
 // HandleFrame implements transport.Extension: the cluster protocol
@@ -268,17 +266,22 @@ func (n *Node) handleRingGet() []byte {
 // so a repeated `ptmcluster init` or two admins racing at one epoch
 // cannot fork the configuration. The ring is persisted before it is
 // adopted: an acked configuration change must survive a crash, so a
-// persist failure rejects the push and keeps the old ring.
+// persist failure rejects the push and keeps the old ring. Pushes take
+// turns on ringMu; mu is held only to read and to swap the pointer, so
+// uploads pass the leader gate while the persist fsyncs.
 func (n *Node) handleRingSet(payload []byte) []byte {
 	r, err := DecodeRing(payload)
 	if err != nil {
 		return errPayload(err)
 	}
+	n.ringMu.Lock()
+	defer n.ringMu.Unlock()
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.ring != nil {
-		if r.Epoch == n.ring.Epoch {
-			cur, err := canonicalRing(n.ring)
+	cur := n.ring
+	n.mu.Unlock()
+	if cur != nil {
+		if r.Epoch == cur.Epoch {
+			curEnc, err := canonicalRing(cur)
 			if err != nil {
 				return errPayload(err)
 			}
@@ -286,17 +289,17 @@ func (n *Node) handleRingSet(payload []byte) []byte {
 			if err != nil {
 				return errPayload(err)
 			}
-			if !bytes.Equal(cur, pushed) {
+			if !bytes.Equal(curEnc, pushed) {
 				return errPayload(fmt.Errorf("cluster: ring epoch %d is already in effect with different contents; push a newer epoch", r.Epoch))
 			}
-			b, err := EncodeRing(n.ring)
+			b, err := EncodeRing(cur)
 			if err != nil {
 				return errPayload(err)
 			}
 			return okPayload(b)
 		}
-		if r.Epoch < n.ring.Epoch {
-			return errPayload(fmt.Errorf("cluster: stale ring epoch %d (current %d)", r.Epoch, n.ring.Epoch))
+		if r.Epoch < cur.Epoch {
+			return errPayload(fmt.Errorf("cluster: stale ring epoch %d (current %d)", r.Epoch, cur.Epoch))
 		}
 	}
 	enc, err := EncodeRing(r)
@@ -312,7 +315,9 @@ func (n *Node) handleRingSet(payload []byte) []byte {
 	if err := wal.SyncDir(filepath.Dir(n.cfg.RingPath)); err != nil {
 		return errPayload(fmt.Errorf("cluster: persisting ring: %w", err))
 	}
+	n.mu.Lock()
 	n.ring = r
+	n.mu.Unlock()
 	n.cfg.Logger.Printf("cluster: node %s adopted ring epoch %d (%d members, R=%d)",
 		n.cfg.ID, r.Epoch, len(r.Members), r.Replicas)
 	return okPayload(enc)

@@ -861,3 +861,60 @@ func TestFullResyncShipsInFlightIngest(t *testing.T) {
 		t.Fatalf("follower lacks the record that was in flight during the resync: %v", err)
 	}
 }
+
+// moved returns a copy of r at epoch with member id in state st; a
+// non-empty addr also moves the member there.
+func moved(r *Ring, epoch uint64, id string, st State, addr string) *Ring {
+	c := r.Clone()
+	c.Epoch = epoch
+	for i := range c.Members {
+		if c.Members[i].ID == id {
+			c.Members[i].State = st
+			if addr != "" {
+				c.Members[i].Addr = addr
+			}
+		}
+	}
+	return c
+}
+
+// TestShipperFollowsRejoinAtNewAddress: a member that leaves and
+// rejoins at a new address (`ptmcluster join -addr` on a Left
+// tombstone, a host move) is shipped to at the new address, even when
+// no ship round runs while it is Left.
+func TestShipperFollowsRejoinAtNewAddress(t *testing.T) {
+	a, b := startNode(t, "a"), startNode(t, "b")
+	r := ringOf(1, 2, a, b)
+	pushRing(t, r, a, b)
+	loc := 0
+	for l := 1; l < 256 && loc == 0; l++ {
+		if lead, err := r.Leader(vhash.LocationID(l)); err == nil && lead.ID == "a" {
+			loc = l
+		}
+	}
+	if loc == 0 {
+		t.Fatal("a leads nothing in 255 locations")
+	}
+	const m = 64
+	if err := a.node.Ingest(testRecord(t, loc, 1, m)); err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, 1, a) // a now holds a connection to b
+
+	// b's host goes away; b comes back empty at a new address.
+	if err := b.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b2 := startNode(t, "b")
+	pushRing(t, moved(r, 2, "b", StateDraining, ""), a)
+	pushRing(t, moved(r, 3, "b", StateLeft, ""), a)
+	rejoined := moved(r, 4, "b", StateJoining, b2.addr)
+	pushRing(t, rejoined, a, b2)
+
+	if err := a.node.ShipNow(); err != nil {
+		t.Fatalf("ship after b moved: %v", err)
+	}
+	if got := b2.node.Periods(vhash.LocationID(loc)); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("rejoined b holds periods %v of loc %d, want [1]", got, loc)
+	}
+}

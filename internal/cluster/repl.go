@@ -100,30 +100,19 @@ func (n *Node) ShipNow() error {
 	return first
 }
 
-// shipPeer ships one peer's round, retrying once through Redial when
-// the failure is a transport error (dead connection from a peer restart
-// — exactly the sticky-poison case Redial exists for).
+// shipPeer ships one peer's round through the connection cache, which
+// redials once after a transport error (a peer restart leaves the
+// cached connection dead) and reruns the round.
 func (n *Node) shipPeer(r *Ring, m Member, sealed uint64) error {
-	c, err := n.peerClient(m)
-	if err != nil {
-		n.mu.Lock()
-		ws := n.waterLocked(m.ID)
-		ws.lastErr = err.Error()
-		if sealed > ws.shipped {
-			ws.lag = sealed - ws.shipped
-		}
-		n.mu.Unlock()
+	var sent int64
+	var full bool
+	err := n.peers.Call(m.Addr, func(c *transport.Client) error {
+		s, f, err := n.shipOnce(c, r, m, sealed)
+		sent, full = sent+s, f
 		return err
-	}
-	sent, full, err := n.shipOnce(c, r, m, sealed)
-	if err != nil && !transport.IsRemote(err) {
-		if rerr := c.Redial(); rerr == nil {
-			var sent2 int64
-			sent2, full, err = n.shipOnce(c, r, m, sealed)
-			sent += sent2
-		}
-	}
+	})
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	ws := n.waterLocked(m.ID)
 	ws.records += sent
 	if err != nil {
@@ -131,7 +120,6 @@ func (n *Node) shipPeer(r *Ring, m Member, sealed uint64) error {
 		if sealed > ws.shipped {
 			ws.lag = sealed - ws.shipped
 		}
-		n.mu.Unlock()
 		return err
 	}
 	if full {
@@ -141,7 +129,6 @@ func (n *Node) shipPeer(r *Ring, m Member, sealed uint64) error {
 	ws.shipped = sealed
 	ws.lag = 0
 	ws.lastErr = ""
-	n.mu.Unlock()
 	return nil
 }
 
@@ -344,47 +331,16 @@ func (n *Node) waterLocked(id string) *peerState {
 	return ws
 }
 
-// peerConnLocked-free client lookup: dial outside the lock, resolve the
-// insert race by discarding the duplicate.
-func (n *Node) peerClient(m Member) (*transport.Client, error) {
-	n.mu.Lock()
-	pc := n.peers[m.ID]
-	n.mu.Unlock()
-	if pc != nil {
-		return pc, nil
-	}
-	c, err := transport.Dial(m.Addr, n.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	if existing := n.peers[m.ID]; existing != nil {
-		n.mu.Unlock()
-		//ptmlint:allow errdrop -- lost the insert race; the duplicate dial is discarded
-		_ = c.Close()
-		return existing, nil
-	}
-	n.peers[m.ID] = c
-	n.mu.Unlock()
-	return c, nil
-}
-
-// prunePeers drops clients and watermarks for members that left the
-// ring (the ring keeps Left tombstones, so lookups stay meaningful).
+// prunePeers drops the watermarks of members that left the ring (the
+// ring keeps Left tombstones, so lookups stay meaningful) and closes
+// the connections of addresses no member still serves at.
 func (n *Node) prunePeers(r *Ring) {
 	n.mu.Lock()
-	var stale []*transport.Client
-	for id, c := range n.peers {
-		m, ok := r.Member(id)
-		if !ok || m.State == StateLeft {
-			stale = append(stale, c)
-			delete(n.peers, id)
+	for id := range n.water {
+		if m, ok := r.Member(id); !ok || m.State == StateLeft {
 			delete(n.water, id)
 		}
 	}
 	n.mu.Unlock()
-	for _, c := range stale {
-		//ptmlint:allow errdrop -- best-effort teardown of a departed peer's connection
-		_ = c.Close()
-	}
+	n.peers.Retain(r.HasAddr)
 }

@@ -249,6 +249,17 @@ func (r *Ring) Member(id string) (Member, bool) {
 	return Member{}, false
 }
 
+// HasAddr reports whether a member that has not left serves at addr:
+// the test for keeping a cached connection to addr.
+func (r *Ring) HasAddr(addr string) bool {
+	for _, m := range r.Members {
+		if m.Addr == addr && m.State != StateLeft {
+			return true
+		}
+	}
+	return false
+}
+
 // Clone deep-copies the ring for mutate-and-push.
 func (r *Ring) Clone() *Ring {
 	c := &Ring{Epoch: r.Epoch, Replicas: r.Replicas, VNodes: r.VNodes}

@@ -42,16 +42,13 @@ const (
 
 // Router is a cluster-aware client. Safe for concurrent use.
 type Router struct {
-	timeout time.Duration
-	seeds   []string
+	seeds []string
+	peers *transport.Peers // member and seed connections, by address
 
-	// mu guards the ring view and the per-member client table; it is
-	// never held across a network call.
-	mu      sync.Mutex
-	ring    *cluster.Ring                //ptm:guardedby mu
-	clients map[string]*transport.Client //ptm:guardedby mu (by member ID)
-	s       int                          //ptm:guardedby mu (bitmap parameter, from node status)
-	closed  bool                         //ptm:guardedby mu
+	// mu guards the ring view; it is never held across a network call.
+	mu   sync.Mutex
+	ring *cluster.Ring //ptm:guardedby mu
+	s    int           //ptm:guardedby mu (bitmap parameter, from node status)
 }
 
 // Dial bootstraps a router from seed addresses: the first reachable
@@ -66,12 +63,13 @@ func Dial(seeds []string, timeout time.Duration) (*Router, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	r := &Router{timeout: timeout, seeds: seeds, clients: make(map[string]*transport.Client)}
-	if err := r.Refresh(); err != nil {
-		return nil, err
+	r := &Router{seeds: seeds, peers: transport.NewPeers(timeout)}
+	err := r.Refresh()
+	if err == nil {
+		err = r.fetchS()
 	}
-	if err := r.fetchS(); err != nil {
-		//ptmlint:allow errdrop -- the fetch error is what the caller sees; close is best-effort cleanup
+	if err != nil {
+		//ptmlint:allow errdrop -- the bootstrap error is what the caller sees; close is best-effort cleanup
 		_ = r.Close()
 		return nil, err
 	}
@@ -97,70 +95,38 @@ func (r *Router) S() int {
 
 // Close releases every member connection.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	clients := r.clients
-	r.clients = make(map[string]*transport.Client)
-	r.mu.Unlock()
-	var first error
-	for id, c := range clients {
-		if err := c.Close(); err != nil && first == nil {
-			first = fmt.Errorf("router: closing %s: %w", id, err)
-		}
-	}
-	return first
+	return r.peers.Close()
 }
 
 // Refresh re-fetches the ring: every serving member of the current
-// view first (cached connections or fresh dials — the seed may be the
-// node that just died), then the seeds. A fetched ring is adopted only
-// if it is newer than the view in hand, so a stale source cannot roll
-// the router backwards.
+// view first (the seed may be the node that just died), then the
+// seeds. A fetched ring is adopted only if it is newer than the view in
+// hand, so a stale source cannot roll the router backwards.
 func (r *Router) Refresh() error {
-	var firstErr error
+	var addrs []string
 	if ring := r.ringSnapshot(); ring != nil {
 		for _, m := range ring.Members {
 			if m.Addr == "" || m.State == cluster.StateLeft || m.State == cluster.StateDown {
 				continue
 			}
-			var fetched *cluster.Ring
-			err := r.callNode(m, func(c *transport.Client) error {
-				var cerr error
-				fetched, cerr = fetchRing(c)
-				return cerr
-			})
-			if err == nil {
-				r.adopt(fetched)
-				return nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
+			addrs = append(addrs, m.Addr)
 		}
 	}
-	for _, addr := range r.seeds {
-		c, err := transport.Dial(addr, r.timeout)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	var firstErr error
+	for _, addr := range append(addrs, r.seeds...) {
+		var fetched *cluster.Ring
+		err := r.peers.Call(addr, func(c *transport.Client) error {
+			var cerr error
+			fetched, cerr = fetchRing(c)
+			return cerr
+		})
+		if err == nil {
+			r.adopt(fetched)
+			return nil
 		}
-		ring, err := fetchRing(c)
-		//ptmlint:allow errdrop -- throwaway bootstrap connection; the ring fetch outcome is what matters
-		_ = c.Close()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if firstErr == nil {
+			firstErr = err
 		}
-		r.adopt(ring)
-		return nil
 	}
 	return fmt.Errorf("router: no reachable ring source: %w", firstErr)
 }
@@ -177,8 +143,8 @@ func fetchRing(c *transport.Client) (*cluster.Ring, error) {
 	return cluster.DecodeRing(body)
 }
 
-// adopt installs a fetched ring if newer, pruning clients of members
-// that left.
+// adopt installs a fetched ring if newer, closing the connections of
+// addresses no member still serves at (members that left or moved).
 func (r *Router) adopt(ring *cluster.Ring) {
 	r.mu.Lock()
 	if r.ring != nil && ring.Epoch <= r.ring.Epoch {
@@ -186,19 +152,8 @@ func (r *Router) adopt(ring *cluster.Ring) {
 		return
 	}
 	r.ring = ring
-	var stale []*transport.Client
-	for id, c := range r.clients {
-		m, ok := ring.Member(id)
-		if !ok || m.State == cluster.StateLeft {
-			stale = append(stale, c)
-			delete(r.clients, id)
-		}
-	}
 	r.mu.Unlock()
-	for _, c := range stale {
-		//ptmlint:allow errdrop -- best-effort teardown of a departed member's connection
-		_ = c.Close()
-	}
+	r.peers.Retain(ring.HasAddr)
 }
 
 // fetchS learns the bitmap parameter from any Up member's status.
@@ -210,7 +165,7 @@ func (r *Router) fetchS() error {
 			continue
 		}
 		var st cluster.Status
-		err := r.callNode(m, func(c *transport.Client) error {
+		err := r.peers.Call(m.Addr, func(c *transport.Client) error {
 			resp, err := c.Call(transport.MsgStatus, nil, transport.MsgStatusResp)
 			if err != nil {
 				return err
@@ -243,50 +198,6 @@ func (r *Router) ringSnapshot() *cluster.Ring {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ring
-}
-
-// client returns (dialing on demand) the member's connection.
-func (r *Router) client(m cluster.Member) (*transport.Client, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("router: closed")
-	}
-	c := r.clients[m.ID]
-	r.mu.Unlock()
-	if c != nil {
-		return c, nil
-	}
-	c, err := transport.Dial(m.Addr, r.timeout)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if existing := r.clients[m.ID]; existing != nil {
-		r.mu.Unlock()
-		//ptmlint:allow errdrop -- lost the insert race; the duplicate dial is discarded
-		_ = c.Close()
-		return existing, nil
-	}
-	r.clients[m.ID] = c
-	r.mu.Unlock()
-	return c, nil
-}
-
-// callNode runs fn against the member, retrying once through Redial on
-// a transport failure (the member may have restarted since last use).
-func (r *Router) callNode(m cluster.Member, fn func(*transport.Client) error) error {
-	c, err := r.client(m)
-	if err != nil {
-		return err
-	}
-	err = fn(c)
-	if err != nil && !transport.IsRemote(err) {
-		if rerr := c.Redial(); rerr == nil {
-			err = fn(c)
-		}
-	}
-	return err
 }
 
 // Upload sends one record to its partition leader.
@@ -326,8 +237,7 @@ func (r *Router) UploadBatch(recs []*record.Record) (int, error) {
 			}
 		}
 		ring := r.ringSnapshot()
-		groups := make(map[string][]*record.Record)
-		leaders := make(map[string]cluster.Member)
+		groups := make(map[cluster.Member][]*record.Record)
 		var retry []*record.Record
 		for _, rec := range remaining {
 			lead, err := ring.Leader(rec.Location)
@@ -338,12 +248,11 @@ func (r *Router) UploadBatch(recs []*record.Record) (int, error) {
 				lastErr = err
 				continue
 			}
-			groups[lead.ID] = append(groups[lead.ID], rec)
-			leaders[lead.ID] = lead
+			groups[lead] = append(groups[lead], rec)
 		}
-		for id, group := range groups {
+		for lead, group := range groups {
 			var n int
-			err := r.callNode(leaders[id], func(c *transport.Client) error {
+			err := r.peers.Call(lead.Addr, func(c *transport.Client) error {
 				var cerr error
 				n, cerr = c.UploadBatch(group)
 				return cerr
@@ -359,7 +268,7 @@ func (r *Router) UploadBatch(recs []*record.Record) (int, error) {
 				// stored by the partial attempt this retry repeats).
 				accepted += len(group)
 			case transport.IsRemote(err):
-				return accepted, fmt.Errorf("router: upload to %s: %w", id, err)
+				return accepted, fmt.Errorf("router: upload to %s: %w", lead.ID, err)
 			default:
 				retry = append(retry, group...)
 				lastErr = err
@@ -414,7 +323,7 @@ func (r *Router) queryReplicas(loc vhash.LocationID, fn func(*transport.Client) 
 	}
 	var firstErr error
 	for _, m := range cands {
-		err := r.callNode(m, fn)
+		err := r.peers.Call(m.Addr, fn)
 		if err == nil || transport.IsRemote(err) {
 			return err
 		}
@@ -459,7 +368,7 @@ func (r *Router) QueryPointToPointPersistent(locA, locB vhash.LocationID, period
 	leadB, errB := ring.Leader(locB)
 	if errA == nil && errB == nil && leadA.ID == leadB.ID {
 		var v float64
-		err := r.callNode(leadA, func(c *transport.Client) error {
+		err := r.peers.Call(leadA.Addr, func(c *transport.Client) error {
 			var cerr error
 			v, cerr = c.QueryPointToPointPersistent(locA, locB, periods)
 			return cerr
@@ -531,7 +440,7 @@ func (r *Router) ListLocations() ([]vhash.LocationID, error) {
 			continue
 		}
 		var locs []vhash.LocationID
-		err := r.callNode(m, func(c *transport.Client) error {
+		err := r.peers.Call(m.Addr, func(c *transport.Client) error {
 			var cerr error
 			locs, cerr = c.ListLocations()
 			return cerr

@@ -401,3 +401,65 @@ func TestRouterUploadSurvivesFailover(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterFollowsRejoinAtNewAddress: after a member leaves and
+// rejoins at a new address (a host move), the router uploads to it at
+// the new address, although it had a connection to the old one.
+func TestRouterFollowsRejoinAtNewAddress(t *testing.T) {
+	a, b := startNode(t, "a"), startNode(t, "b")
+	r := ringOf(1, 1, a, b)
+	pushRingWire(t, r, a, b)
+	rt, err := Dial([]string{a.addr}, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ledBy := func(r *cluster.Ring, id string) int {
+		for l := 1; l < 256; l++ {
+			if lead, err := r.Leader(vhash.LocationID(l)); err == nil && lead.ID == id {
+				return l
+			}
+		}
+		t.Fatalf("%s leads nothing in 255 locations", id)
+		return 0
+	}
+	const m = 64
+	if err := rt.Upload(testRecord(t, ledBy(r, "b"), 1, m)); err != nil {
+		t.Fatal(err)
+	}
+
+	// b's host goes away; b comes back at a new address and is Up again.
+	if err := b.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b2 := startNode(t, "b")
+	moved := func(epoch uint64, st cluster.State, addr string) *cluster.Ring {
+		c := r.Clone()
+		c.Epoch = epoch
+		for i := range c.Members {
+			if c.Members[i].ID == "b" {
+				c.Members[i].State = st
+				if addr != "" {
+					c.Members[i].Addr = addr
+				}
+			}
+		}
+		return c
+	}
+	pushRingWire(t, moved(2, cluster.StateDraining, ""), a)
+	pushRingWire(t, moved(3, cluster.StateLeft, ""), a)
+	pushRingWire(t, moved(4, cluster.StateJoining, b2.addr), a, b2)
+	up := moved(5, cluster.StateUp, b2.addr)
+	pushRingWire(t, up, a, b2)
+
+	if err := rt.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	loc := ledBy(up, "b")
+	if err := rt.Upload(testRecord(t, loc, 2, m)); err != nil {
+		t.Fatalf("upload to the moved leader: %v", err)
+	}
+	if got := b2.node.Periods(vhash.LocationID(loc)); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("moved b holds periods %v of loc %d, want [2]", got, loc)
+	}
+}

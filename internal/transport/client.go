@@ -20,36 +20,9 @@ import (
 // backpressure.
 const maxPipeline = 128
 
-// Client errors.
-var (
-	// ErrClientClosed is returned for requests issued (or still in
-	// flight) after Close.
-	ErrClientClosed = errors.New("transport: client closed")
-	// ErrRedialed fails requests that were in flight on a connection
-	// Redial replaced; the request may or may not have reached the
-	// server, exactly like any other transport failure.
-	ErrRedialed = errors.New("transport: connection replaced by redial")
-	// ErrNotRedialable is returned by Redial on a client wrapping a
-	// pre-established connection (NewClient) — there is no address to
-	// dial again.
-	ErrNotRedialable = errors.New("transport: client has no dial address")
-)
-
-// session is one connection's worth of client state: the conn, its
-// FIFO pending queue, the response reader's lifecycle, and the sticky
-// transport failure. A Client replaces its session wholesale on Redial;
-// the old session's waiters all fail with the sticky error, and nothing
-// from the old connection can leak into the new one.
-type session struct {
-	conn    net.Conn          // set at construction, never reassigned
-	pending chan *pendingCall // FIFO queue of in-flight calls
-	quit    chan struct{}     // closed once by shutdown
-
-	errMu     sync.Mutex
-	brokenErr error //ptm:guardedby errMu (sticky transport failure)
-
-	closeOnce sync.Once
-}
+// ErrClientClosed is returned for requests issued (or still in flight)
+// after Close.
+var ErrClientClosed = errors.New("transport: client closed")
 
 // Client is an RSU- or operator-side connection to the central server.
 // It is safe for concurrent use; requests are pipelined on the wire: each
@@ -58,25 +31,27 @@ type session struct {
 // connection instead of convoying on a whole request/response exchange.
 // The server answers strictly in request order, so a background reader
 // matches responses to waiters FIFO. A transport failure (as opposed to
-// an application-level RemoteError) poisons the connection: every pending
-// and subsequent call fails — until Redial replaces the connection,
-// which the cluster router uses to recover a follower link without
-// constructing a new client.
-// Lock order: sendMu before the session's errMu — the send path marks
-// the connection broken while still serializing writers; errMu is
-// innermost and never held while acquiring sendMu.
+// an application-level RemoteError) poisons the connection for good:
+// every pending and subsequent call fails with the same sticky error.
+// Recovery is a new connection; Peers dials it for callers that keep
+// connections across failures.
+// Lock order: sendMu before errMu — the send path marks the connection
+// broken while still serializing writers; errMu is innermost and never
+// held while acquiring sendMu.
 type Client struct {
-	// Dial target, retained for Redial. Empty for NewClient-wrapped
-	// connections, which cannot redial.
-	addr    string
-	tlsCfg  *tls.Config
-	timeout time.Duration
+	conn    net.Conn          // set at construction, never reassigned
+	pending chan *pendingCall // FIFO queue of in-flight calls
+	quit    chan struct{}     // closed once by Close
 
-	sendMu sync.Mutex           // serializes frame writes, pending pushes, and session swaps
-	sess   *session             //ptm:guardedby sendMu (current connection)
-	bw     *bufio.Writer        //ptm:guardedby sendMu (wraps sess.conn)
+	sendMu sync.Mutex           // serializes frame writes and pending pushes
+	bw     *bufio.Writer        //ptm:guardedby sendMu (wraps conn)
 	hdr    [frameHeaderLen]byte //ptm:guardedby sendMu (reused frame-header scratch)
 	closed bool                 //ptm:guardedby sendMu
+
+	errMu     sync.Mutex
+	brokenErr error //ptm:guardedby errMu (sticky transport failure)
+
+	closeOnce sync.Once
 }
 
 // pendingCall is one in-flight request awaiting its FIFO response.
@@ -99,16 +74,13 @@ type RemoteError struct {
 // Error implements error.
 func (e *RemoteError) Error() string { return "transport: server: " + e.Msg }
 
-// Dial connects to a central server. The returned client remembers addr
-// and can Redial after a transport failure.
+// Dial connects to a central server.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
-	c := NewClient(conn)
-	c.addr, c.timeout = addr, timeout
-	return c, nil
+	return NewClient(conn), nil
 }
 
 // DialTLS connects to a central server over TLS. cfg typically comes from
@@ -119,128 +91,77 @@ func DialTLS(addr string, cfg *tls.Config, timeout time.Duration) (*Client, erro
 	if err != nil {
 		return nil, fmt.Errorf("transport: dialing %s with TLS: %w", addr, err)
 	}
-	c := NewClient(conn)
-	c.addr, c.tlsCfg, c.timeout = addr, cfg, timeout
-	return c, nil
+	return NewClient(conn), nil
 }
 
 // NewClient wraps an established connection (net.Pipe in tests) and
-// starts the response reader. Clients built this way cannot Redial.
+// starts the response reader.
 //
 //ptm:exclusive constructor: the Client is not shared until NewClient returns
 func NewClient(conn net.Conn) *Client {
-	return &Client{sess: newSession(conn), bw: bufio.NewWriter(conn)}
-}
-
-// newSession starts a session and its response reader over conn.
-//
-//ptm:exclusive constructor: the session is not shared until newSession returns
-func newSession(conn net.Conn) *session {
-	s := &session{
+	c := &Client{
 		conn:    conn,
 		pending: make(chan *pendingCall, maxPipeline),
 		quit:    make(chan struct{}),
+		bw:      bufio.NewWriter(conn),
 	}
-	//ptmlint:allow goroutinehygiene -- readLoop exits when shutdown closes s.quit and drains pending
-	go s.readLoop(bufio.NewReader(conn))
-	return s
+	//ptmlint:allow goroutinehygiene -- readLoop exits when Close closes c.quit and drains pending
+	go c.readLoop(bufio.NewReader(conn))
+	return c
 }
 
-// shutdown poisons the session with reason, stops the reader, and closes
-// the connection. Idempotent; only the first call's close error is
-// returned.
-func (s *session) shutdown(reason error) error {
+// Close closes the underlying connection and releases every waiter.
+// Idempotent; only the first call's close error is returned.
+func (c *Client) Close() error {
+	c.sendMu.Lock()
+	c.closed = true
+	c.sendMu.Unlock()
 	var err error
-	s.closeOnce.Do(func() {
-		//ptmlint:allow errdrop -- setBroken returns the (possibly earlier) sticky error; shutdown keeps its own reason
-		_ = s.setBroken(reason)
-		close(s.quit)
-		err = s.conn.Close()
+	c.closeOnce.Do(func() {
+		//ptmlint:allow errdrop -- setBroken returns the (possibly earlier) sticky error; Close keeps its own reason
+		_ = c.setBroken(ErrClientClosed)
+		close(c.quit)
+		err = c.conn.Close()
 	})
 	return err
 }
 
-// Close closes the underlying connection and releases every waiter.
-func (c *Client) Close() error {
-	c.sendMu.Lock()
-	c.closed = true
-	sess := c.sess
-	c.sendMu.Unlock()
-	return sess.shutdown(ErrClientClosed)
-}
-
-// Redial replaces a broken connection with a freshly dialed one. Calls
-// in flight on the old connection fail with ErrRedialed; calls issued
-// after Redial returns use the new connection with a clean slate. It is
-// the cluster router's recovery path after a node restart or failover —
-// the Client (and its place in connection caches) survives, only the
-// socket is replaced. Redial on a healthy client is allowed and simply
-// reconnects.
-func (c *Client) Redial() error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if c.closed {
-		return ErrClientClosed
-	}
-	if c.addr == "" {
-		return ErrNotRedialable
-	}
-	var conn net.Conn
-	var err error
-	if c.tlsCfg != nil {
-		d := &net.Dialer{Timeout: c.timeout}
-		conn, err = tls.DialWithDialer(d, "tcp", c.addr, c.tlsCfg)
-	} else {
-		conn, err = net.DialTimeout("tcp", c.addr, c.timeout)
-	}
-	if err != nil {
-		// The old session stays as-is (likely already broken); the
-		// caller may retry Redial with its own backoff.
-		return fmt.Errorf("transport: redialing %s: %w", c.addr, err)
-	}
-	//ptmlint:allow errdrop -- the old connection is being abandoned; its close error is not actionable
-	_ = c.sess.shutdown(ErrRedialed)
-	c.sess = newSession(conn)
-	c.bw = bufio.NewWriter(conn)
-	return nil
-}
-
 // broken returns the sticky transport failure, if any.
-func (s *session) broken() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.brokenErr
+func (c *Client) broken() error {
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
+	return c.brokenErr
 }
 
 // setBroken records the first transport failure; later calls keep it.
-func (s *session) setBroken(err error) error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	if s.brokenErr == nil {
-		s.brokenErr = err
+func (c *Client) setBroken(err error) error {
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
+	if c.brokenErr == nil {
+		c.brokenErr = err
 	}
-	return s.brokenErr
+	return c.brokenErr
 }
 
 // readLoop matches response frames to pending calls in FIFO order. After
 // a read failure it stays alive in a draining mode — every queued and
-// future call fails fast with the sticky error — until shutdown.
-func (s *session) readLoop(br *bufio.Reader) {
+// future call fails fast with the sticky error — until Close.
+func (c *Client) readLoop(br *bufio.Reader) {
 	for {
 		var call *pendingCall
 		select {
-		case call = <-s.pending:
-		case <-s.quit:
-			s.drainPending()
+		case call = <-c.pending:
+		case <-c.quit:
+			c.drainPending()
 			return
 		}
-		if err := s.broken(); err != nil {
+		if err := c.broken(); err != nil {
 			call.done <- callResult{err: err}
 			continue
 		}
 		t, payload, err := ReadFrame(br)
 		if err != nil {
-			err = s.setBroken(fmt.Errorf("transport: reading response: %w", err))
+			err = c.setBroken(fmt.Errorf("transport: reading response: %w", err))
 			call.done <- callResult{err: err}
 			continue
 		}
@@ -248,14 +169,14 @@ func (s *session) readLoop(br *bufio.Reader) {
 	}
 }
 
-// drainPending fails everything still queued at shutdown. Calls enqueued
+// drainPending fails everything still queued at Close. Calls enqueued
 // concurrently with the drain are released by their own quit select in
 // exchange.
-func (s *session) drainPending() {
-	err := s.setBroken(ErrClientClosed)
+func (c *Client) drainPending() {
+	err := c.setBroken(ErrClientClosed)
 	for {
 		select {
-		case call := <-s.pending:
+		case call := <-c.pending:
 			call.done <- callResult{err: err}
 		default:
 			return
@@ -295,30 +216,29 @@ func (c *Client) exchange(t MsgType, payload []byte, wantType MsgType) ([]byte, 
 		c.sendMu.Unlock()
 		return nil, ErrClientClosed
 	}
-	sess := c.sess
-	if err := sess.broken(); err != nil {
+	if err := c.broken(); err != nil {
 		c.sendMu.Unlock()
 		return nil, err
 	}
 	if err := c.writeFrameLocked(t, payload); err != nil {
 		// A partial write desyncs the stream; poison the connection.
-		err = sess.setBroken(err)
+		err = c.setBroken(err)
 		c.sendMu.Unlock()
 		return nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		err = sess.setBroken(fmt.Errorf("transport: flushing request: %w", err))
+		err = c.setBroken(fmt.Errorf("transport: flushing request: %w", err))
 		c.sendMu.Unlock()
 		return nil, err
 	}
 	// Enqueue under the send lock so queue order matches wire order. The
 	// reader always drains pending (even in broken mode), so this cannot
-	// block indefinitely while the session is live.
+	// block indefinitely while the client is open.
 	select {
-	case sess.pending <- call:
-	case <-sess.quit:
+	case c.pending <- call:
+	case <-c.quit:
 		c.sendMu.Unlock()
-		return nil, sess.broken()
+		return nil, c.broken()
 	}
 	c.sendMu.Unlock()
 
@@ -331,8 +251,8 @@ func (c *Client) exchange(t MsgType, payload []byte, wantType MsgType) ([]byte, 
 			return nil, fmt.Errorf("%w: response type %v, want %v", ErrBadFrame, res.t, wantType)
 		}
 		return res.payload, nil
-	case <-sess.quit:
-		return nil, sess.broken()
+	case <-c.quit:
+		return nil, c.broken()
 	}
 }
 

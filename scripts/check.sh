@@ -28,7 +28,8 @@
 #                          fan-in, stripe, estimate-cache,
 #                          checkpoint-vs-ingest, duplicate ingest,
 #                          concurrent ship rounds, resync-vs-ingest,
-#                          tiered-store and fence-vs-ingest-and-freeze
+#                          tiered-store, fence-vs-ingest-and-freeze and
+#                          peer-connection-cache (calls racing Close)
 #                          concurrency tests again under -race -count=2 —
 #                          the dynamic complement of the static concguard
 #                          contracts)
@@ -48,7 +49,8 @@
 #                          all-resident daemon)
 #  14. cluster smoke       (3-node cluster, R=2: kill -9 the partition
 #                          leader mid-ingest, fail over, revive, join,
-#                          drain — zero acked-record loss and estimates
+#                          drain, remove and rejoin at a new address —
+#                          zero acked-record loss and estimates
 #                          byte-identical to a single-node reference)
 #
 # Usage: scripts/check.sh [fuzztime]
@@ -123,7 +125,7 @@ elif ! cmp scripts/testdata/ptmbench_runs20.txt "$ARTIFACT_DIR/ptmbench_runs20.t
 	exit 1
 fi
 
-step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + RSU controller spool + estimate cache + checkpoint racing ingest + duplicate ingest + concurrent ship rounds + full resync racing ingest + tiered store + fence racing ingest and freeze)"
+step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + RSU controller spool + estimate cache + checkpoint racing ingest + duplicate ingest + concurrent ship rounds + full resync racing ingest + tiered store + fence racing ingest and freeze + peer connections racing Close)"
 go test -race -count=2 -run '^(TestGroupCommitConcurrentAppends|TestConcurrentBatchesAtMostOneSyncEach)$' ./internal/wal/
 go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation|TestDifferentialAtomicVsSequential|TestControllerSpoolsThroughOutage)$' ./internal/rsu/
 go test -race -count=2 -run '^TestConcurrentSendFanIn$' ./internal/dsrc/
@@ -131,6 +133,7 @@ go test -race -count=2 -run '^TestPickAndSum$' ./internal/stripe/
 go test -race -count=2 -run '^(TestEstCacheConcurrentQueryIngest|TestDurableCheckpointRacingIngest|TestDurableConcurrentDuplicateLogsOnce)$' ./internal/central/
 go test -race -count=2 -run '^(TestConcurrentShipRoundsShipOnce|TestFullResyncShipsInFlightIngest)$' ./internal/cluster/
 go test -race -count=2 -run '^(TestTieredConcurrentSoak|TestTieredFreezeRacingRetention|TestFenceNamesRecordSet)$' ./internal/store/
+go test -race -count=2 -run '^TestPeersConcurrentCallsAndClose$' ./internal/transport/
 
 step "fuzz smoke ($FUZZTIME per target)"
 # Each fuzz target runs alone: `go test -fuzz` accepts a single match.
@@ -210,7 +213,7 @@ scripts/crashsmoke.sh
 step "out-of-core smoke (tiered centrald, 10x-budget dataset, RSS bound + estimate equality)"
 scripts/oocsmoke.sh
 
-step "cluster smoke (3-node cluster, kill -9 + failover + revive + join + drain)"
+step "cluster smoke (3-node cluster, kill -9 + failover + revive + join + drain + rejoin at a new address)"
 scripts/clustersmoke.sh
 
 step "all checks passed"

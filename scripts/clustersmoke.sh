@@ -17,6 +17,9 @@
 #      diffed byte-for-byte against the single-node reference.
 #   6. A fourth node joins, an original node drains, and the diff is
 #      re-run: rebalancing moved partitions without moving estimates.
+#   7. The drained node is removed, restarts on a new port over its own
+#      WAL and rejoins at the new address (a host move); once it is
+#      promoted the diff is re-run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -48,6 +51,7 @@ ADDR_a="127.0.0.1:$((BASE + 1))"
 ADDR_b="127.0.0.1:$((BASE + 2))"
 ADDR_c="127.0.0.1:$((BASE + 3))"
 ADDR_d="127.0.0.1:$((BASE + 4))"
+ADDR_moved="127.0.0.1:$((BASE + 5))"
 SEEDS="$ADDR_a,$ADDR_b,$ADDR_c"
 PERIODS=6
 
@@ -181,4 +185,17 @@ say "drain: emptying node a"
 SEEDS="$ADDR_b,$ADDR_c,$ADDR_d"
 diff_estimates "after join d + drain a"
 
-say "ok: kill -9 lost no acked records; estimates bit-identical through failover, revive, join, and drain"
+say "rejoin: removing a and restarting it on $ADDR_moved over its own WAL"
+"$TMP/ptmcluster" remove -seed "$ADDR_b" -id a
+kill "$PID_a"
+wait "$PID_a" 2>/dev/null || true
+PID_a=""
+ADDR_a="$ADDR_moved"
+start_node a
+"$TMP/ptmcluster" join -seed "$ADDR_b" -id a -addr "$ADDR_a"
+"$TMP/ptmcluster" wait -seed "$ADDR_b"
+"$TMP/ptmcluster" promote -seed "$ADDR_b" -id a
+
+diff_estimates "after remove a + rejoin at a new address"
+
+say "ok: kill -9 lost no acked records; estimates bit-identical through failover, revive, join, drain, and rejoin at a new address"
