@@ -293,8 +293,8 @@ func TestDurableDuplicateHandling(t *testing.T) {
 // TestDurableConcurrentDuplicateLogsOnce ingests one record from many
 // goroutines at once, as a retried upload racing its original or a
 // replica shipping a record back to its leader does: exactly one ingest
-// stores it, every other answers ErrDuplicate, and the log holds one
-// entry.
+// stores it, every other answers ErrDuplicate, the record is visible by
+// the time any of them answers, and the log holds one entry.
 func TestDurableConcurrentDuplicateLogsOnce(t *testing.T) {
 	d := openDurable(t, t.TempDir(), 0)
 	const workers = 8
@@ -308,7 +308,15 @@ func TestDurableConcurrentDuplicateLogsOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			errs <- d.Ingest(rec)
+			err := d.Ingest(rec)
+			if err == nil || errors.Is(err, ErrDuplicate) {
+				// Either answer reads as delivered: the record must
+				// already be visible.
+				if _, verr := d.Volume(5, 1); verr != nil {
+					err = fmt.Errorf("ingest answered %v before the record was visible: %w", err, verr)
+				}
+			}
+			errs <- err
 		}()
 	}
 	close(start)
@@ -427,6 +435,45 @@ func TestDurableTornTailPrefix(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableZeroTailRecovers: a crash can leave a segment whose size
+// covers pages the data never reached, which read back as zeros behind
+// the last entry. Recovery cuts them off as a torn tail and keeps every
+// record before them.
+func TestDurableZeroTailRecovers(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurable(t, dir, 0)
+	for p := 1; p <= 3; p++ {
+		if err := d.Ingest(mustRecord(t, 4, record.PeriodID(p), 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := walSegments(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v, %v", segs, err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered := openDurable(t, dir, 0)
+	defer recovered.Close()
+	if got := recovered.Periods(4); len(got) != 3 {
+		t.Fatalf("recovered periods %v, want 3", got)
+	}
+	if err := recovered.Ingest(mustRecord(t, 4, 4, 128)); err != nil {
+		t.Fatalf("ingest after recovering a zero tail: %v", err)
 	}
 }
 
@@ -640,4 +687,97 @@ func TestDurableFailedCommitOutranksDuplicate(t *testing.T) {
 	if err == nil || errors.Is(err, ErrDuplicate) || !errors.Is(err, wal.ErrClosed) {
 		t.Fatalf("closing duplicate over a failed commit: err = %v, want the commit failure", err)
 	}
+}
+
+// TestDurableBatchPublishesOnCommit: a batch's records enter the store
+// only once the sync that makes them durable has completed, and never
+// when the batch cannot commit.
+func TestDurableBatchPublishesOnCommit(t *testing.T) {
+	batch := func() []*record.Record {
+		recs := make([]*record.Record, 8)
+		for i := range recs {
+			recs[i] = mustRecord(t, 5, record.PeriodID(i+1), 64)
+			recs[i].Bitmap.Set(uint64(i))
+		}
+		for _, rec := range recs[:7] {
+			rec.MarkMore()
+		}
+		return recs
+	}
+	visible := func(d *Durable) int {
+		n := 0
+		for p := 1; p <= 8; p++ {
+			switch _, err := d.Volume(5, record.PeriodID(p)); {
+			case err == nil:
+				n++
+			case !errors.Is(err, ErrNotFound):
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+
+	t.Run("committed", func(t *testing.T) {
+		d := openDurable(t, t.TempDir(), 0)
+		defer d.Close()
+		recs := batch()
+		for i, rec := range recs[:7] {
+			if err := d.Ingest(rec); err != nil {
+				t.Fatal(err)
+			}
+			if n := visible(d); n != 0 {
+				t.Fatalf("%d records visible after %d marked ones were logged, want 0", n, i+1)
+			}
+		}
+		if got := d.LogStats().Syncs; got != 0 {
+			t.Fatalf("%d syncs before the closing record, want 0", got)
+		}
+		if err := d.Ingest(recs[7]); err != nil {
+			t.Fatal(err)
+		}
+		if n := visible(d); n != 8 {
+			t.Fatalf("%d of 8 records visible after the batch committed", n)
+		}
+	})
+
+	t.Run("failed rotation", func(t *testing.T) {
+		recs := batch()
+		blob, err := recs[0].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Seven entries fit the first segment; the eighth rotates.
+		entry := int64(8 + len(blob))
+		dir := t.TempDir()
+		d, err := OpenDurable(dir, 3, wal.Options{SegmentSize: 16 + 7*entry + entry/2}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		for _, rec := range recs[:7] {
+			if err := d.Ingest(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, active := d.Log().Segments()
+		next := filepath.Join(dir, fmt.Sprintf("%018d.wal", active+1))
+		if err := os.WriteFile(next, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Ingest(recs[7]); err == nil {
+			t.Fatal("closing record whose rotation failed was acked")
+		}
+		if err := os.Remove(next); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Commit(); err == nil {
+			t.Fatal("commit over a poisoned log succeeded")
+		}
+		if err := d.Checkpoint(); err == nil {
+			t.Fatal("checkpoint over a poisoned log succeeded")
+		}
+		if n := visible(d); n != 0 {
+			t.Fatalf("%d records of a batch that never committed are visible", n)
+		}
+	})
 }

@@ -22,9 +22,9 @@ package cluster
 // valid for ring epoch. A ring change or a checkpoint that compacted
 // segments past the watermark invalidates it, and the shipper falls
 // back to a full-state resync (all live records the peer needs, straight
-// from the store, once every sealed entry is applied to it). Acked batches advance the watermark; failed rounds
-// leave it alone and retry next round, at worst re-sending records the
-// peer deduplicates.
+// from the store, once a commit has published every sealed entry).
+// Acked batches advance the watermark; failed rounds leave it alone and
+// retry next round, at worst re-sending records the peer deduplicates.
 
 import (
 	"errors"
@@ -169,10 +169,12 @@ func (n *Node) shipOnce(c *transport.Client, r *Ring, m Member, sealed uint64) (
 // fullResync ships every live record the peer needs, straight from the
 // store (covers first contact, ring changes, and compaction races).
 // The round's watermark moves to sealed, so the store must first hold
-// every entry of the sealed segments: it waits out the ingests still
-// between their append and their apply.
+// every entry of the sealed segments: every one was logged before the
+// seal, so a commit publishes it.
 func (n *Node) fullResync(c *transport.Client, r *Ring, filter *shipFilter, sealed uint64) (int64, error) {
-	n.AwaitApplied()
+	if err := n.Commit(); err != nil {
+		return 0, err
+	}
 	var sent int64
 	for _, loc := range n.Locations() {
 		if !filter.ship(loc) {

@@ -341,6 +341,55 @@ func TestSpoolSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestSpoolZeroTailDelivers: zeros behind the spool's last entry (a
+// file size that covers pages the data never reached) are cut off at
+// reopen, so the spooled record is counted once and delivered.
+func TestSpoolZeroTailDelivers(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Enqueue(spoolRecord(t, 7, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v, %v", segs, err)
+	}
+	// Glob sorts, and segment names are zero-padded indices.
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := OpenSpool(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Pending(); got != 1 {
+		t.Fatalf("Pending after a zero tail = %d, want 1", got)
+	}
+	var got []*record.Record
+	n, err := reopened.Drain(func(recs []*record.Record) (int, error) {
+		got = append(got, recs...)
+		return len(recs), nil
+	})
+	if err != nil || n != 1 || len(got) != 1 || got[0].Period != 1 {
+		t.Fatalf("Drain after a zero tail = %d, %v, delivered %v", n, err, got)
+	}
+}
+
 func TestSpoolEnqueueDuringDrainNotLost(t *testing.T) {
 	s, err := OpenSpool(t.TempDir())
 	if err != nil {

@@ -31,11 +31,11 @@ func makeBatch(t testing.TB, n int) []*record.Record {
 
 func TestBatchCodecRoundTrip(t *testing.T) {
 	recs := makeBatch(t, 7)
-	payload, err := encodeUploadBatch(recs)
+	payload, err := EncodeRecordBatch(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeUploadBatch(payload)
+	got, err := DecodeRecordBatch(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,32 +58,32 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestBatchCodecErrors(t *testing.T) {
-	if _, err := encodeUploadBatch(nil); !errors.Is(err, ErrBadFrame) {
+	if _, err := EncodeRecordBatch(nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("empty batch err = %v", err)
 	}
-	if _, err := encodeUploadBatch(make([]*record.Record, MaxBatchRecords+1)); !errors.Is(err, ErrBadFrame) {
+	if _, err := EncodeRecordBatch(make([]*record.Record, MaxBatchRecords+1)); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("oversize batch err = %v", err)
 	}
 
 	recs := makeBatch(t, 3)
-	payload, err := encodeUploadBatch(recs)
+	payload, err := EncodeRecordBatch(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Truncations at every prefix must be rejected, never panic.
 	for cut := 0; cut < len(payload); cut++ {
-		if _, err := decodeUploadBatch(payload[:cut]); err == nil {
+		if _, err := DecodeRecordBatch(payload[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 	// Trailing garbage after a valid batch.
-	if _, err := decodeUploadBatch(append(append([]byte{}, payload...), 0xff)); !errors.Is(err, ErrBadFrame) {
+	if _, err := DecodeRecordBatch(append(append([]byte{}, payload...), 0xff)); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("trailing bytes err = %v", err)
 	}
 	// A count that promises more records than the payload can hold must be
 	// rejected before allocation.
 	hostile := []byte{0xff, 0xff, 0x00, 0x00}
-	if _, err := decodeUploadBatch(hostile); !errors.Is(err, ErrBadFrame) {
+	if _, err := DecodeRecordBatch(hostile); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("hostile count err = %v", err)
 	}
 }

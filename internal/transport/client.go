@@ -306,7 +306,7 @@ func (c *Client) Upload(rec *record.Record) error {
 //
 //ptm:sink transport upload
 func (c *Client) UploadBatch(recs []*record.Record) (accepted int, err error) {
-	payload, err := encodeUploadBatch(recs)
+	payload, err := EncodeRecordBatch(recs)
 	if err != nil {
 		return 0, err
 	}

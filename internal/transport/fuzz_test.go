@@ -75,7 +75,7 @@ func FuzzUploadBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	recB.Bitmap.Set(9)
-	seed, err := encodeUploadBatch([]*record.Record{recA, recB})
+	seed, err := EncodeRecordBatch([]*record.Record{recA, recB})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func FuzzUploadBatch(f *testing.F) {
 	f.Add(seed[:len(seed)-3])                         // truncated final record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := decodeUploadBatch(data)
+		recs, err := DecodeRecordBatch(data)
 		if err != nil {
 			return
 		}
-		out, err := encodeUploadBatch(recs)
+		out, err := EncodeRecordBatch(recs)
 		if err != nil {
 			t.Fatalf("accepted batch does not re-encode: %v", err)
 		}

@@ -195,36 +195,58 @@ func decodePeriodList(b []byte) ([]record.PeriodID, error) {
 // the per-record bookkeeping a hostile count could demand.
 const MaxBatchRecords = 1 << 16
 
-// encodeUploadBatch frames the records: uint32 count, then per record a
-// uint32 length and the record.MarshalBinary blob.
+// EncodeRecordBatch frames records in the UploadBatch wire format: a
+// uint32 count, then per record a uint32 length and the
+// record.MarshalBinary blob. Client.UploadBatch sends it, and cluster
+// replication and record fetch carry it in their own frame types.
 //
 //ptm:sink transport upload
-func encodeUploadBatch(recs []*record.Record) ([]byte, error) {
+func EncodeRecordBatch(recs []*record.Record) ([]byte, error) {
 	if len(recs) == 0 || len(recs) > MaxBatchRecords {
 		return nil, fmt.Errorf("%w: batch of %d records", ErrBadFrame, len(recs))
 	}
-	buf := make([]byte, 4, 4+len(recs)*512)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(recs)))
-	for _, rec := range recs {
+	blobs := make([][]byte, len(recs))
+	for i, rec := range recs {
 		blob, err := rec.MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(blob)))
-		buf = append(buf, lenBuf[:]...)
-		buf = append(buf, blob...)
+		blobs[i] = blob
 	}
-	if len(buf) > MaxFrameSize {
-		return nil, fmt.Errorf("%w: batch payload %d bytes", ErrFrameTooLarge, len(buf))
+	return EncodeRecordBlobs(blobs)
+}
+
+// EncodeRecordBlobs frames already-marshaled records in the UploadBatch
+// wire format. The cluster shipper holds WAL entries (which are exactly
+// record.MarshalBinary blobs) and must not pay a decode/re-encode round
+// trip per shipped record.
+//
+//ptm:sink transport upload
+func EncodeRecordBlobs(blobs [][]byte) ([]byte, error) {
+	if len(blobs) == 0 || len(blobs) > MaxBatchRecords {
+		return nil, fmt.Errorf("%w: batch of %d records", ErrBadFrame, len(blobs))
+	}
+	total := 4
+	for _, blob := range blobs {
+		total += 4 + len(blob)
+	}
+	if total > MaxFrameSize {
+		return nil, fmt.Errorf("%w: batch payload %d bytes", ErrFrameTooLarge, total)
+	}
+	buf := make([]byte, 4, total)
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(blobs)))
+	for _, blob := range blobs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
+		buf = append(buf, blob...)
 	}
 	return buf, nil
 }
 
-// decodeUploadBatch parses an UploadBatch payload. The count is validated
+// DecodeRecordBatch parses a record batch framed by EncodeRecordBatch or
+// EncodeRecordBlobs, validating every record. The count is validated
 // against the remaining bytes before any allocation so a hostile frame
 // cannot demand more memory than it paid for on the wire.
-func decodeUploadBatch(b []byte) ([]*record.Record, error) {
+func DecodeRecordBatch(b []byte) ([]*record.Record, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: batch header %d bytes", ErrBadFrame, len(b))
 	}
@@ -257,49 +279,6 @@ func decodeUploadBatch(b []byte) ([]*record.Record, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrBadFrame, len(b))
 	}
 	return recs, nil
-}
-
-// EncodeRecordBatch frames records in the UploadBatch wire format —
-// exported for protocol extensions (cluster replication and record
-// fetch) that carry record batches in their own frame types.
-//
-//ptm:sink transport upload
-func EncodeRecordBatch(recs []*record.Record) ([]byte, error) {
-	return encodeUploadBatch(recs)
-}
-
-// EncodeRecordBlobs frames already-marshaled records in the UploadBatch
-// wire format. The cluster shipper holds WAL entries (which are exactly
-// record.MarshalBinary blobs) and must not pay a decode/re-encode round
-// trip per shipped record.
-//
-//ptm:sink transport upload
-func EncodeRecordBlobs(blobs [][]byte) ([]byte, error) {
-	if len(blobs) == 0 || len(blobs) > MaxBatchRecords {
-		return nil, fmt.Errorf("%w: batch of %d records", ErrBadFrame, len(blobs))
-	}
-	total := 4
-	for _, blob := range blobs {
-		total += 4 + len(blob)
-	}
-	if total > MaxFrameSize {
-		return nil, fmt.Errorf("%w: batch payload %d bytes", ErrFrameTooLarge, total)
-	}
-	buf := make([]byte, 4, total)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(blobs)))
-	for _, blob := range blobs {
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(blob)))
-		buf = append(buf, lenBuf[:]...)
-		buf = append(buf, blob...)
-	}
-	return buf, nil
-}
-
-// DecodeRecordBatch parses a record batch framed by EncodeRecordBatch or
-// EncodeRecordBlobs, validating every record.
-func DecodeRecordBatch(payload []byte) ([]*record.Record, error) {
-	return decodeUploadBatch(payload)
 }
 
 // batchResult is the server's answer to an UploadBatch: how many records

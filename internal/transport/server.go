@@ -198,7 +198,7 @@ func (s *Server) dispatch(t MsgType, payload []byte) (MsgType, []byte) {
 		}
 		return MsgUploadAck, result{ok: true}.encode()
 	case MsgUploadBatch:
-		recs, err := decodeUploadBatch(payload)
+		recs, err := DecodeRecordBatch(payload)
 		if err != nil {
 			return MsgUploadBatchAck, batchResult{ok: false, errMsg: err.Error()}.encode()
 		}

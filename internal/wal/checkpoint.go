@@ -12,10 +12,11 @@ import (
 
 // Checkpoint compaction: a checkpoint is a full snapshot of the state
 // the log's entries build up (for the central store, one store segment
-// holding every record — the format store.OpenSegment maps). Once a snapshot covering segments 1..N is durably on disk,
-// those segments are redundant and dropped. The commit point is an
-// atomic rename: either the old checkpoint (plus all segments) or the
-// new checkpoint is what recovery sees, never a half-written snapshot.
+// holding every record — the format store.OpenSegment maps). Once a
+// snapshot covering segments 1..N is durably on disk, those segments are
+// redundant and dropped. The commit point is an atomic rename: either
+// the old checkpoint (plus all segments) or the new checkpoint is what
+// recovery sees, never a half-written snapshot.
 
 // Checkpoint seals the active segment, streams the caller's snapshot to
 // a temporary file, fsyncs it, atomically renames it into place, fsyncs

@@ -14,8 +14,9 @@ import (
 // cleanly, never panic; and a valid prefix followed by a torn tail must
 // recover exactly the prefix.
 func FuzzReplay(f *testing.F) {
-	// Seeds: a well-formed segment, an empty file, garbage, and a
-	// well-formed segment with a torn final entry.
+	// Seeds: a segment whose last entry is empty (read as a torn
+	// tail), an empty file, garbage, a torn final entry, and a
+	// zero-filled tail.
 	var seg bytes.Buffer
 	var hdr [segHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], segMagic)
@@ -33,6 +34,9 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte{}, uint16(3))
 	f.Add(bytes.Repeat([]byte{0xff}, 64), uint16(9))
 	f.Add(seg.Bytes()[:seg.Len()-3], uint16(1))
+	// A file size that covers pages the data never reached reads as
+	// zeros behind the last entry.
+	f.Add(append(bytes.Clone(seg.Bytes()), make([]byte, 4096)...), uint16(2))
 
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
 		// Phase 1 — robustness: the input IS the tail segment. Open

@@ -65,9 +65,11 @@
 // entry whose length, checksum, or payload is incomplete (the crash
 // happened mid-write) is cut off, and so is any fill behind the last
 // entry, so appending resumes at the last good entry boundary with
-// nothing stale beyond it. Corruption anywhere except the tail of the last
-// segment is reported as an error, not repaired — that is disk damage,
-// not a torn write. Recover then loads the newest checkpoint (if any)
+// nothing stale beyond it. A zero length reads as a torn tail too: no
+// entry is empty, and zeros are what a file system shows for a page the
+// file size covers but the data never reached. Corruption anywhere
+// except the tail of the last segment is reported as an error, not
+// repaired — that is disk damage, not a torn write. Recover then loads the newest checkpoint (if any)
 // and replays every entry in newer segments; because a checkpoint may
 // also contain entries appended while it was being written, the apply
 // callback must tolerate duplicates.
@@ -132,6 +134,7 @@ var (
 	ErrClosed       = errors.New("wal: log closed")
 	ErrCorrupt      = errors.New("wal: corrupt segment")
 	ErrEntryTooBig  = errors.New("wal: entry exceeds MaxEntrySize")
+	ErrEmptyEntry   = errors.New("wal: empty entry")
 	ErrNoCheckpoint = errors.New("wal: no checkpoint")
 )
 
@@ -291,8 +294,8 @@ func (l *Log) Stats() Stats {
 
 // Append writes one entry to the log. It returns only after an fsync
 // covering the entry has completed, so a nil return is a durability
-// promise. The payload is copied into framing before the
-// call returns; the caller may reuse it.
+// promise. The payload is copied into framing before the call returns;
+// the caller may reuse it. An empty payload is refused (ErrEmptyEntry).
 //
 //ptm:sink wal append
 func (l *Log) Append(payload []byte) error {
@@ -307,8 +310,8 @@ func (l *Log) Append(payload []byte) error {
 // for a sync. The entry becomes durable with the next sync that covers
 // it: a later Append's or an explicit Sync. A batch written as N-1
 // AppendNoSync calls and one closing Append therefore costs one fsync,
-// and the closing Append's nil is the promise for the whole batch. A write error poisons the log, so the closing Append
-// reports it too.
+// and the closing Append's nil is the promise for the whole batch. A
+// write error poisons the log, so the closing Append reports it too.
 //
 //ptm:sink wal append
 func (l *Log) AppendNoSync(payload []byte) error {
@@ -319,6 +322,9 @@ func (l *Log) AppendNoSync(payload []byte) error {
 // write frames one entry onto the active segment, rotating first if it
 // would overflow, and returns the entry's sequence number.
 func (l *Log) write(payload []byte) (int64, error) {
+	if len(payload) == 0 {
+		return 0, ErrEmptyEntry
+	}
 	if len(payload) > MaxEntrySize {
 		return 0, fmt.Errorf("%w: %d bytes", ErrEntryTooBig, len(payload))
 	}
@@ -560,10 +566,11 @@ func (l *Log) poison(err error) error {
 // rotateLocked seals the active segment and opens the next one. Caller
 // holds l.mu, and poisons the log on error, outside the lock: a failed
 // fsync may have dropped the sealed segment's dirty pages, so a retried
-// rotation whose fsync succeeds could still ack lost entries. The outgoing segment's fill is trimmed and then the
-// segment is fsynced, so a sealed segment is exactly its header and
-// entries, and the group-commit invariant — syncing the active file
-// covers all unsynced entries — holds across the switch.
+// rotation whose fsync succeeds could still ack lost entries. The
+// outgoing segment's fill is trimmed and then the segment is fsynced,
+// so a sealed segment is exactly its header and entries, and the
+// group-commit invariant — syncing the active file covers all unsynced
+// entries — holds across the switch.
 func (l *Log) rotateLocked() error {
 	if err := l.trimFillLocked(); err != nil {
 		return err
@@ -828,9 +835,11 @@ func scanEntries(r io.ReadSeeker, wantIdx uint64, fn func(payload []byte) error)
 			return good, fmt.Errorf("%w: short entry header: %v", errTornTail, err)
 		}
 		n := binary.LittleEndian.Uint32(ehdr[0:4])
-		if n > MaxEntrySize {
+		if n == 0 || n > MaxEntrySize {
 			// An absurd length is indistinguishable from a torn write
-			// that clobbered the header; recoverable at the tail.
+			// that clobbered the header; recoverable at the tail. So is
+			// a zero one: eight zero bytes would otherwise frame a valid
+			// empty entry, CRC32C of nothing being 0.
 			return good, fmt.Errorf("%w: entry claims %d bytes", errTornTail, n)
 		}
 		payload := make([]byte, n)

@@ -78,14 +78,21 @@ func TestEmptyAndOversizeEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(nil); err != nil {
-		t.Fatalf("empty append: %v", err)
+	if err := l.Append(nil); !errors.Is(err, ErrEmptyEntry) {
+		t.Fatalf("empty append err = %v", err)
+	}
+	if err := l.AppendNoSync([]byte{}); !errors.Is(err, ErrEmptyEntry) {
+		t.Fatalf("empty AppendNoSync err = %v", err)
 	}
 	if err := l.Append(make([]byte, MaxEntrySize+1)); !errors.Is(err, ErrEntryTooBig) {
 		t.Fatalf("oversize append err = %v", err)
 	}
-	if got := collect(t, l); len(got) != 1 || len(got[0]) != 0 {
-		t.Fatalf("replay after empty append = %v", got)
+	if got := collect(t, l); len(got) != 0 {
+		t.Fatalf("replay after refused appends = %v", got)
+	}
+	// A refusal does not poison the log.
+	if err := l.Append(entry(1)); err != nil {
+		t.Fatalf("append after refusals: %v", err)
 	}
 }
 
@@ -591,32 +598,42 @@ func TestOpenRejectsSegmentGap(t *testing.T) {
 }
 
 func TestOpenRejectsMidLogCorruption(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if err := l.Append(entry(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a payload byte in the FIRST segment: that is disk damage in
-	// a sealed segment, not a torn tail.
-	path := l.segPath(1)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[segHeader+entryHdr+2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{SegmentSize: 128}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("open with corrupt sealed segment = %v, want ErrCorrupt", err)
+	for _, tc := range []struct {
+		name   string
+		damage func(seg []byte) []byte
+	}{
+		// A flipped payload byte in the FIRST segment is disk damage in
+		// a sealed segment, not a torn tail.
+		{"flipped byte", func(seg []byte) []byte { seg[segHeader+entryHdr+2] ^= 0xff; return seg }},
+		// So are zeros behind a sealed segment's entries.
+		{"zero tail", func(seg []byte) []byte { return append(seg, make([]byte, 64)...) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(dir, Options{SegmentSize: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 30; i++ {
+				if err := l.Append(entry(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := l.segPath(1)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir, Options{SegmentSize: 128}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("open with corrupt sealed segment = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -24,9 +24,10 @@
 #                          prints, bit for bit; PTM_UPDATE_GOLDEN=1
 #                          rewrites the golden)
 #   8. race stress smoke   (the WAL group commit and batch commit, RSU
-#                          striped ingest and controller spool, DSRC
-#                          fan-in, stripe, estimate-cache,
-#                          checkpoint-vs-ingest, duplicate ingest,
+#                          striped ingest, controller spool and spool
+#                          zero tail, DSRC fan-in, stripe, estimate-cache,
+#                          checkpoint-vs-ingest, duplicate ingest, batch
+#                          publish-on-commit,
 #                          concurrent ship rounds, resync-vs-ingest,
 #                          tiered-store, fence-vs-ingest-and-freeze and
 #                          peer-connection-cache (calls racing Close)
@@ -125,12 +126,12 @@ elif ! cmp scripts/testdata/ptmbench_runs20.txt "$ARTIFACT_DIR/ptmbench_runs20.t
 	exit 1
 fi
 
-step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + RSU controller spool + estimate cache + checkpoint racing ingest + duplicate ingest + concurrent ship rounds + full resync racing ingest + tiered store + fence racing ingest and freeze + peer connections racing Close)"
+step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + RSU controller spool + spool zero tail + estimate cache + checkpoint racing ingest + duplicate ingest + batch publish on commit + concurrent ship rounds + full resync racing ingest + tiered store + fence racing ingest and freeze + peer connections racing Close)"
 go test -race -count=2 -run '^(TestGroupCommitConcurrentAppends|TestConcurrentBatchesAtMostOneSyncEach)$' ./internal/wal/
-go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation|TestDifferentialAtomicVsSequential|TestControllerSpoolsThroughOutage)$' ./internal/rsu/
+go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation|TestDifferentialAtomicVsSequential|TestControllerSpoolsThroughOutage|TestSpoolZeroTailDelivers)$' ./internal/rsu/
 go test -race -count=2 -run '^TestConcurrentSendFanIn$' ./internal/dsrc/
 go test -race -count=2 -run '^TestPickAndSum$' ./internal/stripe/
-go test -race -count=2 -run '^(TestEstCacheConcurrentQueryIngest|TestDurableCheckpointRacingIngest|TestDurableConcurrentDuplicateLogsOnce)$' ./internal/central/
+go test -race -count=2 -run '^(TestEstCacheConcurrentQueryIngest|TestDurableCheckpointRacingIngest|TestDurableConcurrentDuplicateLogsOnce|TestDurableBatchPublishesOnCommit)$' ./internal/central/
 go test -race -count=2 -run '^(TestConcurrentShipRoundsShipOnce|TestFullResyncShipsInFlightIngest)$' ./internal/cluster/
 go test -race -count=2 -run '^(TestTieredConcurrentSoak|TestTieredFreezeRacingRetention|TestFenceNamesRecordSet)$' ./internal/store/
 go test -race -count=2 -run '^TestPeersConcurrentCallsAndClose$' ./internal/transport/
