@@ -142,16 +142,15 @@ func (n *Node) shipOnce(c *transport.Client, r *Ring, m Member, sealed uint64) (
 	epoch, shipped := ws.epoch, ws.shipped
 	n.mu.Unlock()
 
-	filter := &shipFilter{n: n, r: r, peer: m.ID, memo: make(map[vhash.LocationID]bool)}
 	logFirst, _ := n.Log().Segments()
 	if epoch != r.Epoch || shipped+1 < logFirst {
-		sent, err = n.fullResync(c, r, filter, sealed)
+		sent, err = n.fullResync(c, r, m.ID, sealed)
 		return sent, true, err
 	}
 	if shipped >= sealed {
 		return 0, false, nil // peer is current
 	}
-	sent, err = n.shipSegments(c, r, filter, shipped+1, sealed)
+	sent, err = n.shipSegments(c, r, m.ID, shipped+1, sealed)
 	if err != nil {
 		return sent, false, err
 	}
@@ -160,7 +159,7 @@ func (n *Node) shipOnce(c *transport.Client, r *Ring, m Member, sealed uint64) (
 	// fall back to a full resync if it was compacted away.
 	if f2, _ := n.Log().Segments(); f2 > shipped+1 {
 		var sent2 int64
-		sent2, err = n.fullResync(c, r, filter, sealed)
+		sent2, err = n.fullResync(c, r, m.ID, sealed)
 		return sent + sent2, true, err
 	}
 	return sent, false, nil
@@ -171,13 +170,13 @@ func (n *Node) shipOnce(c *transport.Client, r *Ring, m Member, sealed uint64) (
 // The round's watermark moves to sealed, so the store must first hold
 // every entry of the sealed segments: every one was logged before the
 // seal, so a commit publishes it.
-func (n *Node) fullResync(c *transport.Client, r *Ring, filter *shipFilter, sealed uint64) (int64, error) {
+func (n *Node) fullResync(c *transport.Client, r *Ring, peer string, sealed uint64) (int64, error) {
 	if err := n.Commit(); err != nil {
 		return 0, err
 	}
 	var sent int64
 	for _, loc := range n.Locations() {
-		if !filter.ship(loc) {
+		if !n.shouldShip(r, loc, peer) {
 			continue
 		}
 		periods := n.Periods(loc)
@@ -202,7 +201,7 @@ func (n *Node) fullResync(c *transport.Client, r *Ring, filter *shipFilter, seal
 
 // shipSegments replays sealed WAL segments [from, to] and ships the
 // entries whose location the peer needs, in bounded batches.
-func (n *Node) shipSegments(c *transport.Client, r *Ring, filter *shipFilter, from, to uint64) (int64, error) {
+func (n *Node) shipSegments(c *transport.Client, r *Ring, peer string, from, to uint64) (int64, error) {
 	var (
 		pending      [][]byte
 		pendingBytes int
@@ -222,7 +221,7 @@ func (n *Node) shipSegments(c *transport.Client, r *Ring, filter *shipFilter, fr
 		if err != nil {
 			return fmt.Errorf("cluster: undecodable WAL entry: %w", err)
 		}
-		if !filter.ship(rec.Location) {
+		if !n.shouldShip(r, rec.Location, peer) {
 			return nil
 		}
 		// scanEntries allocates each payload fresh; retaining it is safe.
@@ -280,25 +279,6 @@ func (n *Node) sendBatch(c *transport.Client, r *Ring, blobs [][]byte, through u
 		return int64(ack.Applied + ack.Dups), fmt.Errorf("cluster: peer rejected batch: %s", ack.Err)
 	}
 	return int64(len(blobs)), nil
-}
-
-// shipFilter memoizes the per-location ship decision for one (ring,
-// peer) pair — the replica walk is O(members·vnodes) and WAL replay
-// would otherwise repeat it per record.
-type shipFilter struct {
-	n    *Node
-	r    *Ring
-	peer string
-	memo map[vhash.LocationID]bool
-}
-
-func (f *shipFilter) ship(loc vhash.LocationID) bool {
-	if v, ok := f.memo[loc]; ok {
-		return v
-	}
-	v := f.n.shouldShip(f.r, loc, f.peer)
-	f.memo[loc] = v
-	return v
 }
 
 // shouldShip decides whether this node ships loc's records to peer

@@ -29,7 +29,9 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"ptm/internal/vhash"
 )
@@ -112,6 +114,11 @@ type Member struct {
 // values — mutate a Clone, bump Epoch, and push; every node and router
 // adopts the highest epoch it has seen (last-writer-wins on a single
 // admin plane).
+//
+// A ring must not be mutated after its first lookup (ReplicaSet or
+// Leader): that lookup builds the partition table, and every later one
+// reads it. Build a ring completely before using it, and change a Clone
+// (which starts without a table) rather than a ring in use.
 type Ring struct {
 	// Epoch orders configurations; a node accepts a pushed ring iff its
 	// epoch is strictly newer than the one in effect.
@@ -128,6 +135,9 @@ type Ring struct {
 	// the most-caught-up survivor the admin promoted. The presence of an
 	// entry authorizes successors to lead the down member's partitions.
 	Promoted map[string]string `json:"promoted,omitempty"`
+
+	// tab is the partition table, built by the first lookup (see table).
+	tab atomic.Pointer[ringTable]
 }
 
 // DefaultVNodes is the ring-position count per member used by
@@ -260,7 +270,8 @@ func (r *Ring) HasAddr(addr string) bool {
 	return false
 }
 
-// Clone deep-copies the ring for mutate-and-push.
+// Clone deep-copies the ring for mutate-and-push. The copy has no
+// partition table yet: its first lookup builds one from its own fields.
 func (r *Ring) Clone() *Ring {
 	c := &Ring{Epoch: r.Epoch, Replicas: r.Replicas, VNodes: r.VNodes}
 	c.Members = append([]Member(nil), r.Members...)
@@ -293,8 +304,9 @@ type ringPoint struct {
 }
 
 // points builds the sorted vnode positions of all owning members. Ties
-// on the hash value break by member ID then vnode order, so the walk is
-// total and deterministic.
+// on the hash value break by member ID, so the walk is total and
+// deterministic (two vnodes of one member on one point are
+// interchangeable).
 func (r *Ring) points() []ringPoint {
 	pts := make([]ringPoint, 0, len(r.Members)*r.VNodes)
 	for mi, m := range r.Members {
@@ -315,35 +327,114 @@ func (r *Ring) points() []ringPoint {
 	return pts
 }
 
+// ringTable is a ring's partition map, computed once: the partition
+// starting at vnode position i is served by arcs[i].
+type ringTable struct {
+	points []uint64 // sorted vnode positions
+	arcs   []arc
+}
+
+// arc is one partition of the ring: its replica set and its leader
+// resolution (see Leader).
+type arc struct {
+	set    []Member // replica set, walk order; shared, never modified
+	leader int      // index into set of the leader, or -1
+	down   string   // leader < 0: the down, unpromoted member blocking it ("" when none)
+}
+
+// noArc is the partition of a ring with no owning members.
+var noArc = &arc{leader: -1}
+
+// table returns the ring's partition table, building it on the first
+// lookup. Concurrent first lookups may each build one; the first
+// published wins and every caller reads that one.
+func (r *Ring) table() *ringTable {
+	if t := r.tab.Load(); t != nil {
+		return t
+	}
+	r.tab.CompareAndSwap(nil, r.buildTable())
+	return r.tab.Load()
+}
+
+// buildTable walks the ring from every vnode position.
+func (r *Ring) buildTable() *ringTable {
+	pts := r.points()
+	t := &ringTable{points: make([]uint64, len(pts)), arcs: make([]arc, len(pts))}
+	for i, p := range pts {
+		t.points[i] = p.point
+		set := r.walk(pts, i)
+		leader, down := r.resolve(set)
+		t.arcs[i] = arc{set: set, leader: leader, down: down}
+	}
+	return t
+}
+
+// walk collects, clockwise from position start, the first Replicas
+// distinct owning members.
+func (r *Ring) walk(pts []ringPoint, start int) []Member {
+	want := min(r.Replicas, len(pts))
+	taken := make([]int, 0, want)
+	for i := 0; i < len(pts) && len(taken) < want; i++ {
+		if mi := pts[(start+i)%len(pts)].member; !slices.Contains(taken, mi) {
+			taken = append(taken, mi)
+		}
+	}
+	set := make([]Member, len(taken))
+	for i, mi := range taken {
+		set[i] = r.Members[mi]
+	}
+	return set
+}
+
+// resolve picks the leader of a replica set: the first member that may
+// lead. StateUp leads. StateJoining is skipped (still catching up).
+// StateDown blocks the partition — unless the ring records a failover
+// for it, in which case the promoted survivor leads when it is in the
+// set, and otherwise the walk continues to the next eligible replica.
+// It returns the leader's index, or -1 and the blocking member's ID
+// ("" when no member is eligible at all).
+func (r *Ring) resolve(set []Member) (int, string) {
+	for i, m := range set {
+		switch m.State {
+		case StateUp:
+			return i, ""
+		case StateDown:
+			standby, promoted := r.Promoted[m.ID]
+			if !promoted {
+				return -1, m.ID
+			}
+			if j := slices.IndexFunc(set, func(s Member) bool { return s.ID == standby && s.State == StateUp }); j >= 0 {
+				return j, ""
+			}
+			// The promoted survivor does not hold this partition; the
+			// next replica in walk order is its natural successor.
+		}
+	}
+	return -1, ""
+}
+
+// arcFor finds loc's partition: one binary search for the first vnode
+// position at or after the location's hash point, wrapping past the top.
+func (r *Ring) arcFor(loc vhash.LocationID) *arc {
+	t := r.table()
+	if len(t.points) == 0 {
+		return noArc
+	}
+	i, _ := slices.BinarySearch(t.points, locPoint(loc))
+	if i == len(t.points) {
+		i = 0
+	}
+	return &t.arcs[i]
+}
+
 // ReplicaSet returns the ordered replica set for loc: walking clockwise
 // from the location's hash point, the first Replicas distinct owning
 // members. Fewer than Replicas members may be returned when the ring is
 // smaller than R. The first element is the partition's primary (its
-// leader when eligible — see Leader).
+// leader when eligible — see Leader). The slice is shared by every
+// location of the partition: callers must not modify it.
 func (r *Ring) ReplicaSet(loc vhash.LocationID) []Member {
-	pts := r.points()
-	return r.walk(pts, loc)
-}
-
-// walk performs the clockwise collection over prebuilt points.
-func (r *Ring) walk(pts []ringPoint, loc vhash.LocationID) []Member {
-	if len(pts) == 0 {
-		return nil
-	}
-	want := r.Replicas
-	h := locPoint(loc)
-	start := sort.Search(len(pts), func(i int) bool { return pts[i].point >= h })
-	out := make([]Member, 0, want)
-	taken := make(map[int]bool, want)
-	for i := 0; i < len(pts) && len(out) < want; i++ {
-		p := pts[(start+i)%len(pts)]
-		if taken[p.member] {
-			continue
-		}
-		taken[p.member] = true
-		out = append(out, r.Members[p.member])
-	}
-	return out
+	return r.arcFor(loc).set
 }
 
 // NoLeaderPrefix prefixes every ErrNoLeader message so routers can
@@ -365,37 +456,17 @@ func (e *ErrNoLeader) Error() string {
 }
 
 // Leader resolves the partition leader for loc: the first replica-set
-// member that may lead. StateUp leads. StateJoining is skipped (still
-// catching up). StateDown blocks the partition — unless the ring records
-// a failover for it, in which case the promoted survivor leads when it
-// is in the replica set, and otherwise the walk continues to the next
-// eligible replica.
+// member that may lead (see resolve). A down, unpromoted member ahead of
+// every eligible one makes the partition leaderless (ErrNoLeader).
 func (r *Ring) Leader(loc vhash.LocationID) (Member, error) {
-	set := r.ReplicaSet(loc)
-	for _, m := range set {
-		switch m.State {
-		case StateUp:
-			return m, nil
-		case StateJoining:
-			continue
-		case StateDown:
-			standby, promoted := r.Promoted[m.ID]
-			if !promoted {
-				return Member{}, &ErrNoLeader{Loc: loc, Down: m.ID}
-			}
-			for _, s := range set {
-				if s.ID == standby && s.State == StateUp {
-					return s, nil
-				}
-			}
-			// The promoted survivor does not hold this partition; the
-			// next replica in walk order is its natural successor.
-			continue
-		default:
-			continue
-		}
+	a := r.arcFor(loc)
+	if a.leader >= 0 {
+		return a.set[a.leader], nil
 	}
-	return Member{}, fmt.Errorf("cluster: location %d has no eligible leader among %d replicas", loc, len(set))
+	if a.down != "" {
+		return Member{}, &ErrNoLeader{Loc: loc, Down: a.down}
+	}
+	return Member{}, fmt.Errorf("cluster: location %d has no eligible leader among %d replicas", loc, len(a.set))
 }
 
 // EncodeRing serializes a ring for the wire and ring.json.

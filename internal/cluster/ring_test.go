@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"ptm/internal/vhash"
@@ -280,5 +284,254 @@ func TestRingJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeRing([]byte(`{"epoch":1}`)); err == nil {
 		t.Fatal("DecodeRing accepted an invalid ring")
+	}
+}
+
+// refLookup is the partition map computed the direct way, per lookup:
+// sort every owning vnode position, walk clockwise from the location's
+// point to the first Replicas distinct members, then resolve the leader
+// over that set. The ring's table must agree with it everywhere.
+type refLookup struct {
+	r   *Ring
+	pts []ringPoint
+}
+
+func newRefLookup(r *Ring) refLookup {
+	var pts []ringPoint
+	for mi, m := range r.Members {
+		if !ownsPositions(m.State) {
+			continue
+		}
+		for v := 0; v < r.VNodes; v++ {
+			pts = append(pts, ringPoint{point: pointFor(m.ID, v), member: mi})
+		}
+	}
+	sort.Slice(pts, func(i, j int) bool {
+		if pts[i].point != pts[j].point {
+			return pts[i].point < pts[j].point
+		}
+		return r.Members[pts[i].member].ID < r.Members[pts[j].member].ID
+	})
+	return refLookup{r: r, pts: pts}
+}
+
+func (f refLookup) replicaSet(loc vhash.LocationID) []Member {
+	if len(f.pts) == 0 {
+		return nil
+	}
+	h := locPoint(loc)
+	start := sort.Search(len(f.pts), func(i int) bool { return f.pts[i].point >= h })
+	var out []Member
+	for i := 0; i < len(f.pts) && len(out) < f.r.Replicas; i++ {
+		m := f.r.Members[f.pts[(start+i)%len(f.pts)].member]
+		if !slices.Contains(out, m) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+func (f refLookup) leader(loc vhash.LocationID, set []Member) (Member, error) {
+	for _, m := range set {
+		switch m.State {
+		case StateUp:
+			return m, nil
+		case StateDown:
+			standby, promoted := f.r.Promoted[m.ID]
+			if !promoted {
+				return Member{}, &ErrNoLeader{Loc: loc, Down: m.ID}
+			}
+			for _, s := range set {
+				if s.ID == standby && s.State == StateUp {
+					return s, nil
+				}
+			}
+		}
+	}
+	return Member{}, fmt.Errorf("cluster: location %d has no eligible leader among %d replicas", loc, len(set))
+}
+
+// ringMix is one assignment of member states, optionally with a
+// failover entry promoting the first Up member for the first Down one.
+type ringMix struct {
+	states   []State
+	promoted bool
+}
+
+// stateMixes returns distinct deterministic state mixes for an n-member
+// ring: all up, one member in each other state (a down one with and
+// without failover), and seeded random mixes.
+func stateMixes(n int) []ringMix {
+	var mixes []ringMix
+	seen := make(map[string]bool)
+	add := func(m ringMix) {
+		if k := fmt.Sprint(m); !seen[k] {
+			seen[k] = true
+			mixes = append(mixes, m)
+		}
+	}
+	for _, s := range []State{StateUp, StateJoining, StateDown, StateDraining, StateLeft} {
+		one := make([]State, n)
+		for i := range one {
+			one[i] = StateUp
+		}
+		one[0] = s
+		add(ringMix{states: one})
+		if s == StateDown {
+			add(ringMix{states: one, promoted: true})
+		}
+	}
+	rng := rand.New(rand.NewPCG(uint64(n), 46))
+	for k := 0; k < 6; k++ {
+		st := make([]State, n)
+		for i := range st {
+			st[i] = State(rng.IntN(int(StateLeft) + 1))
+		}
+		add(ringMix{states: st, promoted: k%2 == 0})
+	}
+	return mixes
+}
+
+// TestRingTableMatchesWalk checks the partition table against the
+// direct per-lookup walk: for every member-state mix, replica count and
+// location, ReplicaSet, Leader and the error text must agree. The mixes
+// must reach every leader outcome: an Up primary, a promoted standby, a
+// leaderless partition and one with no eligible member.
+func TestRingTableMatchesWalk(t *testing.T) {
+	const nLocs = 10000
+	outcomes := make(map[string]int)
+	for _, n := range []int{1, 3, 5} {
+		for _, replicas := range []int{1, 2, 3} {
+			for mi, mix := range stateMixes(n) {
+				r := testRing(n, replicas, DefaultVNodes)
+				down, up := "", ""
+				for i, s := range mix.states {
+					r.Members[i].State = s
+					switch {
+					case s == StateDown && down == "":
+						down = r.Members[i].ID
+					case s == StateUp && up == "":
+						up = r.Members[i].ID
+					}
+				}
+				if mix.promoted && down != "" && up != "" {
+					r.Promoted = map[string]string{down: up}
+				}
+				ref := newRefLookup(r)
+				for loc := vhash.LocationID(1); loc <= nLocs; loc++ {
+					set := ref.replicaSet(loc)
+					if got := r.ReplicaSet(loc); !slices.Equal(got, set) {
+						t.Fatalf("N=%d R=%d mix %d %v promoted=%v loc=%d: ReplicaSet %s, walk %s",
+							n, replicas, mi, mix.states, r.Promoted, loc, setIDs(got), setIDs(set))
+					}
+					got, gotErr := r.Leader(loc)
+					want, wantErr := ref.leader(loc, set)
+					if got != want || (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+						t.Fatalf("N=%d R=%d mix %d %v promoted=%v loc=%d: Leader %v, %v; walk %v, %v",
+							n, replicas, mi, mix.states, r.Promoted, loc, got.ID, gotErr, want.ID, wantErr)
+					}
+					switch {
+					case wantErr != nil && strings.HasPrefix(wantErr.Error(), NoLeaderPrefix):
+						outcomes["leaderless"]++
+					case wantErr != nil:
+						outcomes["no eligible"]++
+					case len(set) > 0 && set[0].State == StateDown:
+						outcomes["promoted"]++
+					default:
+						outcomes["up"]++
+					}
+				}
+			}
+		}
+	}
+	for _, o := range []string{"up", "promoted", "leaderless", "no eligible"} {
+		if outcomes[o] == 0 {
+			t.Errorf("no location reached outcome %q; the mixes do not cover it", o)
+		}
+	}
+	t.Logf("outcomes: %v", outcomes)
+}
+
+// TestRingCloneGetsFreshTable pins the mutate-a-clone rule: a clone
+// changed after its source served lookups gets its own partition map,
+// and the source keeps the one it had.
+func TestRingCloneGetsFreshTable(t *testing.T) {
+	const loc = vhash.LocationID(7)
+	r := testRing(3, 2, DefaultVNodes)
+	before, err := r.Leader(loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beforeSet := setIDs(r.ReplicaSet(loc))
+
+	c := r.Clone()
+	for i := range c.Members {
+		if c.Members[i].ID == before.ID {
+			c.Members[i].State = StateDraining
+		}
+	}
+	c.Epoch++
+	after, err := c.Leader(loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.ID == before.ID {
+		t.Fatalf("clone with %s draining still leads loc %d from it", before.ID, loc)
+	}
+	if got, want := setIDs(c.ReplicaSet(loc)), setIDs(newRefLookup(c).replicaSet(loc)); got != want {
+		t.Fatalf("clone ReplicaSet = %s, walk %s", got, want)
+	}
+	if still, err := r.Leader(loc); err != nil || still != before {
+		t.Fatalf("source ring after clone: Leader = %v, %v; want %v", still, err, before)
+	}
+	if got := setIDs(r.ReplicaSet(loc)); got != beforeSet {
+		t.Fatalf("source ring after clone: ReplicaSet = %s, want %s", got, beforeSet)
+	}
+}
+
+// TestRingFirstLookupsRace makes the first lookups on one fresh ring
+// from several goroutines at once; under -race it checks that building
+// and publishing the table is safe.
+func TestRingFirstLookupsRace(t *testing.T) {
+	const workers, nLocs = 8, 512
+	r := testRing(5, 3, DefaultVNodes)
+	ref := newRefLookup(r)
+	start := make(chan struct{})
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < nLocs; i++ {
+				loc := vhash.LocationID(w*nLocs + i)
+				lead, err := r.Leader(loc)
+				set := ref.replicaSet(loc)
+				want, _ := ref.leader(loc, set)
+				if err != nil || lead != want || setIDs(r.ReplicaSet(loc)) != setIDs(set) {
+					errs <- fmt.Errorf("worker %d loc %d: Leader %v, %v; walk %v", w, loc, lead.ID, err, want.ID)
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// BenchmarkRingLeader times one leader lookup on a 3-member, R=2 ring,
+// over a sweep of locations.
+func BenchmarkRingLeader(b *testing.B) {
+	r := testRing(3, 2, DefaultVNodes)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Leader(vhash.LocationID(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
