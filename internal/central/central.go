@@ -22,11 +22,11 @@
 //
 // # Query path
 //
-// Point and point-to-point queries first read each location's fence for
-// the named periods from the store's index (store.Store.Fence) and probe
-// the estimate cache with it. A hit is answered without reading a
-// bitmap; only a miss collects the records, computes, and fills the
-// cache under the fence Collect returned with them.
+// Volume, point and point-to-point queries first read each location's
+// fence for the named periods from the store's index (store.Store.Fence)
+// and probe the estimate cache with it. A hit is answered without
+// reading a bitmap; only a miss collects the records, computes, and
+// fills the cache under the fence Collect returned with them.
 package central
 
 import (
@@ -202,14 +202,21 @@ func (s *Server) fence(loc vhash.LocationID, periods []record.PeriodID) (fence u
 	return fence, err == nil
 }
 
-// Volume estimates the plain traffic volume at loc in one period (Eq. 1).
+// Volume estimates the plain traffic volume at loc in one period (Eq. 1),
+// served from the estimate cache like PointPersistent.
 func (s *Server) Volume(loc vhash.LocationID, p record.PeriodID) (float64, error) {
-	rec, unpin, ok := s.st.Lookup(loc, p)
-	if !ok {
-		return 0, fmt.Errorf("%w: loc=%d period=%d", ErrNotFound, loc, p)
+	periods := []record.PeriodID{p}
+	if fence, ok := s.fence(loc, periods); ok {
+		if v, ok := s.cache.ProbeVolume(loc, fence, p); ok {
+			return v, nil
+		}
+	}
+	recs, fence, unpin, err := s.st.Collect(loc, periods)
+	if err != nil {
+		return 0, err
 	}
 	defer unpin()
-	return core.EstimateVolume(rec)
+	return s.cache.Volume(fence, recs[0])
 }
 
 // PointPersistent estimates the point persistent traffic at loc over the

@@ -2,6 +2,7 @@ package central
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -242,10 +243,69 @@ func TestServerEstCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestEstCacheHoldsZipfWorkingSet: a Zipf(1.1) stream of volume and
+// point questions over more distinct questions than the old 1024-entry
+// bound, but fewer than DefaultEstCacheEntries, misses exactly once per
+// distinct question asked: no answer is evicted and recomputed.
+func TestEstCacheHoldsZipfWorkingSet(t *testing.T) {
+	const (
+		locs    = 40
+		periods = 60
+		window  = 3
+		asks    = 20000
+	)
+	s := newServer(t)
+	rng := rand.New(rand.NewSource(48))
+	for loc := vhash.LocationID(1); loc <= locs; loc++ {
+		seedLocation(t, s, loc, periods, 64, rng)
+	}
+	type question struct {
+		loc     vhash.LocationID
+		periods []record.PeriodID // one period asks Volume, more PointPersistent
+	}
+	var questions []question
+	for loc := vhash.LocationID(1); loc <= locs; loc++ {
+		for p := record.PeriodID(1); p <= periods; p++ {
+			questions = append(questions, question{loc, []record.PeriodID{p}})
+			if p+window-1 <= periods {
+				questions = append(questions, question{loc, []record.PeriodID{p, p + 1, p + 2}})
+			}
+		}
+	}
+	if len(questions) <= 1024 || len(questions) >= core.DefaultEstCacheEntries {
+		t.Fatalf("%d distinct questions: the witness needs 1024 < K < %d", len(questions), core.DefaultEstCacheEntries)
+	}
+	rng.Shuffle(len(questions), func(i, j int) { questions[i], questions[j] = questions[j], questions[i] })
+
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(questions)-1))
+	asked := make(map[int]bool)
+	for range asks {
+		i := int(zipf.Uint64())
+		asked[i] = true
+		q := questions[i]
+		var err error
+		if len(q.periods) == 1 {
+			_, err = s.Volume(q.loc, q.periods[0])
+		} else {
+			_, err = s.PointPersistent(q.loc, q.periods)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(asked) <= 1024 {
+		t.Fatalf("the stream asked only %d distinct questions; the witness needs more than 1024", len(asked))
+	}
+	st := s.EstCacheStats()
+	if st.Misses != uint64(len(asked)) || st.Hits+st.Misses != asks {
+		t.Fatalf("%d distinct questions in %d asks: %d misses, %d hits; want one miss per distinct question", len(asked), asks, st.Misses, st.Hits)
+	}
+}
+
 // TestEstCacheConcurrentQueryIngest is the -race soak: readers hammer
-// point and p2p queries while a writer keeps ingesting fresh periods at
-// the queried locations (which must fence nothing) and the tiered store
-// freezes under its small budget. Locations 1 and 2 hold a fixed
+// volume, point and p2p queries while a writer keeps ingesting fresh
+// periods at the queried locations (which must fence nothing) and the
+// tiered store freezes under its small budget. Locations 1 and 2 hold a fixed
 // window. Location 3's window is churned: retired with RetainLatest and
 // re-ingested with the next of three contents, round after round. Every answer must be the fixed window's, or the one of a
 // churn round that was live while the query ran, or ErrNotFound — never
@@ -274,12 +334,17 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantVolume, err := s.Volume(1, periods[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The three contents location 3's window cycles through, each with
 	// its answers computed on an uncached resident server.
 	var churn [3][]*record.Record
 	var churnPoint [3]core.PointResult
 	var churnP2P [3]core.PointToPointResult
+	var churnVolume [3]uint64 // float64 bits
 	for v := range churn {
 		ref := newServer(t)
 		ref.SetEstimateCache(0)
@@ -300,7 +365,11 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		churnPoint[v], churnP2P[v] = *pt, *pp
+		vol, err := ref.Volume(3, periods[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		churnPoint[v], churnP2P[v], churnVolume[v] = *pt, *pp, math.Float64bits(vol)
 	}
 	for _, rec := range churn[0] {
 		if err := s.Ingest(rec); err != nil {
@@ -371,7 +440,7 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 			for j := 0; j < readsPerGo; j++ {
 				var ok bool
 				r0 := round.Load()
-				switch (j + g) % 4 {
+				switch (j + g) % 6 {
 				case 0:
 					got, err := s.PointPersistent(1, periods)
 					if err != nil {
@@ -404,6 +473,22 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 						return
 					}
 					ok = liveRound(*got, churnP2P, r0, round.Load())
+				case 4:
+					got, err := s.Volume(1, periods[0])
+					if err != nil {
+						errc <- err
+						return
+					}
+					ok = math.Float64bits(got) == math.Float64bits(wantVolume)
+				case 5:
+					got, err := s.Volume(3, periods[0])
+					if errors.Is(err, ErrNotFound) {
+						continue
+					} else if err != nil {
+						errc <- err
+						return
+					}
+					ok = liveRound(math.Float64bits(got), churnVolume, r0, round.Load())
 				}
 				if !ok {
 					errc <- errDrift
@@ -422,7 +507,7 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 	}
 
 	st := s.EstCacheStats()
-	if st.Hits+st.Misses != uint64(answered.Load())+2 {
+	if st.Hits+st.Misses != uint64(answered.Load())+3 {
 		t.Fatalf("every answered read must count exactly once: %+v, %d answered", st, answered.Load())
 	}
 	if st.Invalidations == 0 {

@@ -3,12 +3,14 @@ package central
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 
+	"ptm/internal/lpc"
 	"ptm/internal/record"
 	"ptm/internal/store"
 	"ptm/internal/vhash"
@@ -53,8 +55,13 @@ type probeFixture struct {
 
 var probeWindow = []record.PeriodID{1, 2, 3, 4}
 
-// probeFixtures builds locations 7 and 8 over probeWindow behind a
-// resident, a tiered (half frozen) and a read-only mapped store.
+// saturatedLoc holds one record, at period 1, with every bit set: its
+// volume (Eq. 1) is an estimator error.
+const saturatedLoc vhash.LocationID = 9
+
+// probeFixtures builds locations 7 and 8 over probeWindow, plus the
+// saturated record, behind a resident, a tiered (half frozen) and a
+// read-only mapped store.
 func probeFixtures(t *testing.T) map[string]*probeFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(27))
@@ -64,6 +71,11 @@ func probeFixtures(t *testing.T) map[string]*probeFixture {
 			recs = append(recs, seededRecord(t, rng, loc, p, 1024))
 		}
 	}
+	saturated := mustRecord(t, saturatedLoc, 1, 1024)
+	for i := uint64(0); i < 1024; i++ {
+		saturated.Bitmap.Set(i)
+	}
+	recs = append(recs, saturated)
 	ref := newServer(t)
 	ref.SetEstimateCache(0)
 	for _, rec := range recs {
@@ -126,31 +138,46 @@ func sameErr(got, want error) bool {
 
 // TestProbeErrorsMatchUncached: requests the store or the record set
 // rejects fail with the same error, text included, whether or not a
-// cache is probed first — and count neither a hit nor a miss.
+// cache is probed first — and count neither a hit nor a miss. A request
+// the estimator itself rejects (a saturated volume) fails the same way
+// too; it counts a miss each time it is asked, and never a hit.
 func TestProbeErrorsMatchUncached(t *testing.T) {
-	cases := []struct {
-		name     string
-		locB     vhash.LocationID // 0 for a point query
-		periods  []record.PeriodID
-		sentinel error
-	}{
-		{"point no periods", 0, nil, ErrNoPeriods},
-		{"point missing period", 0, []record.PeriodID{1, 9}, ErrNotFound},
-		{"point missing periods report the first", 0, []record.PeriodID{9, 1, 8}, ErrNotFound},
-		{"point duplicate period", 0, []record.PeriodID{2, 1, 2}, record.ErrDupPeriod},
-		{"point duplicate and missing", 0, []record.PeriodID{2, 2, 9}, ErrNotFound},
-		{"p2p no periods", 8, nil, ErrNoPeriods},
-		{"p2p missing location", 99, probeWindow, ErrNotFound},
-		{"p2p duplicate period", 8, []record.PeriodID{3, 3}, record.ErrDupPeriod},
-		{"p2p duplicate at A before missing at B", 99, []record.PeriodID{3, 3}, record.ErrDupPeriod},
-	}
-	query := func(s *Server, locB vhash.LocationID, periods []record.PeriodID) error {
-		if locB == 0 {
+	point := func(periods ...record.PeriodID) func(*Server) error {
+		return func(s *Server) error {
 			_, err := s.PointPersistent(7, periods)
 			return err
 		}
-		_, err := s.PointToPointPersistent(7, locB, periods)
-		return err
+	}
+	p2p := func(locB vhash.LocationID, periods ...record.PeriodID) func(*Server) error {
+		return func(s *Server) error {
+			_, err := s.PointToPointPersistent(7, locB, periods)
+			return err
+		}
+	}
+	volume := func(loc vhash.LocationID, p record.PeriodID) func(*Server) error {
+		return func(s *Server) error {
+			_, err := s.Volume(loc, p)
+			return err
+		}
+	}
+	cases := []struct {
+		name     string
+		query    func(*Server) error
+		sentinel error
+		computes bool // the estimator rejects it: one miss per ask
+	}{
+		{"point no periods", point(), ErrNoPeriods, false},
+		{"point missing period", point(1, 9), ErrNotFound, false},
+		{"point missing periods report the first", point(9, 1, 8), ErrNotFound, false},
+		{"point duplicate period", point(2, 1, 2), record.ErrDupPeriod, false},
+		{"point duplicate and missing", point(2, 2, 9), ErrNotFound, false},
+		{"p2p no periods", p2p(8), ErrNoPeriods, false},
+		{"p2p missing location", p2p(99, probeWindow...), ErrNotFound, false},
+		{"p2p duplicate period", p2p(8, 3, 3), record.ErrDupPeriod, false},
+		{"p2p duplicate at A before missing at B", p2p(99, 3, 3), record.ErrDupPeriod, false},
+		{"volume missing period", volume(7, 9), ErrNotFound, false},
+		{"volume missing location", volume(99, 1), ErrNotFound, false},
+		{"volume saturated record", volume(saturatedLoc, 1), lpc.ErrSaturated, true},
 	}
 	for name, fx := range probeFixtures(t) {
 		for _, cached := range []bool{true, false} {
@@ -158,16 +185,23 @@ func TestProbeErrorsMatchUncached(t *testing.T) {
 				fx.srv.SetEstimateCache(0)
 			}
 			for _, tc := range cases {
-				want := query(fx.ref, tc.locB, tc.periods)
+				want := tc.query(fx.ref)
 				if !errors.Is(want, tc.sentinel) {
 					t.Fatalf("%s: reference err %v, want %v", tc.name, want, tc.sentinel)
 				}
-				before := fx.srv.EstCacheStats()
-				if got := query(fx.srv, tc.locB, tc.periods); !sameErr(got, want) {
-					t.Errorf("%s/cached=%v/%s: err %v, want %v", name, cached, tc.name, got, want)
-				}
-				if after := fx.srv.EstCacheStats(); after.Hits+after.Misses != before.Hits+before.Misses {
-					t.Errorf("%s/cached=%v/%s: a rejected query counted in the cache: %+v -> %+v", name, cached, tc.name, before, after)
+				for ask := 0; ask < 2; ask++ {
+					before := fx.srv.EstCacheStats()
+					if got := tc.query(fx.srv); !sameErr(got, want) {
+						t.Errorf("%s/cached=%v/%s: err %v, want %v", name, cached, tc.name, got, want)
+					}
+					after := fx.srv.EstCacheStats()
+					misses := uint64(0)
+					if tc.computes && cached {
+						misses = 1
+					}
+					if after.Hits != before.Hits || after.Misses != before.Misses+misses {
+						t.Errorf("%s/cached=%v/%s ask %d: want %d misses and no hit: %+v -> %+v", name, cached, tc.name, ask, misses, before, after)
+					}
 				}
 			}
 		}
@@ -178,12 +212,19 @@ func TestProbeErrorsMatchUncached(t *testing.T) {
 // repeat — in any period order — is answered bit-identically to an
 // uncached compute without a Collect, a Lookup, or a block-cache read.
 func TestProbeHitReadsNoRecord(t *testing.T) {
+	// volumePeriod is frozen in the tiered fixture, so a volume miss
+	// there reads through the block cache.
+	const volumePeriod = 1
 	for name, fx := range probeFixtures(t) {
 		wantPoint, err := fx.ref.PointPersistent(7, probeWindow)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantP2P, err := fx.ref.PointToPointPersistent(7, 8, probeWindow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantVolume, err := fx.ref.Volume(7, volumePeriod)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,18 +238,22 @@ func TestProbeHitReadsNoRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if *point != *wantPoint || *p2p != *wantP2P {
-				t.Fatalf("%s query %d: %+v / %+v, want %+v / %+v", name, i, point, p2p, wantPoint, wantP2P)
+			volume, err := fx.srv.Volume(7, volumePeriod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *point != *wantPoint || *p2p != *wantP2P || math.Float64bits(volume) != math.Float64bits(wantVolume) {
+				t.Fatalf("%s query %d: %+v / %+v / %v, want %+v / %+v / %v", name, i, point, p2p, volume, wantPoint, wantP2P, wantVolume)
 			}
 			after := fx.srv.EstCacheStats()
 			if i == 0 {
-				if after.Misses != est.Misses+2 || after.Hits != est.Hits {
+				if after.Misses != est.Misses+3 || after.Hits != est.Hits {
 					t.Fatalf("%s: first queries must miss: %+v -> %+v", name, est, after)
 				}
 				continue
 			}
-			if after.Hits != est.Hits+2 || after.Misses != est.Misses {
-				t.Fatalf("%s query %d (%v): want two hits: %+v -> %+v", name, i, periods, est, after)
+			if after.Hits != est.Hits+3 || after.Misses != est.Misses {
+				t.Fatalf("%s query %d (%v): want three hits: %+v -> %+v", name, i, periods, est, after)
 			}
 			if got := fx.st.reads(); got != reads {
 				t.Errorf("%s query %d: hits made %d Collect/Lookup calls", name, i, got-reads)
@@ -255,11 +300,19 @@ func TestProbeRetentionReingestMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		retired := fx.recs[0].Period
+		wantVolume, err := fx.srv.Volume(7, retired)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := fx.srv.RetainLatest(7, 3); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fx.srv.PointPersistent(7, probeWindow); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("%s: query over a retired period: err %v, want ErrNotFound", name, err)
+		}
+		if _, err := fx.srv.Volume(7, retired); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: volume of a retired period: err %v, want ErrNotFound", name, err)
 		}
 		if err := fx.srv.Ingest(fx.recs[0]); err != nil {
 			t.Fatal(err)
@@ -272,8 +325,15 @@ func TestProbeRetentionReingestMisses(t *testing.T) {
 		if *got != *want {
 			t.Fatalf("%s: after re-ingest: %+v, want %+v", name, got, want)
 		}
-		if after := fx.srv.EstCacheStats(); after.Misses != est.Misses+1 || after.Hits != est.Hits {
-			t.Fatalf("%s: query after retention and re-ingest must miss: %+v -> %+v", name, est, after)
+		gotVolume, err := fx.srv.Volume(7, retired)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gotVolume) != math.Float64bits(wantVolume) {
+			t.Fatalf("%s: volume after re-ingest: %v, want %v", name, gotVolume, wantVolume)
+		}
+		if after := fx.srv.EstCacheStats(); after.Misses != est.Misses+2 || after.Hits != est.Hits {
+			t.Fatalf("%s: queries after retention and re-ingest must miss: %+v -> %+v", name, est, after)
 		}
 	}
 }

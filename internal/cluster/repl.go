@@ -217,11 +217,13 @@ func (n *Node) shipSegments(c *transport.Client, r *Ring, peer string, from, to 
 		return err
 	}
 	err := n.Log().ReplaySegments(from, to, func(payload []byte) error {
-		rec, err := record.Unmarshal(payload)
+		// The WAL's CRC covered the entry and the follower decodes it in
+		// full; the location is all the filter needs.
+		loc, _, err := record.UnmarshalHeader(payload)
 		if err != nil {
 			return fmt.Errorf("cluster: undecodable WAL entry: %w", err)
 		}
-		if !n.shouldShip(r, rec.Location, peer) {
+		if !n.shouldShip(r, loc, peer) {
 			return nil
 		}
 		// scanEntries allocates each payload fresh; retaining it is safe.

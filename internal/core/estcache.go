@@ -34,17 +34,22 @@ import (
 )
 
 // DefaultEstCacheEntries is the LRU capacity central servers use unless
-// configured otherwise: at ~200 bytes per entry it bounds the cache near
-// 200 KiB while covering far more distinct (location, window) queries
-// than a monitoring dashboard replays.
-const DefaultEstCacheEntries = 1024
+// configured otherwise. An entry costs about 540 bytes counted in full
+// (map slot, list element, entry and periods; measured by filling a
+// cache of this capacity with a volume/point/p2p mix), so a full cache
+// holds about 8.5 MiB: 1/30 of store.DefaultCacheBytes. One entry saves
+// a join that streams up to 2.5 MiB (t = 10 records of m = 2^20 bits).
+// The bound holds every distinct question of ptmload's query-mix (about
+// 2,600), where 1024 entries evicted and recomputed thousands.
+const DefaultEstCacheEntries = 1 << 14
 
-// estKind separates the two estimator families in the key space.
+// estKind separates the three estimator families in the key space.
 type estKind uint8
 
 const (
 	estKindPoint estKind = 1 + iota
 	estKindP2P
+	estKindVolume
 )
 
 // estKey identifies one memoizable estimator invocation. Fences are part
@@ -63,12 +68,14 @@ type estKey struct {
 	phash          uint64
 }
 
-// estEntry is one cached result (exactly one of point/p2p is set).
+// estEntry is one cached result (exactly one of point/p2p/volume is
+// set).
 type estEntry struct {
 	key     estKey
 	periods []record.PeriodID
 	point   PointResult
 	p2p     PointToPointResult
+	volume  float64
 }
 
 // EstCacheStats is a snapshot of the cache's counters.
@@ -103,7 +110,7 @@ func NewEstCache(capacity int) *EstCache {
 		return nil
 	}
 	return &EstCache{
-		entries: make(map[estKey]*list.Element, capacity),
+		entries: make(map[estKey]*list.Element),
 		order:   list.New(),
 		cap:     capacity,
 	}
@@ -258,6 +265,33 @@ func (c *EstCache) ProbePointToPoint(locL, locLPrime vhash.LocationID, fenceL, f
 	}
 	out := e.p2p
 	return &out, true
+}
+
+// ProbeVolume is ProbePoint for Volume.
+func (c *EstCache) ProbeVolume(loc vhash.LocationID, fence uint64, p record.PeriodID) (float64, bool) {
+	e, ok := c.probe(estKindVolume, 0, 0, loc, 0, fence, 0, []record.PeriodID{p})
+	return e.volume, ok
+}
+
+// Volume is EstimateVolume memoized under (location, fence, period).
+// fence must be the one the store returned atomically with rec
+// (store.Store.Collect).
+func (c *EstCache) Volume(fence uint64, rec *record.Record) (float64, error) {
+	if c == nil {
+		return EstimateVolume(rec)
+	}
+	periods := []record.PeriodID{rec.Period}
+	key := makeKey(estKindVolume, 0, 0, rec.Location, 0, fence, 0, periods)
+	if e, ok := c.lookup(key, periods); ok {
+		return e.volume, nil
+	}
+	c.countMiss()
+	v, err := EstimateVolume(rec)
+	if err != nil {
+		return 0, err
+	}
+	c.store(&estEntry{key: key, periods: periods, volume: v})
+	return v, nil
 }
 
 // Point is EstimatePointOpts memoized under (location, fence, periods,

@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzUnmarshal: the record parser faces data from the network; it must
-// never panic and accepted inputs must round-trip byte-identically.
+// never panic, accepted inputs must round-trip byte-identically, and the
+// header reader must agree with it.
 func FuzzUnmarshal(f *testing.F) {
 	r, err := New(7, 3, 128)
 	if err != nil {
@@ -23,9 +24,19 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		loc, period, hdrErr := UnmarshalHeader(data)
 		rec, err := Unmarshal(data)
+		if hdrErr != nil {
+			if err == nil || err.Error() != hdrErr.Error() {
+				t.Fatalf("header rejected with %v, Unmarshal with %v", hdrErr, err)
+			}
+			return
+		}
 		if err != nil {
 			return
+		}
+		if rec.Location != loc || rec.Period != period {
+			t.Fatalf("header read %d/%d, record is %d/%d", loc, period, rec.Location, rec.Period)
 		}
 		out, err := rec.MarshalBinary()
 		if err != nil {

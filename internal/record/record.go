@@ -131,31 +131,40 @@ func (r *Record) AppendBinary(dst []byte) ([]byte, error) {
 
 // Unmarshal parses a record serialized by MarshalBinary.
 func Unmarshal(data []byte) (*Record, error) {
-	if len(data) < recHeader {
-		return nil, fmt.Errorf("%w: short buffer (%d bytes)", ErrCorrupt, len(data))
-	}
-	if binary.LittleEndian.Uint32(data[0:4]) != recMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if data[4] != recVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, data[4])
-	}
-	if data[5] != 0 || data[6] != 0 || data[7] != 0 {
-		return nil, fmt.Errorf("%w: nonzero reserved bytes", ErrCorrupt)
-	}
-	blen := int(binary.LittleEndian.Uint32(data[20:24]))
-	if len(data) != recHeader+blen {
-		return nil, fmt.Errorf("%w: length %d, want %d", ErrCorrupt, len(data), recHeader+blen)
+	loc, period, err := UnmarshalHeader(data)
+	if err != nil {
+		return nil, err
 	}
 	b, err := bitmap.Unmarshal(data[recHeader:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return &Record{
-		Location: vhash.LocationID(binary.LittleEndian.Uint64(data[8:16])),
-		Period:   PeriodID(binary.LittleEndian.Uint32(data[16:20])),
-		Bitmap:   b,
-	}, nil
+	return &Record{Location: loc, Period: period, Bitmap: b}, nil
+}
+
+// UnmarshalHeader reads the location and period of a record serialized
+// by MarshalBinary without decoding its bitmap. It makes every check
+// Unmarshal makes before the bitmap blob (magic, version, reserved
+// bytes, total length), with the same errors; the blob's own checksum
+// is checked only by Unmarshal.
+func UnmarshalHeader(data []byte) (vhash.LocationID, PeriodID, error) {
+	if len(data) < recHeader {
+		return 0, 0, fmt.Errorf("%w: short buffer (%d bytes)", ErrCorrupt, len(data))
+	}
+	if binary.LittleEndian.Uint32(data[0:4]) != recMagic {
+		return 0, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if data[4] != recVersion {
+		return 0, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, data[4])
+	}
+	if data[5] != 0 || data[6] != 0 || data[7] != 0 {
+		return 0, 0, fmt.Errorf("%w: nonzero reserved bytes", ErrCorrupt)
+	}
+	blen := int(binary.LittleEndian.Uint32(data[20:24]))
+	if len(data) != recHeader+blen {
+		return 0, 0, fmt.Errorf("%w: length %d, want %d", ErrCorrupt, len(data), recHeader+blen)
+	}
+	return vhash.LocationID(binary.LittleEndian.Uint64(data[8:16])), PeriodID(binary.LittleEndian.Uint32(data[16:20])), nil
 }
 
 // Set is the paper's Π: the records of interest from a single location,

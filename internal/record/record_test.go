@@ -62,7 +62,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUnmarshalRejectsCorruption(t *testing.T) {
+// corruptRecords is a valid record's encoding and one corruption of it
+// per check the decoder makes. "flipped bitmap" is the only one past the
+// header.
+func corruptRecords(t *testing.T) (good []byte, cases map[string][]byte) {
+	t.Helper()
 	r := mustRecord(t, 1, 1, 64)
 	r.Bitmap.Set(5)
 	good, err := r.MarshalBinary()
@@ -75,18 +79,46 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		f(d)
 		return d
 	}
-	cases := map[string][]byte{
+	return good, map[string][]byte{
 		"short":          good[:10],
 		"empty":          {},
 		"bad magic":      mutate(func(d []byte) { d[1] ^= 0xff }),
 		"bad version":    mutate(func(d []byte) { d[4] = 9 }),
+		"bad reserved":   mutate(func(d []byte) { d[6] = 1 }),
 		"bad blob len":   mutate(func(d []byte) { d[20] ^= 0x01 }),
 		"flipped bitmap": mutate(func(d []byte) { d[recHeader+20] ^= 0x01 }),
 		"truncated":      good[:len(good)-1],
 	}
+}
+
+func TestUnmarshalRejectsCorruption(t *testing.T) {
+	_, cases := corruptRecords(t)
 	for name, data := range cases {
 		if _, err := Unmarshal(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestUnmarshalHeaderRejectsCorruption: the header reader rejects every
+// corruption Unmarshal finds before the bitmap blob, with Unmarshal's
+// exact error, and reads a record whose blob alone is corrupt.
+func TestUnmarshalHeaderRejectsCorruption(t *testing.T) {
+	good, cases := corruptRecords(t)
+	if loc, p, err := UnmarshalHeader(good); err != nil || loc != 1 || p != 1 {
+		t.Fatalf("good record: %d, %d, %v", loc, p, err)
+	}
+	for name, data := range cases {
+		loc, p, err := UnmarshalHeader(data)
+		_, want := Unmarshal(data)
+		if name == "flipped bitmap" {
+			if err != nil || loc != 1 || p != 1 {
+				t.Errorf("%s: %d, %d, %v; the header is intact", name, loc, p, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) || want == nil || err.Error() != want.Error() {
+			t.Errorf("%s: err = %v, want Unmarshal's %v", name, err, want)
 		}
 	}
 }
