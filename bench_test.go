@@ -12,15 +12,9 @@ package ptm
 // Paper-vs-measured numbers are recorded in EXPERIMENTS.md.
 
 import (
-	"fmt"
-	"math"
-	"math/rand"
 	"testing"
 
-	"ptm/internal/bitmap"
 	"ptm/internal/core"
-	"ptm/internal/lpc"
-	"ptm/internal/mrbitmap"
 	"ptm/internal/privacy"
 	"ptm/internal/sim"
 	"ptm/internal/stats"
@@ -282,56 +276,6 @@ func BenchmarkAblationSecondLevel(b *testing.B) {
 	}
 	b.Run("or-join", func(b *testing.B) { run(b, false) })
 	b.Run("and-join", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkAblationCountingSubstrate compares the paper's Eq. (2)-sized
-// plain bitmap against the multiresolution bitmap (paper ref [21]) at
-// equal memory, for plain volume estimation when the true volume varies
-// over two orders of magnitude. The plain bitmap (sized for the expected
-// 5,000) saturates at 100x the expectation; the multiresolution sketch
-// holds accuracy everywhere at fixed memory.
-func BenchmarkAblationCountingSubstrate(b *testing.B) {
-	for _, n := range []int{5000, 500000} {
-		n := n
-		b.Run(fmt.Sprintf("plain-n=%d", n), func(b *testing.B) {
-			var lastErr float64
-			failed := 0
-			for i := 0; i < b.N; i++ {
-				bm := bitmap.MustNew(1 << 14) // Eq. (2) for expected 5000, f=2
-				rng := rand.New(rand.NewSource(int64(i + 1)))
-				for k := 0; k < n; k++ {
-					bm.Set(rng.Uint64())
-				}
-				est, err := lpc.Estimate(bm.Size(), bm.FractionZero())
-				if err != nil {
-					failed++
-					continue
-				}
-				lastErr = math.Abs(est-float64(n)) / float64(n)
-			}
-			b.ReportMetric(lastErr, "relerr")
-			b.ReportMetric(float64(failed)/float64(b.N), "saturated-frac")
-		})
-		b.Run(fmt.Sprintf("mrb-n=%d", n), func(b *testing.B) {
-			var lastErr float64
-			for i := 0; i < b.N; i++ {
-				sk, err := mrbitmap.New(16, 1<<10) // same 2^14 bits total
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(int64(i + 1)))
-				for k := 0; k < n; k++ {
-					sk.Add(rng.Uint64())
-				}
-				est, err := sk.Estimate(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lastErr = math.Abs(est-float64(n)) / float64(n)
-			}
-			b.ReportMetric(lastErr, "relerr")
-		})
-	}
 }
 
 // BenchmarkConfidenceInterval measures the bootstrap interval cost at the

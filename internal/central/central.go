@@ -16,17 +16,15 @@
 // reads hand out records that view mapped pages; the server holds their
 // pins exactly for the duration of the estimator call.
 //
-// All methods are safe for concurrent use; consistency guarantees (the
-// record-set snapshot whose fence keys the estimate cache) are the
-// store's contract.
+// All methods are safe for concurrent use. The store only ever adds
+// records, so a request that names a complete record set names the
+// same set forever.
 //
 // # Query path
 //
-// Volume, point and point-to-point queries first read each location's
-// fence for the named periods from the store's index (store.Store.Fence)
-// and probe the estimate cache with it. A hit is answered without
-// reading a bitmap; only a miss collects the records, computes, and
-// fills the cache under the fence Collect returned with them.
+// Volume, point and point-to-point queries first probe the estimate
+// cache with the request itself. A hit is answered without a store call;
+// only a miss collects the records, computes, and fills the cache.
 package central
 
 import (
@@ -60,8 +58,8 @@ type Server struct {
 	st store.Store
 	s  int // system-wide representative-bit count, needed by Eq. (21)
 
-	// cache memoizes estimator results keyed by record-set identity,
-	// (location, fence, periods). Set at construction (SetEstimateCache
+	// cache memoizes estimator results keyed by the request (location,
+	// periods, parameters). Set at construction (SetEstimateCache
 	// reconfigures it for tests and benchmarks); nil disables caching —
 	// every query computes.
 	cache *core.EstCache
@@ -128,8 +126,8 @@ func (s *Server) CloseStore() error { return s.st.Close() }
 // are rejected: an RSU reports each period exactly once, so a duplicate
 // indicates a replay or a misconfigured deployment.
 //
-// An ingest fences no cached estimate: a live entry names only records
-// that are still stored, so the new record is in none of them.
+// An ingest changes no cached estimate: an entry names only records
+// already stored, so the new record is in none of them.
 func (s *Server) Ingest(rec *record.Record) error {
 	_, err := s.st.Ingest(rec)
 	return err
@@ -168,73 +166,52 @@ func (s *Server) RecordBlobs(loc vhash.LocationID, periods []record.PeriodID) ([
 	return blobs, nil
 }
 
-// get assembles the record set Π for (loc, periods) together with its
-// fence; the store reads the pair atomically, which is what makes the
-// fence a sound cache key. The caller must call unpin
-// after its last use of the set — cold-tier records view mapped pages
-// that stay valid only while pinned.
-func (s *Server) get(loc vhash.LocationID, periods []record.PeriodID) (*record.Set, uint64, func(), error) {
+// get assembles the record set Π for (loc, periods). The caller must
+// call unpin after its last use of the set — cold-tier records view
+// mapped pages that stay valid only while pinned.
+func (s *Server) get(loc vhash.LocationID, periods []record.PeriodID) (*record.Set, func(), error) {
 	if len(periods) == 0 {
-		return nil, 0, nil, ErrNoPeriods
+		return nil, nil, ErrNoPeriods
 	}
-	recs, fence, unpin, err := s.st.Collect(loc, periods)
+	recs, _, unpin, err := s.st.Collect(loc, periods)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	set, err := record.NewSet(recs)
 	if err != nil {
 		unpin()
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
-	return set, fence, unpin, nil
-}
-
-// fence returns the fence of loc's records for periods from the store's
-// index, so the estimate cache can be probed before anything is
-// collected. ok is false when there is no cache or the index rejects the
-// request; the collect path then reports the error exactly as an
-// uncached server would.
-func (s *Server) fence(loc vhash.LocationID, periods []record.PeriodID) (fence uint64, ok bool) {
-	if s.cache == nil {
-		return 0, false
-	}
-	fence, err := s.st.Fence(loc, periods)
-	return fence, err == nil
+	return set, unpin, nil
 }
 
 // Volume estimates the plain traffic volume at loc in one period (Eq. 1),
 // served from the estimate cache like PointPersistent.
 func (s *Server) Volume(loc vhash.LocationID, p record.PeriodID) (float64, error) {
-	periods := []record.PeriodID{p}
-	if fence, ok := s.fence(loc, periods); ok {
-		if v, ok := s.cache.ProbeVolume(loc, fence, p); ok {
-			return v, nil
-		}
+	if v, ok := s.cache.ProbeVolume(loc, p); ok {
+		return v, nil
 	}
-	recs, fence, unpin, err := s.st.Collect(loc, periods)
+	recs, _, unpin, err := s.st.Collect(loc, []record.PeriodID{p})
 	if err != nil {
 		return 0, err
 	}
 	defer unpin()
-	return s.cache.Volume(fence, recs[0])
+	return s.cache.Volume(recs[0])
 }
 
 // PointPersistent estimates the point persistent traffic at loc over the
-// given periods (Eq. 12). Results are served from the estimate cache
-// while the named records are the ones they were computed from; a hit
-// is bit-identical to the cold computation.
+// given periods (Eq. 12). A request the cache has answered before is
+// answered from it, bit-identical to the cold computation.
 func (s *Server) PointPersistent(loc vhash.LocationID, periods []record.PeriodID) (*core.PointResult, error) {
-	if fence, ok := s.fence(loc, periods); ok {
-		if res, ok := s.cache.ProbePoint(loc, fence, periods, core.SplitHalves); ok {
-			return res, nil
-		}
+	if res, ok := s.cache.ProbePoint(loc, periods, core.SplitHalves); ok {
+		return res, nil
 	}
-	set, fence, unpin, err := s.get(loc, periods)
+	set, unpin, err := s.get(loc, periods)
 	if err != nil {
 		return nil, err
 	}
 	defer unpin()
-	return s.cache.Point(fence, set, core.SplitHalves)
+	return s.cache.Point(set, core.SplitHalves)
 }
 
 // WindowResult is one sliding-window persistent estimate.
@@ -274,24 +251,20 @@ func (s *Server) PointPersistentSliding(loc vhash.LocationID, window int) ([]Win
 // PointToPointPersistent estimates the point-to-point persistent traffic
 // between locA and locB over the given periods (Eq. 21).
 func (s *Server) PointToPointPersistent(locA, locB vhash.LocationID, periods []record.PeriodID) (*core.PointToPointResult, error) {
-	if fenceA, ok := s.fence(locA, periods); ok {
-		if fenceB, ok := s.fence(locB, periods); ok {
-			if res, ok := s.cache.ProbePointToPoint(locA, locB, fenceA, fenceB, periods, s.s); ok {
-				return res, nil
-			}
-		}
+	if res, ok := s.cache.ProbePointToPoint(locA, locB, periods, s.s); ok {
+		return res, nil
 	}
-	setA, fenceA, unpinA, err := s.get(locA, periods)
+	setA, unpinA, err := s.get(locA, periods)
 	if err != nil {
 		return nil, err
 	}
 	defer unpinA()
-	setB, fenceB, unpinB, err := s.get(locB, periods)
+	setB, unpinB, err := s.get(locB, periods)
 	if err != nil {
 		return nil, err
 	}
 	defer unpinB()
-	return s.cache.PointToPoint(fenceA, fenceB, setA, setB, s.s)
+	return s.cache.PointToPoint(setA, setB, s.s)
 }
 
 // ODVolume estimates the single-period point-to-point volume between two

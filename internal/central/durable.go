@@ -13,8 +13,8 @@ import (
 
 // Durable wraps a Server with a write-ahead log so that every ingested
 // record is fsynced before the upload is acknowledged: the transport Ack
-// is a durability promise, not just a parse receipt. Queries and
-// retention pass through to the embedded Server unchanged — the
+// is a durability promise, not just a parse receipt. Queries pass
+// through to the embedded Server unchanged — the
 // replayed store is the same in-memory structure, so estimator outputs
 // over recovered records are bit-identical to a never-crashed run
 // (proven by the differential tests in durable_test.go).
@@ -22,15 +22,15 @@ import (
 // # Publish order
 //
 // A record enters the store only once a sync covers its log entry, and
-// records enter in log order, so a query only ever sees durable records
-// and the store's per-record sequence numbers follow the log. Under mu,
-// Ingest rejects a duplicate (a stored record or a pending one), appends
-// the record to the log without a sync and queues it as pending. Commit
-// counts the logged records, syncs the log, and then publishes the
-// pending records it counted into the store under mu, so the store's
-// Ingest must not call back into the Durable. A failed append leaves no
-// trace, so the RSU's retry starts clean; a failed sync poisons the
-// log, so a pending record never becomes visible.
+// records enter in log order, so a query only ever sees durable
+// records. Under mu, Ingest rejects a duplicate (a stored record or a
+// pending one), appends the record to the log without a sync and queues
+// it as pending. Commit counts the logged records, syncs the log, and
+// then publishes the pending records it counted into the store under
+// mu, so the store's Ingest must not call back into the Durable. A
+// failed append leaves no trace, so the RSU's retry starts clean; a
+// failed sync poisons the log, so a pending record never becomes
+// visible.
 //
 // # Batches
 //

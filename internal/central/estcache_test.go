@@ -1,7 +1,6 @@
 package central
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -30,34 +29,10 @@ func seedLocation(t *testing.T, s *Server, loc vhash.LocationID, nPeriods, m int
 	return periods
 }
 
-// uncachedCopy is an uncached resident server holding the records s
-// stores at locs — the reference a cached answer must match.
-func uncachedCopy(t *testing.T, s *Server, locs ...vhash.LocationID) *Server {
-	t.Helper()
-	ref := newServer(t)
-	ref.SetEstimateCache(0)
-	for _, loc := range locs {
-		for _, p := range s.Periods(loc) {
-			rec, unpin, ok := s.Store().Lookup(loc, p)
-			if !ok {
-				t.Fatalf("loc=%d period=%d vanished", loc, p)
-			}
-			err := ref.Ingest(rec)
-			unpin()
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return ref
-}
-
 // TestServerEstCacheHitsAndIngestInvalidation: repeated queries hit the
 // cache, results stay bit-identical, and an ingest at a period the
 // window does not name leaves the cached entry live. A wider window
-// naming the new period is its own key, and retention plus a re-ingest
-// with different bits at a named period fences the entry, so the next
-// query recomputes against the new record.
+// naming the new period is its own key.
 func TestServerEstCacheHitsAndIngestInvalidation(t *testing.T) {
 	s := newServer(t)
 	rng := rand.New(rand.NewSource(81))
@@ -74,7 +49,7 @@ func TestServerEstCacheHitsAndIngestInvalidation(t *testing.T) {
 	if *first != *second {
 		t.Fatalf("cached query diverges: %+v vs %+v", first, second)
 	}
-	if st := s.EstCacheStats(); st.Hits != 1 || st.Misses != 1 || st.Invalidations != 0 {
+	if st := s.EstCacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats after warm query: %+v", st)
 	}
 
@@ -94,7 +69,7 @@ func TestServerEstCacheHitsAndIngestInvalidation(t *testing.T) {
 	if *third != *first {
 		t.Fatalf("hit after an unnamed ingest diverges: %+v vs %+v", third, first)
 	}
-	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 1 || st.Invalidations != 0 {
+	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("query after an ingest at an unnamed period must hit: %+v", st)
 	}
 
@@ -106,39 +81,10 @@ func TestServerEstCacheHitsAndIngestInvalidation(t *testing.T) {
 	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 2 {
 		t.Fatalf("wider period set should miss: %+v", st)
 	}
-
-	// Retire the window's oldest period and re-ingest it with other bits:
-	// the window now names a different record, so the query must miss
-	// and answer from the new one.
-	if n, err := s.RetainLatest(5, len(periods)); err != nil || n != 1 {
-		t.Fatalf("RetainLatest dropped %d records (%v), want 1", n, err)
-	}
-	if st := s.EstCacheStats(); st.Invalidations != 1 {
-		t.Fatalf("retention must count one invalidation per dropped record: %+v", st)
-	}
-	if err := s.Ingest(seededRecord(t, rng, 5, periods[0], 1<<10)); err != nil {
-		t.Fatal(err)
-	}
-	fourth, err := s.PointPersistent(5, periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 3 {
-		t.Fatalf("query over a re-ingested period must miss: %+v", st)
-	}
-	want, err := uncachedCopy(t, s, 5).PointPersistent(5, periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *fourth != *want || *fourth == *first {
-		t.Fatalf("re-ingested window answered %+v, want the new record's %+v (old %+v)", fourth, want, first)
-	}
 }
 
 // TestServerEstCacheP2P: the point-to-point path caches too; an ingest
-// at an unnamed period of either endpoint leaves the pair entry live,
-// and retention plus a re-ingest at a named period of one endpoint
-// fences it.
+// at an unnamed period of either endpoint leaves the pair entry live.
 func TestServerEstCacheP2P(t *testing.T) {
 	s := newServer(t)
 	rng := rand.New(rand.NewSource(82))
@@ -168,7 +114,7 @@ func TestServerEstCacheP2P(t *testing.T) {
 		t.Fatalf("p2p stats: %+v", st)
 	}
 
-	// Ingest at an unnamed period of the B endpoint: neither fence moves.
+	// Ingest at an unnamed period of the B endpoint: the pair still hits.
 	if err := s.Ingest(seededRecord(t, rng, 8, 50, 1<<10)); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +125,7 @@ func TestServerEstCacheP2P(t *testing.T) {
 	if *third != *first {
 		t.Fatalf("p2p hit after an unnamed ingest diverges: %+v vs %+v", third, first)
 	}
-	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 1 || st.Invalidations != 0 {
+	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("p2p after an ingest at an unnamed period must hit: %+v", st)
 	}
 
@@ -193,29 +139,6 @@ func TestServerEstCacheP2P(t *testing.T) {
 	}
 	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 2 {
 		t.Fatalf("wider p2p window should miss: %+v", st)
-	}
-
-	// Re-ingest B's oldest named period with other bits: the pair misses
-	// and answers from the new record.
-	if n, err := s.RetainLatest(8, len(periods)); err != nil || n != 1 {
-		t.Fatalf("RetainLatest dropped %d records (%v), want 1", n, err)
-	}
-	if err := s.Ingest(seededRecord(t, rng, 8, periods[0], 1<<10)); err != nil {
-		t.Fatal(err)
-	}
-	fourth, err := s.PointToPointPersistent(7, 8, periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.EstCacheStats(); st.Hits != 2 || st.Misses != 3 || st.Invalidations != 1 {
-		t.Fatalf("p2p over a re-ingested period must miss: %+v", st)
-	}
-	want, err := uncachedCopy(t, s, 7, 8).PointToPointPersistent(7, 8, periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *fourth != *want || *fourth == *first {
-		t.Fatalf("re-ingested p2p answered %+v, want the new record's %+v (old %+v)", fourth, want, first)
 	}
 }
 
@@ -304,14 +227,16 @@ func TestEstCacheHoldsZipfWorkingSet(t *testing.T) {
 
 // TestEstCacheConcurrentQueryIngest is the -race soak: readers hammer
 // volume, point and p2p queries while a writer keeps ingesting fresh
-// periods at the queried locations (which must fence nothing) and the
-// tiered store freezes under its small budget. Locations 1 and 2 hold a fixed
-// window. Location 3's window is churned: retired with RetainLatest and
-// re-ingested with the next of three contents, round after round. Every answer must be the fixed window's, or the one of a
-// churn round that was live while the query ran, or ErrNotFound — never
-// an earlier round's. Run by check.sh's race stress stage with -count=2.
+// periods at the queried locations and the tiered store freezes under
+// its small budget. Locations 1 and 2 hold a fixed window. A churner
+// ingests one new window per round at location 3 (with location 2's
+// companions at the same periods, for p2p), cycling through three
+// contents, and freezes everything after each round. Every answer must
+// be exactly the one an uncached resident server gives for the same
+// records: the fixed window's, or that of a round the churner has
+// finished. Run by check.sh's race stress stage with -count=2.
 func TestEstCacheConcurrentQueryIngest(t *testing.T) {
-	s, _ := newTieredServer(t, 1<<10)
+	s, tiered := newTieredServer(t, 1<<10)
 	rng := rand.New(rand.NewSource(84))
 	const m = 1 << 9
 	periods := seedLocation(t, s, 1, 4, m, rng)
@@ -339,45 +264,75 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The three contents location 3's window cycles through, each with
-	// its answers computed on an uncached resident server.
-	var churn [3][]*record.Record
-	var churnPoint [3]core.PointResult
-	var churnP2P [3]core.PointToPointResult
-	var churnVolume [3]uint64 // float64 bits
-	for v := range churn {
+	// The churner's rounds: round r ingests location 3's window at
+	// churnPeriods(r) with the r%3-th of three contents, plus location
+	// 2's companions, and each round's answers come from an uncached
+	// resident server holding the same records.
+	const rounds = 40
+	churnPeriods := func(r int) []record.PeriodID {
+		out := make([]record.PeriodID, len(periods))
+		for i := range out {
+			out[i] = record.PeriodID(100 + 10*r + i)
+		}
+		return out
+	}
+	var contents [3][]*record.Record
+	for v := range contents {
+		for range periods {
+			contents[v] = append(contents[v], seededRecord(t, rng, 3, 0, m))
+		}
+	}
+	// at stamps a record's bits with a location and period.
+	at := func(rec *record.Record, loc vhash.LocationID, p record.PeriodID) *record.Record {
+		return &record.Record{Location: loc, Period: p, Bitmap: rec.Bitmap.Clone()}
+	}
+	var churn [rounds][]*record.Record
+	var churnPoint [rounds]core.PointResult
+	var churnP2P [rounds]core.PointToPointResult
+	var churnVolume [rounds]uint64 // float64 bits
+	for r := range churn {
 		ref := newServer(t)
 		ref.SetEstimateCache(0)
-		for i, p := range periods {
-			churn[v] = append(churn[v], seededRecord(t, rng, 3, p, m))
-			if err := ref.Ingest(churn[v][i]); err != nil {
+		for i, p := range churnPeriods(r) {
+			churn[r] = append(churn[r], at(contents[r%3][i], 3, p), at(fixedB[i], 2, p))
+		}
+		for _, rec := range churn[r] {
+			if err := ref.Ingest(rec); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.Ingest(fixedB[i]); err != nil {
-				t.Fatal(err)
+		}
+		ps := churnPeriods(r)
+		pt, err := ref.PointPersistent(3, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := ref.PointToPointPersistent(3, 2, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vol, err := ref.Volume(3, ps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		churnPoint[r], churnP2P[r], churnVolume[r] = *pt, *pp, math.Float64bits(vol)
+	}
+	// churnRound ingests round r's records and freezes the store.
+	churnRound := func(r int) error {
+		for _, rec := range churn[r] {
+			if err := s.Ingest(rec); err != nil {
+				return err
 			}
 		}
-		pt, err := ref.PointPersistent(3, periods)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := ref.PointToPointPersistent(3, 2, periods)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vol, err := ref.Volume(3, periods[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		churnPoint[v], churnP2P[v], churnVolume[v] = *pt, *pp, math.Float64bits(vol)
+		_, err := tiered.Freeze(0)
+		return err
 	}
-	for _, rec := range churn[0] {
-		if err := s.Ingest(rec); err != nil {
-			t.Fatal(err)
-		}
+	// done is the number of rounds fully ingested; round 0 is before any
+	// reader starts.
+	if err := churnRound(0); err != nil {
+		t.Fatal(err)
 	}
-	// round is the last churn round whose window is fully ingested.
-	var round atomic.Int64
+	var done atomic.Int64
+	done.Store(1)
 
 	const (
 		readers       = 4
@@ -413,23 +368,17 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 	churnWg.Add(1)
 	go func() {
 		defer churnWg.Done()
-		for r := int64(1); ; r++ {
+		for r := 1; r < rounds; r++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if _, err := s.RetainLatest(3, 0); err != nil {
+			if err := churnRound(r); err != nil {
 				errc <- err
 				return
 			}
-			for _, rec := range churn[r%3] {
-				if err := s.Ingest(rec); err != nil {
-					errc <- err
-					return
-				}
-			}
-			round.Store(r)
+			done.Store(int64(r + 1))
 		}
 	}()
 
@@ -437,10 +386,16 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			rrng := rand.New(rand.NewSource(int64(86 + g)))
 			for j := 0; j < readsPerGo; j++ {
 				var ok bool
-				r0 := round.Load()
-				switch (j + g) % 6 {
+				kind := (j + g) % 6
+				r := 0
+				if kind%2 == 1 {
+					// A churned window: only finished rounds are asked.
+					r = rrng.Intn(int(done.Load()))
+				}
+				switch kind {
 				case 0:
 					got, err := s.PointPersistent(1, periods)
 					if err != nil {
@@ -449,30 +404,26 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 					}
 					ok = *got == *wantPoint
 				case 1:
+					got, err := s.PointPersistent(3, churnPeriods(r))
+					if err != nil {
+						errc <- err
+						return
+					}
+					ok = *got == churnPoint[r]
+				case 2:
 					got, err := s.PointToPointPersistent(1, 2, periods)
 					if err != nil {
 						errc <- err
 						return
 					}
 					ok = *got == *wantP2P
-				case 2:
-					got, err := s.PointPersistent(3, periods)
-					if errors.Is(err, ErrNotFound) {
-						continue
-					} else if err != nil {
-						errc <- err
-						return
-					}
-					ok = liveRound(*got, churnPoint, r0, round.Load())
 				case 3:
-					got, err := s.PointToPointPersistent(3, 2, periods)
-					if errors.Is(err, ErrNotFound) {
-						continue
-					} else if err != nil {
+					got, err := s.PointToPointPersistent(3, 2, churnPeriods(r))
+					if err != nil {
 						errc <- err
 						return
 					}
-					ok = liveRound(*got, churnP2P, r0, round.Load())
+					ok = *got == churnP2P[r]
 				case 4:
 					got, err := s.Volume(1, periods[0])
 					if err != nil {
@@ -481,14 +432,12 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 					}
 					ok = math.Float64bits(got) == math.Float64bits(wantVolume)
 				case 5:
-					got, err := s.Volume(3, periods[0])
-					if errors.Is(err, ErrNotFound) {
-						continue
-					} else if err != nil {
+					got, err := s.Volume(3, churnPeriods(r)[0])
+					if err != nil {
 						errc <- err
 						return
 					}
-					ok = liveRound(math.Float64bits(got), churnVolume, r0, round.Load())
+					ok = math.Float64bits(got) == churnVolume[r]
 				}
 				if !ok {
 					errc <- errDrift
@@ -510,22 +459,6 @@ func TestEstCacheConcurrentQueryIngest(t *testing.T) {
 	if st.Hits+st.Misses != uint64(answered.Load())+3 {
 		t.Fatalf("every answered read must count exactly once: %+v, %d answered", st, answered.Load())
 	}
-	if st.Invalidations == 0 {
-		t.Fatal("the churner's retention must record invalidations")
-	}
-}
-
-// liveRound reports whether got is the answer of a churn round whose
-// window could have been complete while the query ran: round r0 (live
-// at the start) through r1+1 (fully ingested, not yet announced, at the
-// end).
-func liveRound[T comparable](got T, answers [3]T, r0, r1 int64) bool {
-	for r := r0; r <= r1+1; r++ {
-		if got == answers[r%3] {
-			return true
-		}
-	}
-	return false
 }
 
 var errDrift = &driftError{}
@@ -533,5 +466,5 @@ var errDrift = &driftError{}
 type driftError struct{}
 
 func (*driftError) Error() string {
-	return "concurrent cached query diverged from every answer live while it ran"
+	return "concurrent cached query diverged from the uncached answer"
 }

@@ -22,6 +22,7 @@ import (
 //	GET /locations                   -> locations with their periods (JSON)
 //	GET /query/volume?loc=1&period=2 -> one period's volume estimate
 //	GET /query/point?loc=1&periods=1,2,3
+//	GET /query/od?loc=1&loc2=2&period=1  -> one period's OD volume
 //	GET /query/p2p?loc=1&loc2=2&periods=1,2,3
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -42,11 +43,10 @@ func (s *Server) Handler() http.Handler {
 			"segments":     st.Segments,
 			"s":            s.S(),
 			"estcache": map[string]any{
-				"hits":          cs.Hits,
-				"misses":        cs.Misses,
-				"invalidations": cs.Invalidations,
-				"entries":       cs.Entries,
-				"capacity":      cs.Capacity,
+				"hits":     cs.Hits,
+				"misses":   cs.Misses,
+				"entries":  cs.Entries,
+				"capacity": cs.Capacity,
 			},
 		}
 		if bc, ok := s.st.(store.CacheStatser); ok {

@@ -16,21 +16,60 @@ import (
 	"ptm/internal/vhash"
 )
 
-// countingStore counts the calls that read records; a cache hit must
-// make none.
+// countingStore forwards every Store method to inner and counts the
+// calls; a cache hit must make none. The embedded Store is nil: a
+// method this type does not forward panics instead of going uncounted.
 type countingStore struct {
 	store.Store
-	collects, lookups atomic.Int64
+	inner                    store.Store
+	calls, collects, lookups atomic.Int64
 }
 
-func (c *countingStore) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*record.Record, uint64, func(), error) {
-	c.collects.Add(1)
-	return c.Store.Collect(loc, periods)
+func (c *countingStore) Ingest(rec *record.Record) (int, error) {
+	c.calls.Add(1)
+	return c.inner.Ingest(rec)
+}
+
+func (c *countingStore) Contains(loc vhash.LocationID, p record.PeriodID) bool {
+	c.calls.Add(1)
+	return c.inner.Contains(loc, p)
 }
 
 func (c *countingStore) Lookup(loc vhash.LocationID, p record.PeriodID) (*record.Record, func(), bool) {
+	c.calls.Add(1)
 	c.lookups.Add(1)
-	return c.Store.Lookup(loc, p)
+	return c.inner.Lookup(loc, p)
+}
+
+func (c *countingStore) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*record.Record, uint64, func(), error) {
+	c.calls.Add(1)
+	c.collects.Add(1)
+	return c.inner.Collect(loc, periods)
+}
+
+func (c *countingStore) Locations() []vhash.LocationID {
+	c.calls.Add(1)
+	return c.inner.Locations()
+}
+
+func (c *countingStore) Periods(loc vhash.LocationID) []record.PeriodID {
+	c.calls.Add(1)
+	return c.inner.Periods(loc)
+}
+
+func (c *countingStore) Sorted(fn func(recs []*record.Record) error) error {
+	c.calls.Add(1)
+	return c.inner.Sorted(fn)
+}
+
+func (c *countingStore) Stats() store.Stats {
+	c.calls.Add(1)
+	return c.inner.Stats()
+}
+
+func (c *countingStore) Close() error {
+	c.calls.Add(1)
+	return c.inner.Close()
 }
 
 // reads is the number of record-reading calls so far.
@@ -38,7 +77,7 @@ func (c *countingStore) reads() int64 { return c.collects.Load() + c.lookups.Loa
 
 // blockCache is the block cache's counters (zero without a cold tier).
 func (c *countingStore) blockCache() store.CacheStats {
-	if cs, ok := c.Store.(store.CacheStatser); ok {
+	if cs, ok := c.inner.(store.CacheStatser); ok {
 		return cs.CacheStats()
 	}
 	return store.CacheStats{}
@@ -117,7 +156,7 @@ func probeFixtures(t *testing.T) map[string]*probeFixture {
 
 	out := make(map[string]*probeFixture)
 	for name, st := range map[string]store.Store{"mem": mem, "tiered": tiered, "mmap": mmap} {
-		cs := &countingStore{Store: st}
+		cs := &countingStore{inner: st}
 		srv, err := NewServerWithStore(3, cs)
 		if err != nil {
 			t.Fatal(err)
@@ -265,15 +304,46 @@ func TestProbeHitReadsNoRecord(t *testing.T) {
 	}
 }
 
-// TestProbeFreezeStillHits: a tier move between fill and probe keeps the
-// epoch, so the cached answer is still the record set's.
+// TestProbeHitMakesNoStoreCall: a volume, point or p2p query the cache
+// answers calls no store method at all — it reads neither a record nor
+// the index.
+func TestProbeHitMakesNoStoreCall(t *testing.T) {
+	for name, fx := range probeFixtures(t) {
+		ask := func() error {
+			if _, err := fx.srv.Volume(7, 1); err != nil {
+				return err
+			}
+			if _, err := fx.srv.PointPersistent(7, probeWindow); err != nil {
+				return err
+			}
+			_, err := fx.srv.PointToPointPersistent(7, 8, probeWindow)
+			return err
+		}
+		if err := ask(); err != nil {
+			t.Fatal(err)
+		}
+		calls, est := fx.st.calls.Load(), fx.srv.EstCacheStats()
+		if err := ask(); err != nil {
+			t.Fatal(err)
+		}
+		if after := fx.srv.EstCacheStats(); after.Hits != est.Hits+3 || after.Misses != est.Misses {
+			t.Fatalf("%s: repeated queries must hit: %+v -> %+v", name, est, after)
+		}
+		if got := fx.st.calls.Load() - calls; got != 0 {
+			t.Errorf("%s: three cache hits made %d store calls, want 0", name, got)
+		}
+	}
+}
+
+// TestProbeFreezeStillHits: a tier move between fill and probe leaves
+// the records' bits, and so the cached answer, as they were.
 func TestProbeFreezeStillHits(t *testing.T) {
 	fx := probeFixtures(t)["tiered"]
 	want, err := fx.srv.PointPersistent(7, probeWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fx.st.Store.(*store.Tiered).Freeze(0); err != nil {
+	if _, err := fx.st.inner.(*store.Tiered).Freeze(0); err != nil {
 		t.Fatal(err)
 	}
 	reads, est := fx.st.reads(), fx.srv.EstCacheStats()
@@ -286,54 +356,5 @@ func TestProbeFreezeStillHits(t *testing.T) {
 	}
 	if after := fx.srv.EstCacheStats(); after.Hits != est.Hits+1 || fx.st.reads() != reads {
 		t.Fatalf("query after freeze must hit without reading: %+v -> %+v, %d reads", est, after, fx.st.reads()-reads)
-	}
-}
-
-// TestProbeRetentionReingestMisses: dropping a period and ingesting it
-// again is a new record set (new epoch) even with identical bits, so
-// the next query recomputes.
-func TestProbeRetentionReingestMisses(t *testing.T) {
-	fixtures := probeFixtures(t)
-	for _, name := range []string{"mem", "tiered"} {
-		fx := fixtures[name]
-		want, err := fx.srv.PointPersistent(7, probeWindow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		retired := fx.recs[0].Period
-		wantVolume, err := fx.srv.Volume(7, retired)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fx.srv.RetainLatest(7, 3); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fx.srv.PointPersistent(7, probeWindow); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("%s: query over a retired period: err %v, want ErrNotFound", name, err)
-		}
-		if _, err := fx.srv.Volume(7, retired); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("%s: volume of a retired period: err %v, want ErrNotFound", name, err)
-		}
-		if err := fx.srv.Ingest(fx.recs[0]); err != nil {
-			t.Fatal(err)
-		}
-		est := fx.srv.EstCacheStats()
-		got, err := fx.srv.PointPersistent(7, probeWindow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got != *want {
-			t.Fatalf("%s: after re-ingest: %+v, want %+v", name, got, want)
-		}
-		gotVolume, err := fx.srv.Volume(7, retired)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(gotVolume) != math.Float64bits(wantVolume) {
-			t.Fatalf("%s: volume after re-ingest: %v, want %v", name, gotVolume, wantVolume)
-		}
-		if after := fx.srv.EstCacheStats(); after.Misses != est.Misses+2 || after.Hits != est.Hits {
-			t.Fatalf("%s: queries after retention and re-ingest must miss: %+v -> %+v", name, est, after)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package central
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,7 +59,7 @@ func TestSnapshotShardCountIndependent(t *testing.T) {
 }
 
 // TestConcurrentUploadQuerySoak hammers the sharded store with parallel
-// ingest, queries, listings, stats, and retention. Run under -race this
+// ingest, queries, listings, and stats. Run under -race this
 // is the store's memory-model check; the final census must be exact.
 func TestConcurrentUploadQuerySoak(t *testing.T) {
 	const (
@@ -109,11 +110,15 @@ func TestConcurrentUploadQuerySoak(t *testing.T) {
 					if len(ps) == 0 {
 						continue
 					}
-					//ptmlint:allow errdrop -- racing a concurrent writer, absence is expected
-					_, _ = srv.Volume(loc, ps[0])
+					// A listed period stays stored; the estimators may
+					// reject these sparse records, which is not checked.
+					if _, err := srv.Volume(loc, ps[0]); errors.Is(err, ErrNotFound) {
+						t.Errorf("volume of listed period %d at loc %d: %v", ps[0], loc, err)
+					}
 					if len(ps) >= 2 {
-						//ptmlint:allow errdrop -- a period may be dropped mid-query by retention
-						_, _ = srv.PointPersistent(loc, ps[:2])
+						if _, err := srv.PointPersistent(loc, ps[:2]); errors.Is(err, ErrNotFound) {
+							t.Errorf("point over listed periods %v at loc %d: %v", ps[:2], loc, err)
+						}
 					}
 				}
 			}
@@ -130,12 +135,5 @@ func TestConcurrentUploadQuerySoak(t *testing.T) {
 	st := srv.Stats()
 	if st.Locations != writers*10 || int64(st.Records) != want {
 		t.Errorf("stats = %+v, want %d locations, %d records", st, writers*10, want)
-	}
-	// Retention still agrees with the census.
-	if dropped, err := srv.DropBefore(perLoc + 1); err != nil || int64(dropped) != want {
-		t.Errorf("dropped %d (%v), want %d", dropped, err, want)
-	}
-	if st := srv.Stats(); st.Records != 0 || st.Locations != 0 {
-		t.Errorf("store not empty after drop: %+v", st)
 	}
 }

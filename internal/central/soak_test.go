@@ -8,7 +8,7 @@ import (
 )
 
 // TestSoakCityScale exercises the store at deployment scale: 1000
-// locations x 30 periods of ingest, enumeration, queries, retention, and
+// locations x 30 periods of ingest, enumeration, queries, and
 // bookkeeping consistency.
 func TestSoakCityScale(t *testing.T) {
 	if testing.Short() {
@@ -43,28 +43,5 @@ func TestSoakCityScale(t *testing.T) {
 		if _, err := s.PointPersistent(loc, []record.PeriodID{1, 10, 20, 30}); err != nil {
 			t.Errorf("point at %d: %v", loc, err)
 		}
-	}
-	// Retention: keep only the newest 7 periods everywhere.
-	total := 0
-	for loc := 1; loc <= locations; loc++ {
-		dropped, err := s.RetainLatest(vhash.LocationID(loc), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += dropped
-	}
-	if want := locations * (periods - 7); total != want {
-		t.Errorf("retention dropped %d, want %d", total, want)
-	}
-	st = s.Stats()
-	if st.Records != locations*7 {
-		t.Errorf("records after retention = %d", st.Records)
-	}
-	// Global cutoff wipes everything.
-	if dropped, err := s.DropBefore(periods + 1); err != nil || dropped != locations*7 {
-		t.Errorf("final drop = %d", dropped)
-	}
-	if st := s.Stats(); st.Locations != 0 || st.Records != 0 {
-		t.Errorf("store not empty: %+v", st)
 	}
 }

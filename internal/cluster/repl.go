@@ -27,11 +27,9 @@ package cluster
 // retry next round, at worst re-sending records the peer deduplicates.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"ptm/internal/central"
 	"ptm/internal/record"
 	"ptm/internal/transport"
 	"ptm/internal/vhash"
@@ -179,15 +177,8 @@ func (n *Node) fullResync(c *transport.Client, r *Ring, peer string, sealed uint
 		if !n.shouldShip(r, loc, peer) {
 			continue
 		}
-		periods := n.Periods(loc)
-		if len(periods) == 0 {
-			continue // raced retention; nothing to ship
-		}
-		blobs, err := n.RecordBlobs(loc, periods)
+		blobs, err := n.RecordBlobs(loc, n.Periods(loc))
 		if err != nil {
-			if errors.Is(err, central.ErrNotFound) {
-				continue // raced retention; nothing to ship
-			}
 			return sent, err
 		}
 		s, err := n.sendBlobs(c, r, blobs, sealed)

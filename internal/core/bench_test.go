@@ -144,11 +144,12 @@ func BenchmarkEstimateCache(b *testing.B) {
 			name := fmt.Sprintf("m=2^%d/t=%d", log2(m), t)
 			b.Run(name+"/cold", func(b *testing.B) {
 				b.ReportAllocs()
-				c := NewEstCache(DefaultEstCacheEntries)
+				// One entry and two keys, asked in turn, defeat the
+				// cache: every call is a miss that computes and stores.
+				c := NewEstCache(1)
+				sets := [2]*record.Set{set, relabel(b, set, 2)}
 				for i := 0; i < b.N; i++ {
-					// A fresh epoch per iteration defeats the cache: every
-					// call is a miss that computes and stores.
-					res, err := c.Point(uint64(i), set, SplitHalves)
+					res, err := c.Point(sets[i%2], SplitHalves)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -158,12 +159,12 @@ func BenchmarkEstimateCache(b *testing.B) {
 			b.Run(name+"/hit", func(b *testing.B) {
 				b.ReportAllocs()
 				c := NewEstCache(DefaultEstCacheEntries)
-				if _, err := c.Point(1, set, SplitHalves); err != nil {
+				if _, err := c.Point(set, SplitHalves); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := c.Point(1, set, SplitHalves)
+					res, err := c.Point(set, SplitHalves)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -2,20 +2,15 @@ package core
 
 // The estimate cache: memoized read side of the query plane.
 //
-// Records are immutable once ingested (the store only ever adds or drops
-// whole records), so an estimator's output is a pure function of the
-// records it joins: (location, period set, split parameters) — until
-// retention and a re-ingest change one of the named records.
-// EstCache memoizes full estimator results behind that key plus a
-// *fence*: the highest per-location sequence number among the named
-// records, which the store issues once per admitted record and never
-// reuses. Any change to the named set raises its fence; an upload at a
-// period the set does not name leaves it alone. The key is the record
-// set's identity, not its contents, so a caller can probe it from the
-// store's index (store.Store.Fence) before reading a single bitmap. A
-// stale entry is never returned — its key simply stops being generated —
-// and dies by LRU eviction, so nothing ever scans the cache (lazy
-// invalidation; DESIGN.md §13).
+// The store only ever adds records, and a stored record never changes,
+// so once a request's records can be collected the request names them
+// forever: an estimator's output is a pure function of (kind, split
+// parameters, location(s), sorted periods). EstCache memoizes full
+// estimator results under exactly that key. The key is the request,
+// not the records, so a caller probes the cache before it asks the
+// store anything, and a hit makes no store call at all. No entry can go
+// stale, so nothing is ever invalidated; entries leave only by LRU
+// eviction (DESIGN.md §13).
 //
 // Hits are bit-identical to misses by construction: the cache stores the
 // exact result struct a cold computation produced and hands back copies
@@ -52,20 +47,17 @@ const (
 	estKindVolume
 )
 
-// estKey identifies one memoizable estimator invocation. Fences are part
-// of the key: a change to a named record set raises its fence, so stale
-// entries become unreachable instead of being hunted down. The period
+// estKey identifies one memoizable estimator invocation. The period
 // set enters as an FNV-1a hash; the entry keeps the exact periods and
 // every hit re-verifies them, so a hash collision degrades to a miss,
 // never to a wrong answer.
 type estKey struct {
-	kind           estKind
-	strategy       SplitStrategy
-	s              int
-	t              int
-	locA, locB     vhash.LocationID
-	fenceA, fenceB uint64
-	phash          uint64
+	kind       estKind
+	strategy   SplitStrategy
+	s          int
+	t          int
+	locA, locB vhash.LocationID
+	phash      uint64
 }
 
 // estEntry is one cached result (exactly one of point/p2p/volume is
@@ -80,8 +72,12 @@ type estEntry struct {
 
 // EstCacheStats is a snapshot of the cache's counters.
 type EstCacheStats struct {
-	Hits, Misses, Invalidations uint64
-	Entries, Capacity           int
+	Hits, Misses uint64
+	// Invalidations is always 0: no entry can go stale. It stays only
+	// because bench/ptmload, whose source the benchmark comparison
+	// pins, reads it.
+	Invalidations     uint64
+	Entries, Capacity int
 }
 
 // EstCache is a bounded LRU of estimator results. A nil *EstCache is
@@ -98,9 +94,8 @@ type EstCache struct {
 	order *list.List // front = most recently used; Values are *estEntry
 	cap   int
 
-	hits          atomic.Uint64
-	misses        atomic.Uint64
-	invalidations atomic.Uint64
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // NewEstCache creates a cache bounded to capacity entries. A capacity
@@ -120,7 +115,7 @@ func NewEstCache(capacity int) *EstCache {
 // periods must be sorted and free of duplicates (a record.Set's order).
 //
 //ptm:noalloc
-func makeKey(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.LocationID, fenceA, fenceB uint64, periods []record.PeriodID) estKey {
+func makeKey(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.LocationID, periods []record.PeriodID) estKey {
 	return estKey{
 		kind:     kind,
 		strategy: strategy,
@@ -128,8 +123,6 @@ func makeKey(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.Locat
 		t:        len(periods),
 		locA:     locA,
 		locB:     locB,
-		fenceA:   fenceA,
-		fenceB:   fenceB,
 		phash:    hashPeriods(periods),
 	}
 }
@@ -230,10 +223,9 @@ func (c *EstCache) countMiss() {
 	c.misses.Add(1)
 }
 
-// probe looks a request up under the fences the store's Fence returned.
-// periods may be in any order; one that repeats a period names no valid
-// set and is never probed.
-func (c *EstCache) probe(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.LocationID, fenceA, fenceB uint64, periods []record.PeriodID) (estEntry, bool) {
+// probe looks a request up. periods may be in any order; one that
+// repeats a period names no valid set and is never probed.
+func (c *EstCache) probe(kind estKind, strategy SplitStrategy, s int, locA, locB vhash.LocationID, periods []record.PeriodID) (estEntry, bool) {
 	if c == nil {
 		return estEntry{}, false
 	}
@@ -241,15 +233,15 @@ func (c *EstCache) probe(kind estKind, strategy SplitStrategy, s int, locA, locB
 	if !ok {
 		return estEntry{}, false
 	}
-	return c.lookup(makeKey(kind, strategy, s, locA, locB, fenceA, fenceB, sorted), sorted)
+	return c.lookup(makeKey(kind, strategy, s, locA, locB, sorted), sorted)
 }
 
 // ProbePoint answers a point query from the cache alone: the result
-// Point cached under the same (location, fence, periods, strategy), if
-// any. A hit counts one hit; a miss counts nothing, because the caller
-// then collects the set and calls Point, which counts it.
-func (c *EstCache) ProbePoint(loc vhash.LocationID, fence uint64, periods []record.PeriodID, strategy SplitStrategy) (*PointResult, bool) {
-	e, ok := c.probe(estKindPoint, strategy, 0, loc, 0, fence, 0, periods)
+// Point cached under the same (location, periods, strategy), if any. A
+// hit counts one hit; a miss counts nothing, because the caller then
+// collects the set and calls Point, which counts it.
+func (c *EstCache) ProbePoint(loc vhash.LocationID, periods []record.PeriodID, strategy SplitStrategy) (*PointResult, bool) {
+	e, ok := c.probe(estKindPoint, strategy, 0, loc, 0, periods)
 	if !ok {
 		return nil, false
 	}
@@ -258,8 +250,8 @@ func (c *EstCache) ProbePoint(loc vhash.LocationID, fence uint64, periods []reco
 }
 
 // ProbePointToPoint is ProbePoint for PointToPoint.
-func (c *EstCache) ProbePointToPoint(locL, locLPrime vhash.LocationID, fenceL, fenceLP uint64, periods []record.PeriodID, s int) (*PointToPointResult, bool) {
-	e, ok := c.probe(estKindP2P, 0, s, locL, locLPrime, fenceL, fenceLP, periods)
+func (c *EstCache) ProbePointToPoint(locL, locLPrime vhash.LocationID, periods []record.PeriodID, s int) (*PointToPointResult, bool) {
+	e, ok := c.probe(estKindP2P, 0, s, locL, locLPrime, periods)
 	if !ok {
 		return nil, false
 	}
@@ -268,20 +260,18 @@ func (c *EstCache) ProbePointToPoint(locL, locLPrime vhash.LocationID, fenceL, f
 }
 
 // ProbeVolume is ProbePoint for Volume.
-func (c *EstCache) ProbeVolume(loc vhash.LocationID, fence uint64, p record.PeriodID) (float64, bool) {
-	e, ok := c.probe(estKindVolume, 0, 0, loc, 0, fence, 0, []record.PeriodID{p})
+func (c *EstCache) ProbeVolume(loc vhash.LocationID, p record.PeriodID) (float64, bool) {
+	e, ok := c.probe(estKindVolume, 0, 0, loc, 0, []record.PeriodID{p})
 	return e.volume, ok
 }
 
-// Volume is EstimateVolume memoized under (location, fence, period).
-// fence must be the one the store returned atomically with rec
-// (store.Store.Collect).
-func (c *EstCache) Volume(fence uint64, rec *record.Record) (float64, error) {
+// Volume is EstimateVolume memoized under (location, period).
+func (c *EstCache) Volume(rec *record.Record) (float64, error) {
 	if c == nil {
 		return EstimateVolume(rec)
 	}
 	periods := []record.PeriodID{rec.Period}
-	key := makeKey(estKindVolume, 0, 0, rec.Location, 0, fence, 0, periods)
+	key := makeKey(estKindVolume, 0, 0, rec.Location, 0, periods)
 	if e, ok := c.lookup(key, periods); ok {
 		return e.volume, nil
 	}
@@ -294,15 +284,14 @@ func (c *EstCache) Volume(fence uint64, rec *record.Record) (float64, error) {
 	return v, nil
 }
 
-// Point is EstimatePointOpts memoized under (location, fence, periods,
-// strategy). fence must be the one the store returned atomically with
-// set's records (store.Store.Collect).
-func (c *EstCache) Point(fence uint64, set *record.Set, strategy SplitStrategy) (*PointResult, error) {
+// Point is EstimatePointOpts memoized under (location, periods,
+// strategy).
+func (c *EstCache) Point(set *record.Set, strategy SplitStrategy) (*PointResult, error) {
 	if c == nil {
 		return EstimatePointOpts(set, strategy)
 	}
 	periods := set.Periods()
-	key := makeKey(estKindPoint, strategy, 0, set.Location(), 0, fence, 0, periods)
+	key := makeKey(estKindPoint, strategy, 0, set.Location(), 0, periods)
 	if e, ok := c.lookup(key, periods); ok {
 		out := e.point
 		return &out, nil
@@ -319,17 +308,17 @@ func (c *EstCache) Point(fence uint64, set *record.Set, strategy SplitStrategy) 
 }
 
 // PointToPoint is EstimatePointToPoint memoized under (both locations,
-// both fences, periods, s). The location order is part of the key
+// periods, s). The location order is part of the key
 // (Eq. 21 is symmetric in the result but the caller's argument order is
 // preserved, matching the uncached path exactly). The key holds setL's
 // periods only, so sets that do not cover the same periods skip the
 // lookup and get EstimatePointToPoint's error.
-func (c *EstCache) PointToPoint(fenceL, fenceLP uint64, setL, setLPrime *record.Set, s int) (*PointToPointResult, error) {
+func (c *EstCache) PointToPoint(setL, setLPrime *record.Set, s int) (*PointToPointResult, error) {
 	if c == nil {
 		return EstimatePointToPoint(setL, setLPrime, s)
 	}
 	periods := setL.Periods()
-	key := makeKey(estKindP2P, 0, s, setL.Location(), setLPrime.Location(), fenceL, fenceLP, periods)
+	key := makeKey(estKindP2P, 0, s, setL.Location(), setLPrime.Location(), periods)
 	if record.CheckAligned(setL, setLPrime) == nil {
 		if e, ok := c.lookup(key, periods); ok {
 			out := e.p2p
@@ -343,16 +332,6 @@ func (c *EstCache) PointToPoint(fenceL, fenceLP uint64, setL, setLPrime *record.
 	}
 	c.store(&estEntry{key: key, periods: periods, p2p: *res})
 	return res, nil
-}
-
-// NoteInvalidations records that n records were dropped, fencing
-// whatever entries named them. Counters only; no entry is touched.
-//
-//ptm:noalloc
-func (c *EstCache) NoteInvalidations(n int) {
-	if c != nil && n > 0 {
-		c.invalidations.Add(uint64(n))
-	}
 }
 
 // Len returns the number of live entries.
@@ -374,10 +353,9 @@ func (c *EstCache) Stats() EstCacheStats {
 	entries := c.order.Len()
 	c.mu.Unlock()
 	return EstCacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Invalidations: c.invalidations.Load(),
-		Entries:       entries,
-		Capacity:      c.cap,
+		Hits:     c.hits.Load(),
+		Misses:   c.misses.Load(),
+		Entries:  entries,
+		Capacity: c.cap,
 	}
 }

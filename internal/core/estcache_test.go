@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ptm/internal/record"
+	"ptm/internal/vhash"
 )
 
 // estTestSets builds a deterministic point set and an aligned second-
@@ -30,11 +31,11 @@ func TestEstCachePointHitBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, err := c.Point(5, set, SplitHalves)
+	miss, err := c.Point(set, SplitHalves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := c.Point(5, set, SplitHalves)
+	hit, err := c.Point(set, SplitHalves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestEstCacheP2PHitBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, err := c.PointToPoint(1, 2, setA, setB, 3)
+	miss, err := c.PointToPoint(setA, setB, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := c.PointToPoint(1, 2, setA, setB, 3)
+	hit, err := c.PointToPoint(setA, setB, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,31 +76,6 @@ func TestEstCacheP2PHitBitIdentical(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestEstCacheEpochFencing: changing the epoch must force a recompute,
-// and the stale epoch's entry must stay reachable only under its own
-// epoch (lazy invalidation never returns stale data).
-func TestEstCacheEpochFencing(t *testing.T) {
-	set, _ := estTestSets(t)
-	c := NewEstCache(16)
-
-	if _, err := c.Point(1, set, SplitHalves); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Point(2, set, SplitHalves); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Misses != 2 || st.Hits != 0 {
-		t.Fatalf("epoch bump did not miss: %+v", st)
-	}
-	if _, err := c.Point(1, set, SplitHalves); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Hits != 1 {
-		t.Fatalf("old epoch no longer hits its own entry: %+v", st)
 	}
 }
 
@@ -132,7 +108,7 @@ func TestEstCacheKeySeparation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Point(7, q.set, q.strategy)
+		got, err := c.Point(q.set, q.strategy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,32 +122,49 @@ func TestEstCacheKeySeparation(t *testing.T) {
 	}
 }
 
+// relabel returns set's records moved to location loc: the same bits
+// under another cache key.
+func relabel(tb testing.TB, set *record.Set, loc vhash.LocationID) *record.Set {
+	tb.Helper()
+	recs := make([]*record.Record, set.Len())
+	for i, p := range set.Periods() {
+		recs[i] = &record.Record{Location: loc, Period: p, Bitmap: set.Bitmaps()[i]}
+	}
+	out, err := record.NewSet(recs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
 // TestEstCacheLRUEviction: capacity bounds the entry count and evicts
 // least-recently-used first.
 func TestEstCacheLRUEviction(t *testing.T) {
 	set, _ := estTestSets(t)
 	c := NewEstCache(3)
 
-	for epoch := uint64(1); epoch <= 4; epoch++ {
-		if _, err := c.Point(epoch, set, SplitHalves); err != nil {
+	var sets [4]*record.Set
+	for i := range sets {
+		sets[i] = relabel(t, set, vhash.LocationID(i+1))
+		if _, err := c.Point(sets[i], SplitHalves); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := c.Len(); n != 3 {
 		t.Fatalf("Len = %d, want capacity 3", n)
 	}
-	// Epoch 1 was least recently used and must be gone; 2..4 remain.
-	if _, err := c.Point(2, set, SplitHalves); err != nil {
+	// Location 1 was least recently used and must be gone; 2..4 remain.
+	if _, err := c.Point(sets[1], SplitHalves); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 {
-		t.Fatalf("epoch 2 should have survived: %+v", st)
+		t.Fatalf("location 2 should have survived: %+v", st)
 	}
-	if _, err := c.Point(1, set, SplitHalves); err != nil {
+	if _, err := c.Point(sets[0], SplitHalves); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 5 {
-		t.Fatalf("epoch 1 should have been evicted: %+v", st)
+		t.Fatalf("location 1 should have been evicted: %+v", st)
 	}
 }
 
@@ -181,7 +174,7 @@ func TestEstCacheErrorsNotCached(t *testing.T) {
 	single := makeSet(t, pool, 31, 64, nil, []int{5}) // one period: too few
 	c := NewEstCache(8)
 	for i := 0; i < 2; i++ {
-		if _, err := c.Point(1, single, SplitHalves); !errors.Is(err, ErrTooFewPeriods) {
+		if _, err := c.Point(single, SplitHalves); !errors.Is(err, ErrTooFewPeriods) {
 			t.Fatalf("err = %v, want ErrTooFewPeriods", err)
 		}
 	}
@@ -202,7 +195,7 @@ func TestEstCacheNilComputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Point(1, setA, SplitHalves)
+	got, err := c.Point(setA, SplitHalves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +206,13 @@ func TestEstCacheNilComputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotP, err := c.PointToPoint(1, 2, setA, setB, 3)
+	gotP, err := c.PointToPoint(setA, setB, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *gotP != *wantP {
 		t.Fatal("nil cache p2p diverges from direct estimation")
 	}
-	c.NoteInvalidations(2) // must not panic
 	if st := c.Stats(); st != (EstCacheStats{}) {
 		t.Fatalf("nil cache stats: %+v", st)
 	}
@@ -235,7 +227,7 @@ func TestEstCacheNilComputes(t *testing.T) {
 func TestEstCachePeriodVerification(t *testing.T) {
 	set, _ := estTestSets(t)
 	c := NewEstCache(8)
-	if _, err := c.Point(3, set, SplitHalves); err != nil {
+	if _, err := c.Point(set, SplitHalves); err != nil {
 		t.Fatal(err)
 	}
 	// Forge the entry's periods so they no longer match the set: the
@@ -245,14 +237,14 @@ func TestEstCachePeriodVerification(t *testing.T) {
 		el.Value.(*estEntry).periods[0]++
 	}
 	c.mu.Unlock()
-	if _, err := c.Point(3, set, SplitHalves); err != nil {
+	if _, err := c.Point(set, SplitHalves); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
 	if st.Hits != 0 || st.Misses != 2 || st.Entries != 1 {
 		t.Fatalf("collision must degrade to miss-and-overwrite: %+v", st)
 	}
-	if _, err := c.Point(3, set, SplitHalves); err != nil {
+	if _, err := c.Point(set, SplitHalves); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 {

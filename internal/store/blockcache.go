@@ -62,11 +62,10 @@ type span struct {
 	ready chan struct{}
 	err   error
 
-	// pins, removed, and elem are owned by the BlockCache and only
-	// touched with BlockCache.mu held.
-	pins    int
-	removed bool
-	elem    *list.Element
+	// pins and elem are owned by the BlockCache and only touched with
+	// BlockCache.mu held.
+	pins int
+	elem *list.Element
 }
 
 // BlockCache is the bounded LRU of cold-record spans. All methods are
@@ -137,21 +136,17 @@ func (c *BlockCache) Get(key spanKey, load func() (words []uint64, nbytes int64,
 	c.mu.Lock()
 	if err != nil {
 		sp.err = err
-		if !sp.removed {
-			delete(c.spans, key)
-		}
+		delete(c.spans, key)
 		close(sp.ready)
 		c.mu.Unlock()
 		return nil, nil, err
 	}
 	sp.words, sp.bytes, sp.evict = words, nbytes, evict
-	if !sp.removed {
-		// pins >= 1 (ours), so the span enters accounted-and-pinned.
-		c.bytes += nbytes
-		c.pinned += nbytes
-		sp.elem = c.lru.PushFront(sp)
-		c.evictLocked()
-	}
+	// pins >= 1 (ours), so the span enters accounted-and-pinned.
+	c.bytes += nbytes
+	c.pinned += nbytes
+	sp.elem = c.lru.PushFront(sp)
+	c.evictLocked()
 	close(sp.ready)
 	c.mu.Unlock()
 	return words, c.unpinFunc(sp), nil
@@ -195,33 +190,7 @@ func (c *BlockCache) dropLocked(sp *span) {
 	delete(c.spans, sp.key)
 	c.lru.Remove(sp.elem)
 	sp.elem = nil
-	sp.removed = true
 	c.bytes -= sp.bytes
-}
-
-// InvalidateSegment drops every span of the given segment — retention
-// deleting a whole segment file. Pinned spans are dropped from the
-// cache but their readers keep streaming safely: the words view lives
-// until the segment's own pin count drains the munmap. No madvise is
-// issued; the segment unmap releases everything at once.
-func (c *BlockCache) InvalidateSegment(seg uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, sp := range c.spans {
-		if key.seg != seg {
-			continue
-		}
-		if sp.elem == nil {
-			// Still loading: mark removed; the loader skips admission.
-			sp.removed = true
-			delete(c.spans, key)
-			continue
-		}
-		if sp.pins > 0 {
-			c.pinned -= sp.bytes
-		}
-		c.dropLocked(sp)
-	}
 }
 
 // Stats returns a snapshot of the cache counters.

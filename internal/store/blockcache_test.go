@@ -132,45 +132,3 @@ func TestBlockCacheLoadError(t *testing.T) {
 		t.Fatalf("stats after recovery: %+v", st)
 	}
 }
-
-func TestBlockCacheInvalidateSegment(t *testing.T) {
-	c := NewBlockCache(1 << 20)
-	_, unpinPinned, err := c.Get(spanKey{1, 0}, loadWords(8, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, unpin, err := c.Get(spanKey{1, 1}, loadWords(8, nil, nil)); err != nil {
-		t.Fatal(err)
-	} else {
-		unpin()
-	}
-	if _, unpin, err := c.Get(spanKey{2, 0}, loadWords(8, nil, nil)); err != nil {
-		t.Fatal(err)
-	} else {
-		unpin()
-	}
-
-	c.InvalidateSegment(1)
-	st := c.Stats()
-	if st.Spans != 1 || st.CachedBytes != 64 {
-		t.Fatalf("segment 1 spans survived invalidation: %+v", st)
-	}
-	if st.PinnedBytes != 0 {
-		t.Fatalf("invalidated pinned span still accounted: %+v", st)
-	}
-	// Unpinning after invalidation must not corrupt the accounting.
-	unpinPinned()
-	if st := c.Stats(); st.PinnedBytes != 0 || st.CachedBytes != 64 {
-		t.Fatalf("after late unpin: %+v", st)
-	}
-	// Segment 2 is untouched.
-	var loads atomic.Int64
-	if _, unpin, err := c.Get(spanKey{2, 0}, loadWords(8, &loads, nil)); err != nil {
-		t.Fatal(err)
-	} else {
-		unpin()
-	}
-	if loads.Load() != 0 {
-		t.Fatal("survivor span was reloaded")
-	}
-}

@@ -11,9 +11,8 @@ import (
 // centrald at a directory of frozen segments (or a copy of a tiered
 // store's cold directory) and query a data set far larger than RAM.
 //
-// Mutations (Ingest, DropBefore, RetainLatest) fail with ErrReadOnly.
-// Each record's sequence number is issued once, when the segment is
-// indexed at open; nothing ever ingests, so no fence ever moves.
+// Ingest fails with ErrReadOnly: the record set is fixed when the
+// segments are indexed at open.
 type Mmap struct {
 	t *Tiered
 }
@@ -36,12 +35,6 @@ func (s *Mmap) Contains(loc vhash.LocationID, p record.PeriodID) bool {
 	return s.t.Contains(loc, p)
 }
 
-// DropBefore implements Store (always ErrReadOnly).
-func (s *Mmap) DropBefore(record.PeriodID) (int, error) { return 0, ErrReadOnly }
-
-// RetainLatest implements Store (always ErrReadOnly).
-func (s *Mmap) RetainLatest(vhash.LocationID, int) (int, error) { return 0, ErrReadOnly }
-
 // Lookup implements Store.
 func (s *Mmap) Lookup(loc vhash.LocationID, p record.PeriodID) (*record.Record, func(), bool) {
 	return s.t.Lookup(loc, p)
@@ -50,11 +43,6 @@ func (s *Mmap) Lookup(loc vhash.LocationID, p record.PeriodID) (*record.Record, 
 // Collect implements Store.
 func (s *Mmap) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*record.Record, uint64, func(), error) {
 	return s.t.Collect(loc, periods)
-}
-
-// Fence implements Store.
-func (s *Mmap) Fence(loc vhash.LocationID, periods []record.PeriodID) (uint64, error) {
-	return s.t.Fence(loc, periods)
 }
 
 // Locations implements Store.

@@ -223,7 +223,7 @@ func parseSegment(data []byte) ([]segEntry, error) {
 // WriteSegment streams a segment holding recs, which must be sorted
 // strictly by (location, period). It is the one writer of record-set
 // files: cold-tier freezes, WAL checkpoints and centrald -save. recs
-// may be empty — a store that retention emptied still checkpoints.
+// may be empty — an empty store still checkpoints.
 // Typically wrapped in wal.WriteFileAtomic so the segment appears
 // atomically.
 func WriteSegment(w io.Writer, recs []*record.Record) error {
@@ -343,8 +343,7 @@ func writeZeros(w io.Writer, n uint64, scratch []byte) error {
 // Segment is an open, parsed segment file. The mapping and index are
 // immutable after OpenSegment; the pin count tracks cold-tier readers
 // (block-cache spans and in-flight queries) so Close can defer the
-// munmap until the last reader drains — unlinking a live segment is
-// then safe at any time.
+// munmap until the last reader drains.
 type Segment struct {
 	path    string
 	id      uint64

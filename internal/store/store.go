@@ -33,17 +33,13 @@ var (
 
 // Store is the record-store contract the central server runs on.
 //
-// Records are immutable once ingested: a successful Ingest of
-// (loc, period) fixes that record's bits forever (until retention drops
-// it), and a record is never replaced in place. Each record admitted at
-// a location takes that location's next sequence number, which is never
-// issued again; a tier move keeps it. So the highest sequence number
-// among a window's records — the fence — names the record set: any
-// change to the set re-ingests one of its periods under a number above
-// every number issued before, and the fence strictly rises. An upload
-// at a period the window does not name leaves it alone. (loc, fence,
-// periods) is the identity the estimate cache keys results by, read
-// from the index alone by Fence, and queries are tier-oblivious.
+// The store only ever adds records: a successful Ingest of
+// (loc, period) fixes that record's bits for the life of the store, and
+// no record is ever replaced or dropped (a tier move changes where the
+// bits live, not what they are). So once (loc, periods) can be
+// collected it names the same record set forever — the identity the
+// estimate cache keys results by, with no store call on a hit — and
+// queries are tier-oblivious.
 //
 // Cold-tier reads hand out records whose bitmaps view mapped (or cached)
 // pages; the unpin function returned by Lookup and Collect releases
@@ -64,35 +60,19 @@ type Store interface {
 	// (exactly once) after its last use of rec.
 	Lookup(loc vhash.LocationID, p record.PeriodID) (rec *record.Record, unpin func(), ok bool)
 
-	// Collect fetches the records for every requested period along with
-	// their fence, the highest sequence number among them; the records
-	// are read atomically with respect to ingest and retention, so the
-	// fence names exactly the set returned — a sound estimate-cache
-	// fence. Any missing period fails the whole call with ErrNotFound
-	// (wrapped). On success the caller must call unpin (exactly once)
-	// after its last use of recs.
-	Collect(loc vhash.LocationID, periods []record.PeriodID) (recs []*record.Record, fence uint64, unpin func(), err error)
-
-	// Fence returns the fence Collect would return for the same call, and
-	// the same ErrNotFound for a missing period, from the index alone: no
-	// cold data is read and no pin is taken. The estimate cache is probed
-	// with it before anything is collected.
-	Fence(loc vhash.LocationID, periods []record.PeriodID) (fence uint64, err error)
+	// Collect fetches the records for every requested period. Any
+	// missing period fails the whole call with ErrNotFound (wrapped). On
+	// success the caller must call unpin (exactly once) after its last
+	// use of recs. The uint64 result is always 0: it stays only because
+	// bench/ptmload, whose source the benchmark comparison pins,
+	// implements this signature in its store decorator.
+	Collect(loc vhash.LocationID, periods []record.PeriodID) (recs []*record.Record, zero uint64, unpin func(), err error)
 
 	// Locations returns all locations with stored records, sorted.
 	Locations() []vhash.LocationID
 
 	// Periods returns the sorted periods stored for a location.
 	Periods(loc vhash.LocationID) []record.PeriodID
-
-	// DropBefore removes all records with period < cutoff and reports
-	// how many were dropped. Cold tiers also release the disk their
-	// fully-dropped segments occupied.
-	DropBefore(cutoff record.PeriodID) (int, error)
-
-	// RetainLatest keeps only the newest n periods at loc (n <= 0 drops
-	// everything at the location) and reports how many were dropped.
-	RetainLatest(loc vhash.LocationID, n int) (int, error)
 
 	// Sorted calls fn once with every stored record in (location,
 	// period) order — the one input store.WriteSegment needs to write

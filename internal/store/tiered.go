@@ -8,18 +8,15 @@ package store
 //
 // # Tiering state machine
 //
-// A record is in exactly one of two states, and moves at most once:
+// The store only ever adds records. A record is in exactly one of two
+// states, and moves at most once:
 //
-//	hot ──freeze──▶ cold ──retention──▶ gone
-//	 │                                    ▲
-//	 └───────────retention────────────────┘
+//	hot ──freeze──▶ cold
 //
 // Freeze moves bits, never values: the segment stores the bitmap words
 // verbatim, so a query answered from the cold tier is bit-identical to
-// one answered before the freeze. A record's sequence number therefore
-// moves with it into the cold index, and no fence changes on freeze —
-// cached estimates stay valid, which is the whole point of making the
-// estimator plane tier-oblivious.
+// one answered before the freeze, and cached estimates stay valid —
+// the whole point of making the estimator plane tier-oblivious.
 //
 // # Locking
 //
@@ -32,16 +29,12 @@ package store
 //     their hot twins under one mu.Lock — so an ingest can never slip a
 //     duplicate between "not in cold yet" and "already out of hot", and
 //     a reader holding mu.RLock sees every record in exactly one tier.
-//   - Collect and Fence read the hot tier (records + their sequence
-//     numbers, one shard lock hold); a request served entirely from it
-//     is done. Otherwise they take mu.RLock, read the hot tier again,
-//     and fill the holes, sequence numbers included, from the cold
-//     index. Freeze commits and retention need mu.Lock, so under
-//     mu.RLock the hot tier only gains records: the second hot read plus
-//     the cold index is one consistent record set, and the fence is the
-//     highest sequence number in it. Pairing the first hot read with the
-//     cold index would not be — a retention, re-ingest and freeze of the
-//     same period between the two could name a set that never existed.
+//   - Collect reads the hot tier once (one shard lock hold) and fills
+//     its holes from the cold index under mu.RLock. A record the hot
+//     read missed is either cold by then or not stored at all: only a
+//     freeze commit removes hot records, and it publishes their cold
+//     twins under the same mu.Lock. Nothing is ever dropped or
+//     replaced, so every record the call returns is the one stored.
 //
 // # Crash safety
 //
@@ -79,12 +72,10 @@ type TieredOptions struct {
 	CacheBytes int64
 }
 
-// coldRef locates a cold record — entry idx of segment seg — and keeps
-// the sequence number it was admitted with.
+// coldRef locates a cold record: entry idx of segment seg.
 type coldRef struct {
 	seg uint64
 	idx int
-	seq uint64
 }
 
 // Tiered implements Store over a hot Mem tier and cold mapped segments.
@@ -158,8 +149,7 @@ func OpenTiered(dir string, opts TieredOptions) (*Tiered, error) {
 				_ = t.Close()
 				return nil, fmt.Errorf("store: record loc=%d period=%d appears in multiple segments", e.loc, e.period)
 			}
-			ref := coldRef{seg: id, idx: i, seq: t.hot.nextSeq(e.loc)}
-			t.addColdLocked(e.loc, e.period, ref, int64(e.nbits))
+			t.addColdLocked(e.loc, e.period, coldRef{seg: id, idx: i}, int64(e.nbits))
 		}
 		if id >= t.nextSeg {
 			t.nextSeg = id + 1
@@ -304,10 +294,8 @@ func (t *Tiered) freezeLocked(targetBytes int64) (int, error) {
 
 	// Commit: publish the cold entries and retire the hot twins under
 	// one write lock — no reader or ingester observes a record in both
-	// tiers or neither. A victim that retention dropped since the scan
-	// (and a re-ingest may have replaced) stays unpublished: its segment
-	// entry is dead on arrival, and the segment is deleted once none of
-	// its entries is live.
+	// tiers or neither. Only a freeze removes hot records and freezes
+	// run one at a time, so every victim is still hot.
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -316,32 +304,26 @@ func (t *Tiered) freezeLocked(targetBytes int64) (int, error) {
 		return 0, ErrClosed
 	}
 	t.segs[id] = seg
-	frozen, frozenBits := 0, int64(0)
+	frozenBits := int64(0)
 	for i, rec := range victims {
-		seq, ok := t.hot.Remove(rec)
-		if !ok {
-			continue
-		}
-		t.addColdLocked(rec.Location, rec.Period, coldRef{seg: id, idx: i, seq: seq}, int64(rec.Size()))
-		frozen++
+		t.hot.Remove(rec.Location, rec.Period)
+		t.addColdLocked(rec.Location, rec.Period, coldRef{seg: id, idx: i}, int64(rec.Size()))
 		frozenBits += int64(rec.Size())
 	}
 	t.hotBits.Add(-frozenBits)
-	if frozen < len(victims) {
-		err = t.gcSegmentsLocked()
-	}
 	t.mu.Unlock()
-	return frozen, err
+	return len(victims), nil
 }
 
-// pinCold pins one cold record and materializes its bitmap view.
+// pinColdLocked pins one cold record and materializes its bitmap view.
 // Caller holds mu.RLock (so the segment cannot be closed under us while
-// we take its pin). The returned unpin releases the cache span and the
-// segment reference.
+// we take its pin). A closed store has no segments, and answers
+// ErrClosed. The returned unpin releases the cache span and the segment
+// reference.
 func (t *Tiered) pinColdLocked(loc vhash.LocationID, p record.PeriodID, ref coldRef) (*record.Record, func(), error) {
 	seg := t.segs[ref.seg]
 	if seg == nil || !seg.pin() {
-		return nil, nil, fmt.Errorf("%w: loc=%d period=%d (segment retired)", ErrNotFound, loc, p)
+		return nil, nil, ErrClosed
 	}
 	words, cacheUnpin, err := t.cache.Get(spanKey{seg: ref.seg, idx: ref.idx}, func() ([]uint64, int64, func() error, error) {
 		if err := seg.verifyEntry(ref.idx); err != nil {
@@ -382,14 +364,13 @@ func (t *Tiered) Lookup(loc vhash.LocationID, p record.PeriodID) (*record.Record
 	return rec, unpin, true
 }
 
-// Collect implements Store: hot records and their sequence numbers are
-// read under one shard lock hold, holes are filled from the cold tier
-// under the tiering read lock. See the package comment on why the
-// result stays a consistent snapshot.
+// Collect implements Store: hot records are read under one shard lock
+// hold, holes are filled from the cold tier under the tiering read lock
+// (see the package comment). The uint64 result is always 0.
 func (t *Tiered) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*record.Record, uint64, func(), error) {
-	recs, fence, missing := t.hot.collectPartial(loc, periods)
+	recs, missing := t.hot.collectPartial(loc, periods)
 	if missing < 0 {
-		return recs, fence, noopUnpin, nil
+		return recs, 0, noopUnpin, nil
 	}
 	var unpins []func()
 	release := func() {
@@ -398,7 +379,6 @@ func (t *Tiered) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*re
 		}
 	}
 	t.mu.RLock()
-	recs, fence, _ = t.hot.collectPartial(loc, periods)
 	for i, p := range periods {
 		if recs[i] != nil {
 			continue
@@ -417,37 +397,9 @@ func (t *Tiered) Collect(loc vhash.LocationID, periods []record.PeriodID) ([]*re
 		}
 		recs[i] = rec
 		unpins = append(unpins, unpin)
-		fence = max(fence, ref.seq)
 	}
 	t.mu.RUnlock()
-	if len(unpins) == 0 {
-		return recs, fence, noopUnpin, nil
-	}
-	return recs, fence, release, nil
-}
-
-// Fence implements Store: Collect's two reads, with the cold holes
-// looked up in the index instead of pinned.
-func (t *Tiered) Fence(loc vhash.LocationID, periods []record.PeriodID) (uint64, error) {
-	_, fence, missing := t.hot.collectPartial(loc, periods)
-	if missing < 0 {
-		return fence, nil
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	recs, fence, _ := t.hot.collectPartial(loc, periods)
-	cold := t.cold[loc]
-	for i, p := range periods {
-		if recs[i] != nil {
-			continue
-		}
-		ref, ok := cold[p]
-		if !ok {
-			return 0, notFound(loc, p)
-		}
-		fence = max(fence, ref.seq)
-	}
-	return fence, nil
+	return recs, 0, release, nil
 }
 
 // Locations implements Store (union of tiers).
@@ -486,101 +438,8 @@ func (t *Tiered) Periods(loc vhash.LocationID) []record.PeriodID {
 	return out
 }
 
-// DropBefore implements Store. Cold records are dropped from the index;
-// a segment whose records are all dropped is closed, its cache spans
-// invalidated, and its file deleted — retention releases disk, not just
-// address space. In-flight readers of the deleted segment finish
-// safely: the unlink happens at once, the munmap when their pins drain.
-func (t *Tiered) DropBefore(cutoff record.PeriodID) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return 0, ErrClosed
-	}
-	hotDropped, hotBits := t.hot.dropBefore(cutoff)
-	t.hotBits.Add(-hotBits)
-	coldDropped := 0
-	for loc, byP := range t.cold {
-		for p := range byP {
-			if p < cutoff {
-				t.dropColdLocked(loc, p)
-				coldDropped++
-			}
-		}
-	}
-	err := t.gcSegmentsLocked()
-	return hotDropped + coldDropped, err
-}
-
-// RetainLatest implements Store.
-func (t *Tiered) RetainLatest(loc vhash.LocationID, n int) (int, error) {
-	periods := t.Periods(loc)
-	if len(periods) <= n {
-		return 0, nil
-	}
-	cut := retainCut(periods, n)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return 0, ErrClosed
-	}
-	hotDropped, hotBits := t.hot.dropAt(loc, cut)
-	t.hotBits.Add(-hotBits)
-	coldDropped := 0
-	for p := range t.cold[loc] {
-		if p < cut {
-			t.dropColdLocked(loc, p)
-			coldDropped++
-		}
-	}
-	err := t.gcSegmentsLocked()
-	return hotDropped + coldDropped, err
-}
-
-// dropColdLocked removes one cold index entry. Caller holds mu.
-func (t *Tiered) dropColdLocked(loc vhash.LocationID, p record.PeriodID) {
-	byP := t.cold[loc]
-	ref, ok := byP[p]
-	if !ok {
-		return
-	}
-	delete(byP, p)
-	if len(byP) == 0 {
-		delete(t.cold, loc)
-	}
-	if seg := t.segs[ref.seg]; seg != nil {
-		t.coldBits -= int64(seg.entries[ref.idx].nbits)
-	}
-}
-
-// gcSegmentsLocked deletes every segment with no live index entries.
-// Caller holds mu.
-func (t *Tiered) gcSegmentsLocked() error {
-	live := make(map[uint64]bool, len(t.segs))
-	for _, byP := range t.cold {
-		for _, ref := range byP {
-			live[ref.seg] = true
-		}
-	}
-	var firstErr error
-	for id, seg := range t.segs {
-		if live[id] {
-			continue
-		}
-		delete(t.segs, id)
-		t.cache.InvalidateSegment(id)
-		if err := seg.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := os.Remove(seg.path); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("store: deleting retired segment: %w", err)
-		}
-	}
-	return firstErr
-}
-
 // Sorted implements Store. The whole call runs under the tiering read
-// lock (cold records must not be retired while fn reads them); cold
+// lock (Close must not unmap cold records while fn reads them); cold
 // words are CRC-checked and viewed directly off the mapping, bypassing
 // the block cache so a full scan cannot evict the query working set.
 func (t *Tiered) Sorted(fn func(recs []*record.Record) error) error {

@@ -134,9 +134,6 @@ func TestDifferentialStores(t *testing.T) {
 	if _, err := mm.Ingest(recs[0]); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("read-only Ingest: %v", err)
 	}
-	if _, err := mm.DropBefore(100); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only DropBefore: %v", err)
-	}
 }
 
 func equalEsts[T comparable](a, b []T) bool {
@@ -153,7 +150,7 @@ func equalEsts[T comparable](a, b []T) bool {
 
 // TestTieredBudgetFreeze proves the automatic freeze trigger: ingesting
 // far past the resident budget keeps the hot tier bounded and every
-// record queryable, with epochs untouched by migration.
+// record queryable.
 func TestTieredBudgetFreeze(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const budget = 32 * 1024 // bytes
@@ -183,14 +180,11 @@ func TestTieredBudgetFreeze(t *testing.T) {
 		t.Fatalf("records = %d, want %d", st.Records, nPeriods)
 	}
 
-	_, epoch, unpin, err := tiered.Collect(loc, periods)
+	_, _, unpin, err := tiered.Collect(loc, periods)
 	if err != nil {
 		t.Fatalf("Collect across tiers: %v", err)
 	}
 	unpin()
-	if epoch != nPeriods {
-		t.Fatalf("epoch = %d, want %d (one bump per ingest, none per freeze)", epoch, nPeriods)
-	}
 	if cs := tiered.CacheStats(); cs.Misses == 0 {
 		t.Fatalf("cold reads never touched the block cache: %+v", cs)
 	}
@@ -203,114 +197,6 @@ func TestTieredBudgetFreeze(t *testing.T) {
 	if _, err := tiered.Ingest(testRecord(rng, loc, hotP, 64)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("hot duplicate: %v", err)
 	}
-}
-
-// TestTieredRetentionReleasesDisk is the satellite's guarantee: dropping
-// periods drops whole segment files, not just index entries.
-func TestTieredRetentionReleasesDisk(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	dir := t.TempDir()
-	tiered, err := OpenTiered(dir, TieredOptions{CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tiered.Close()
-
-	// Two freeze batches -> two segments with disjoint period ranges.
-	for p := 1; p <= 4; p++ {
-		if _, err := tiered.Ingest(testRecord(rng, 1, record.PeriodID(p), 4096)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := tiered.Freeze(0); err != nil {
-		t.Fatal(err)
-	}
-	for p := 5; p <= 8; p++ {
-		if _, err := tiered.Ingest(testRecord(rng, 1, record.PeriodID(p), 4096)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := tiered.Freeze(0); err != nil {
-		t.Fatal(err)
-	}
-	if n := countSegFiles(t, dir); n != 2 {
-		t.Fatalf("segment files = %d, want 2", n)
-	}
-	before := dirBytes(t, dir)
-
-	// Pin a record from the doomed segment: deletion must not break the
-	// in-flight reader.
-	rec, unpin, ok := tiered.Lookup(1, 2)
-	if !ok {
-		t.Fatal("Lookup(1,2) missing")
-	}
-	wantOnes := rec.Bitmap.Ones()
-
-	dropped, err := tiered.DropBefore(5)
-	if err != nil {
-		t.Fatalf("DropBefore: %v", err)
-	}
-	if dropped != 4 {
-		t.Fatalf("dropped = %d, want 4", dropped)
-	}
-	if n := countSegFiles(t, dir); n != 1 {
-		t.Fatalf("segment files after retention = %d, want 1", n)
-	}
-	if after := dirBytes(t, dir); after >= before {
-		t.Fatalf("retention did not release disk: %d -> %d bytes", before, after)
-	}
-	// The pinned reader still streams the unlinked segment's pages.
-	if got := rec.Bitmap.Ones(); got != wantOnes {
-		t.Fatalf("pinned record changed under retention: %d -> %d ones", wantOnes, got)
-	}
-	unpin()
-
-	if _, _, ok := tiered.Lookup(1, 2); ok {
-		t.Fatal("dropped record still visible")
-	}
-	if st := tiered.Stats(); st.Records != 4 || st.Segments != 1 {
-		t.Fatalf("after retention: %+v", st)
-	}
-
-	// Dropping the rest removes the last segment file too.
-	if _, err := tiered.RetainLatest(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if n := countSegFiles(t, dir); n != 0 {
-		t.Fatalf("segment files after full retention = %d, want 0", n)
-	}
-}
-
-func countSegFiles(t *testing.T, dir string) int {
-	t.Helper()
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, de := range des {
-		if filepath.Ext(de.Name()) == ".seg" {
-			n++
-		}
-	}
-	return n
-}
-
-func dirBytes(t *testing.T, dir string) int64 {
-	t.Helper()
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, de := range des {
-		fi, err := de.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
-	}
-	return total
 }
 
 // TestTieredReopen proves the cold tier durable: a reopened store
@@ -351,9 +237,33 @@ func TestTieredReopen(t *testing.T) {
 	}
 }
 
-// TestTieredConcurrentSoak drives ingest, cross-tier queries, freezes,
-// cold reads through a tiny (eviction-heavy) cache, and retention all
-// at once. Run under -race this is the soak the issue asks for; the
+// TestTieredCollectAfterClose: a closed store answers a query over its
+// cold records with ErrClosed, not with ErrNotFound — the records are
+// not missing, the store is closed.
+func TestTieredCollectAfterClose(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	tiered, err := OpenTiered(t.TempDir(), TieredOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord(rng, 3, 1, 1024)
+	if _, err := tiered.Ingest(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tiered.Freeze(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tiered.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = tiered.Collect(rec.Location, []record.PeriodID{rec.Period})
+	if !errors.Is(err, ErrClosed) || errors.Is(err, ErrNotFound) {
+		t.Fatalf("Collect of a cold record after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestTieredConcurrentSoak drives ingest, cross-tier queries, freezes
+// and cold reads through a tiny (eviction-heavy) cache all at once. Run under -race this is the soak the issue asks for; the
 // invariant checked is weaker than the differential tests (no torn
 // reads, no panics, every complete Collect internally consistent).
 func TestTieredConcurrentSoak(t *testing.T) {
@@ -415,10 +325,6 @@ func TestTieredConcurrentSoak(t *testing.T) {
 				}
 				recs, _, unpin, err := tiered.Collect(loc, periods[:2])
 				if err != nil {
-					// Retention may have raced the period listing.
-					if errors.Is(err, ErrNotFound) {
-						continue
-					}
 					t.Errorf("Collect: %v", err)
 					return
 				}
@@ -433,28 +339,6 @@ func TestTieredConcurrentSoak(t *testing.T) {
 		}(int64(q))
 	}
 
-	// Retention: repeatedly drop the oldest periods (deleting segments
-	// out from under the queriers and the cache).
-	loopWg.Add(1)
-	go func() {
-		defer loopWg.Done()
-		cut := record.PeriodID(2)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := tiered.DropBefore(cut); err != nil {
-				t.Errorf("DropBefore: %v", err)
-				return
-			}
-			if cut < periodsPerLoc/2 {
-				cut++
-			}
-		}
-	}()
-
 	// Ingesters finish on their own; then wind down the loops.
 	ingWg.Wait()
 	close(stop)
@@ -464,7 +348,7 @@ func TestTieredConcurrentSoak(t *testing.T) {
 		t.Fatal("an ingested record went missing")
 	}
 
-	// Post-soak coherence: every surviving record readable and CRC-clean.
+	// Post-soak coherence: every record readable and CRC-clean.
 	if err := tiered.Sorted(func(recs []*record.Record) error {
 		for _, rec := range recs {
 			_ = rec.Bitmap.Ones()
@@ -483,50 +367,6 @@ func allIngested(s Store, nLocs, lastPeriod int) bool {
 		}
 	}
 	return true
-}
-
-// TestTieredFreezeIsEpochNeutral pins down the estimate-cache contract:
-// migrating records must not change what Collect returns — neither the
-// epoch nor a single bit.
-func TestTieredFreezeIsEpochNeutral(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tiered, err := OpenTiered(t.TempDir(), TieredOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tiered.Close()
-	periods := []record.PeriodID{1, 2, 3}
-	for _, p := range periods {
-		if _, err := tiered.Ingest(testRecord(rng, 5, p, 1024)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, epochBefore, unpinB, err := tiered.Collect(5, periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ones := make([]int, len(before))
-	for i, r := range before {
-		ones[i] = r.Bitmap.Ones()
-	}
-	unpinB()
-
-	if _, err := tiered.Freeze(0); err != nil {
-		t.Fatal(err)
-	}
-	after, epochAfter, unpinA, err := tiered.Collect(5, periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer unpinA()
-	if epochAfter != epochBefore {
-		t.Fatalf("freeze changed the epoch: %d -> %d", epochBefore, epochAfter)
-	}
-	for i, r := range after {
-		if r.Bitmap.Ones() != ones[i] {
-			t.Fatalf("freeze changed record %d", i)
-		}
-	}
 }
 
 // TestMmapRejectsNonSegmentDir covers OpenMmap's error paths.

@@ -126,14 +126,14 @@ elif ! cmp scripts/testdata/ptmbench_runs20.txt "$ARTIFACT_DIR/ptmbench_runs20.t
 	exit 1
 fi
 
-step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + RSU controller spool + spool zero tail + estimate cache + checkpoint racing ingest + duplicate ingest + batch publish on commit + concurrent ship rounds + full resync racing ingest + tiered store + fence racing ingest and freeze + peer connections racing Close)"
+step "race stress smoke (-race -count=2, WAL group commit and batch commit + RSU/DSRC striped ingest + RSU controller spool + spool zero tail + estimate cache + checkpoint racing ingest + duplicate ingest + batch publish on commit + concurrent ship rounds + full resync racing ingest + tiered store + collect racing ingest and freeze + peer connections racing Close)"
 go test -race -count=2 -run '^(TestGroupCommitConcurrentAppends|TestConcurrentBatchesAtMostOneSyncEach)$' ./internal/wal/
 go test -race -count=2 -run '^(TestConcurrentReportStorm|TestReportsRaceRotation|TestDifferentialAtomicVsSequential|TestControllerSpoolsThroughOutage|TestSpoolZeroTailDelivers)$' ./internal/rsu/
 go test -race -count=2 -run '^TestConcurrentSendFanIn$' ./internal/dsrc/
 go test -race -count=2 -run '^TestPickAndSum$' ./internal/stripe/
 go test -race -count=2 -run '^(TestEstCacheConcurrentQueryIngest|TestDurableCheckpointRacingIngest|TestDurableConcurrentDuplicateLogsOnce|TestDurableBatchPublishesOnCommit)$' ./internal/central/
 go test -race -count=2 -run '^(TestConcurrentShipRoundsShipOnce|TestFullResyncShipsInFlightIngest)$' ./internal/cluster/
-go test -race -count=2 -run '^(TestTieredConcurrentSoak|TestTieredFreezeRacingRetention|TestFenceNamesRecordSet)$' ./internal/store/
+go test -race -count=2 -run '^(TestTieredConcurrentSoak|TestCollectRacesIngestAndFreeze)$' ./internal/store/
 go test -race -count=2 -run '^TestPeersConcurrentCallsAndClose$' ./internal/transport/
 
 step "fuzz smoke ($FUZZTIME per target)"
